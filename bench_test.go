@@ -143,63 +143,10 @@ func BenchmarkFullPipeline(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md §5) ----------------------------------
 
-// BenchmarkAblationBOvsRandom compares the Pareto hypervolume SMS-EGO
-// reaches against random search at the same evaluation budget.
-func BenchmarkAblationBOvsRandom(b *testing.B) {
-	db := airlearning.NewDatabase()
-	airlearning.PopulateSurrogate(db)
-	space := dse.DefaultSpace()
-	makeProblem := func() (bayesopt.Problem, []dse.DesignPoint) {
-		cands := space.Sample(512, 3)
-		feats := make([][]float64, len(cands))
-		for i, d := range cands {
-			feats[i] = space.Features(d)
-		}
-		ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
-		return bayesopt.Problem{
-			Candidates: feats,
-			Evaluate: func(i int) []float64 {
-				e, err := ev.Evaluate(cands[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				return e.Objectives()
-			},
-			NumObjectives: 3,
-			Ref:           []float64{0, 30, 1},
-		}, cands
-	}
-	b.Run("sms-ego", func(b *testing.B) {
-		var hv float64
-		for i := 0; i < b.N; i++ {
-			p, _ := makeProblem()
-			cfg := bayesopt.DefaultConfig()
-			cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 12, 28, 128
-			res, err := bayesopt.Optimize(p, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hv = res.HypervolumeTrace[len(res.HypervolumeTrace)-1]
-		}
-		b.ReportMetric(hv, "hypervolume")
-	})
-	b.Run("random", func(b *testing.B) {
-		var hv float64
-		for i := 0; i < b.N; i++ {
-			p, _ := makeProblem()
-			res, err := bayesopt.RandomSearch(p, 40, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hv = res.HypervolumeTrace[len(res.HypervolumeTrace)-1]
-		}
-		b.ReportMetric(hv, "hypervolume")
-	})
-}
-
 // BenchmarkAblationOptimizers compares every Phase-2 search method (the
-// paper's §III-B: BO is replaceable with GA/SA) at the same evaluation
-// budget, reporting the dominated hypervolume of the resulting front.
+// paper's §III-B: BO is replaceable with GA/SA/RL), random search included,
+// at the same evaluation budget, reporting the dominated hypervolume of the
+// resulting front.
 func BenchmarkAblationOptimizers(b *testing.B) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)

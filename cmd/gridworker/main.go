@@ -8,16 +8,14 @@
 //	gridworker -coordinator http://127.0.0.1:7070 [-id w0] [-batch 4]
 //	    [-parallel 1] [-chaos-seed 1 -chaos-drop 0.1 -chaos-dup 0.05
 //	     -chaos-stale 0.05 -chaos-delay 0.1 -chaos-delay-for 20ms]
-//	    [-estimate-addr 127.0.0.1:0] [-debug-addr 127.0.0.1:0]
+//	    [-debug-addr 127.0.0.1:0]
 //
 // The -chaos-* flags deterministically inject network faults into this
 // worker's RPCs (dropped, delayed, duplicated, and stale-attempt
 // deliveries); because they corrupt delivery and never payloads, the merged
-// sweep result stays bitwise identical to a fault-free run. -estimate-addr
-// additionally serves this worker's hardware backend over HTTP
-// (hw.EstimateHandler) so it can double as a cost-model fleet node for
-// hw.RemoteBackend clients, and -debug-addr serves the worker's live metrics
-// (including /debug/prometheus in text exposition format).
+// sweep result stays bitwise identical to a fault-free run. -debug-addr
+// serves the worker's live metrics (including /debug/prometheus in text
+// exposition format).
 //
 // When the coordinator runs with telemetry on, the worker also ships its
 // evaluation spans and metrics snapshots back piggybacked on its existing
@@ -32,19 +30,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"time"
 
-	"autopilot/internal/dse"
 	"autopilot/internal/fault"
 	"autopilot/internal/grid"
-	"autopilot/internal/hw"
 	"autopilot/internal/obs"
-	"autopilot/internal/power"
-	"autopilot/internal/systolic"
 )
 
 func main() {
@@ -60,7 +52,6 @@ func main() {
 	chaosStale := flag.Float64("chaos-stale", 0, "probability a result is re-delivered with a stale attempt rank")
 	chaosDelay := flag.Float64("chaos-delay", 0, "probability an RPC is delayed")
 	chaosDelayFor := flag.Duration("chaos-delay-for", 20*time.Millisecond, "injected RPC delay duration")
-	estimateAddr := flag.String("estimate-addr", "", "also serve this worker's hw backend over HTTP on this address")
 	debugAddr := flag.String("debug-addr", "", "serve live metrics, /debug/prometheus, expvar, and pprof on this HTTP address")
 	flag.Parse()
 
@@ -94,28 +85,6 @@ func main() {
 		}
 		defer stopDbg() //nolint:errcheck // best-effort shutdown
 		fmt.Fprintf(os.Stderr, "gridworker: debug endpoint on http://%s/debug/prometheus\n", addr)
-	}
-
-	if *estimateAddr != "" {
-		// A fixed mid-grid accelerator config: the wire workload carries the
-		// network recipe, and this node prices it on this configuration.
-		backend := hw.SystolicBackend{
-			Config: systolic.Config{
-				Rows: 16, Cols: 16, IfmapKB: 64, FilterKB: 64, OfmapKB: 64,
-				FreqMHz: 500, BandwidthGBps: dse.Bandwidth(16 * 16),
-			},
-			Power: power.Default(),
-		}
-		ln, err := net.Listen("tcp", *estimateAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridworker:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "gridworker: estimate backend on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: http.NewServeMux()}
-		srv.Handler.(*http.ServeMux).Handle("/grid/v1/estimate", hw.ObservedEstimateHandler(backend, observer))
-		go srv.Serve(ln) //nolint:errcheck // closed with the process
-		defer srv.Close()
 	}
 
 	err := grid.Run(ctx, grid.WorkerConfig{

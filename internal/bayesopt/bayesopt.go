@@ -5,41 +5,21 @@
 // are scored by the hypervolume contribution of their lower-confidence-bound
 // estimate over the current Pareto front, with a penalty for
 // epsilon-dominated candidates.
+//
+// The optimizer is an ask/tell proposer (BO): it proposes candidates and is
+// told their objectives, and leaves evaluation, caching, budgets and failure
+// handling to its caller, the dse search loop.
 package bayesopt
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"autopilot/internal/gp"
-	"autopilot/internal/obs"
 	"autopilot/internal/pareto"
+	"autopilot/internal/space"
 	"autopilot/internal/tensor"
 )
-
-// Problem is a discrete multi-objective minimization problem.
-type Problem struct {
-	// Candidates are normalized feature encodings of each design point.
-	Candidates [][]float64
-	// Evaluate returns the objective vector (minimization) of candidate i.
-	// It is called at most once per candidate. A nil return marks the
-	// evaluation as failed: the candidate is consumed but recorded nowhere,
-	// so the models and hypervolume trace are built from survivors only.
-	Evaluate func(i int) []float64
-	// EvaluateBatch, when non-nil, scores a batch of candidates and returns
-	// one objective vector per index, in index-slice order. The optimizer
-	// uses it for the initial random samples — whose identities don't depend
-	// on each other — so a caller can score them concurrently without the
-	// optimizer knowing about goroutines. Results are recorded in
-	// submission order, so traces stay identical to the sequential path.
-	EvaluateBatch func(indices []int) [][]float64
-	// NumObjectives is the length of every objective vector.
-	NumObjectives int
-	// Ref is the hypervolume reference point; every reachable objective
-	// vector should be component-wise below it.
-	Ref []float64
-}
 
 // Acquisition selects the candidate-scoring strategy. The paper uses
 // SMS-EGO and notes it outperforms "other acquisition strategies such as
@@ -90,194 +70,122 @@ func DefaultConfig() Config {
 	}
 }
 
-// Evaluation is one evaluated design point.
-type Evaluation struct {
-	Index      int
-	Objectives []float64
+// BO is the Bayesian optimizer as an ask/tell proposer over a fixed
+// candidate set. Its first proposal is the random initialization, the first
+// InitSamples candidates of a seeded permutation; every later proposal is
+// the one candidate the acquisition function scores best among a screened
+// subsample of the candidates not yet told. It proposes nothing once every
+// candidate has been told. BO never scores a design itself: the caller
+// evaluates each proposal and reports the objectives through Observe.
+type BO struct {
+	cfg    Config
+	points []space.Point
+	cands  [][]float64 // normalized features, index-aligned with points
+	ref    []float64
+	rng    *tensor.RNG
+	kernel gp.SE
+
+	started bool
+	nInit   int
+	pending []int        // candidate indices of the last proposal
+	told    map[int]bool // candidates observed, failed ones included
+	feats   [][]float64  // features of the designs that returned objectives
+	objs    [][]float64  // their objective vectors, in observation order
 }
 
-// Result is the optimizer output.
-type Result struct {
-	// Evaluations in the order they were performed.
-	Evaluations []Evaluation
-	// FrontIndices are candidate indices on the final Pareto front.
-	FrontIndices []int
-	// HypervolumeTrace[i] is the dominated hypervolume after evaluation i.
-	HypervolumeTrace []float64
-}
-
-// Front returns the objective vectors of the final Pareto front.
-func (r *Result) Front() [][]float64 {
-	byIdx := map[int][]float64{}
-	for _, e := range r.Evaluations {
-		byIdx[e.Index] = e.Objectives
+// New builds the optimizer over candidate points and their normalized
+// feature vectors. ref is the hypervolume reference point; every reachable
+// objective vector should be component-wise below it, and its length is the
+// number of objectives.
+func New(points []space.Point, feats [][]float64, ref []float64, cfg Config) (*BO, error) {
+	if len(points) == 0 {
+		return nil, fmt.Errorf("bayesopt: empty candidate set")
 	}
-	out := make([][]float64, 0, len(r.FrontIndices))
-	for _, i := range r.FrontIndices {
-		out = append(out, byIdx[i])
+	if len(feats) != len(points) {
+		return nil, fmt.Errorf("bayesopt: %d feature vectors for %d candidates", len(feats), len(points))
 	}
-	return out
-}
-
-func (p Problem) validate() error {
-	if len(p.Candidates) == 0 {
-		return fmt.Errorf("bayesopt: empty candidate set")
-	}
-	if p.Evaluate == nil {
-		return fmt.Errorf("bayesopt: nil evaluator")
-	}
-	if p.NumObjectives <= 0 {
-		return fmt.Errorf("bayesopt: non-positive objective count")
-	}
-	if len(p.Ref) != p.NumObjectives {
-		return fmt.Errorf("bayesopt: ref dim %d, want %d", len(p.Ref), p.NumObjectives)
-	}
-	return nil
-}
-
-// Optimize runs SMS-EGO Bayesian optimization and returns the evaluated
-// designs, the final Pareto front and the hypervolume trace.
-//
-// Deprecated: use OptimizeContext, which supports cancellation. Optimize is
-// equivalent to OptimizeContext(context.Background(), p, cfg).
-func Optimize(p Problem, cfg Config) (*Result, error) {
-	return OptimizeContext(context.Background(), p, cfg)
-}
-
-// OptimizeContext runs SMS-EGO Bayesian optimization and returns the
-// evaluated designs, the final Pareto front and the hypervolume trace. The
-// context is checked before every evaluation; on cancellation the optimizer
-// stops and returns an error wrapping ctx.Err().
-func OptimizeContext(ctx context.Context, p Problem, cfg Config) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
+	if len(ref) == 0 {
+		return nil, fmt.Errorf("bayesopt: empty reference point")
 	}
 	if cfg.InitSamples <= 0 || cfg.Iterations < 0 {
 		return nil, fmt.Errorf("bayesopt: bad budget %+v", cfg)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	total := cfg.InitSamples + cfg.Iterations
-	if total > len(p.Candidates) {
-		total = len(p.Candidates)
+	return &BO{
+		cfg: cfg, points: points, cands: feats, ref: ref,
+		rng:    tensor.NewRNG(cfg.Seed),
+		kernel: gp.SE{Variance: 1, LengthScale: cfg.LengthScale},
+		told:   map[int]bool{},
+	}, nil
+}
+
+// Propose returns the next candidates to evaluate: the initial random
+// sample, then one model-guided candidate per call, and nothing once the
+// candidates are exhausted. It fails when none of the initial samples
+// returned objectives.
+func (b *BO) Propose() ([]space.Point, error) {
+	if !b.started {
+		b.started = true
+		b.nInit = min(b.cfg.InitSamples, len(b.points))
+		return b.propose(b.rng.Perm(len(b.points))[:b.nInit]...), nil
 	}
+	if len(b.objs) == 0 {
+		return nil, fmt.Errorf("bayesopt: all %d initial samples failed to evaluate", b.nInit)
+	}
+	models, scales, err := fitModels(b.feats, b.objs, len(b.ref), b.kernel, b.cfg.Noise)
+	if err != nil {
+		return nil, err
+	}
+	front := pareto.Filter(b.objs)
+	pool := screen(b.rng, len(b.points), b.told, b.cfg.ScreenSize)
+	if len(pool) == 0 {
+		return nil, nil
+	}
+	var weights []float64
+	var bestScalar float64
+	if b.cfg.Acquisition == AcqScalarizedEI {
+		weights, bestScalar = eiSetup(b.rng, b.objs, b.ref, len(b.ref))
+	}
+	best, bestScore := -1, math.Inf(-1)
+	for _, ci := range pool {
+		var score float64
+		if b.cfg.Acquisition == AcqScalarizedEI {
+			score = expectedImprovement(models, scales, b.cands[ci], weights, bestScalar, b.ref)
+		} else {
+			score = acquisition(models, scales, b.cands[ci], front, b.ref, b.cfg.Gain)
+		}
+		if score > bestScore {
+			best, bestScore = ci, score
+		}
+	}
+	return b.propose(best), nil
+}
 
-	res := &Result{}
-	evaluated := map[int]bool{}
-	var objs [][]float64 // objective vectors of evaluated points
-	var feats [][]float64
+func (b *BO) propose(idx ...int) []space.Point {
+	b.pending = idx
+	out := make([]space.Point, len(idx))
+	for j, i := range idx {
+		out[j] = b.points[i]
+	}
+	return out
+}
 
-	// Instrumentation (from the caller's observer, if any): evaluation and
-	// iteration counters plus phase spans. All nil-safe no-ops when absent,
-	// and purely observational — the search trajectory is unchanged.
-	o := obs.FromContext(ctx)
-	cEvals := o.Counter("bo.evaluations")
-	cFailed := o.Counter("bo.failed_evals")
-	cIters := o.Counter("bo.iterations")
-
-	record := func(i int, y []float64) {
-		evaluated[i] = true
-		cEvals.Inc()
+// Observe tells the optimizer the objectives of its last proposal, in order;
+// ys may cover only a prefix of it. A nil vector marks a design that failed
+// or was skipped: its candidate is used up but adds no point to the models.
+func (b *BO) Observe(ys [][]float64) {
+	for j, y := range ys {
+		i := b.pending[j]
+		b.told[i] = true
 		if y == nil {
-			// Failed evaluation (graceful degradation): the candidate is
-			// consumed — never re-screened — but contributes no observation,
-			// no model-fit point and no hypervolume-trace entry.
-			cFailed.Inc()
-			return
+			continue
 		}
-		if len(y) != p.NumObjectives {
-			panic(fmt.Sprintf("bayesopt: evaluator returned %d objectives, want %d", len(y), p.NumObjectives))
+		if len(y) != len(b.ref) {
+			panic(fmt.Sprintf("bayesopt: told %d objectives, want %d", len(y), len(b.ref)))
 		}
-		objs = append(objs, y)
-		feats = append(feats, p.Candidates[i])
-		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
-		res.HypervolumeTrace = append(res.HypervolumeTrace, pareto.Hypervolume(objs, p.Ref))
+		b.objs = append(b.objs, y)
+		b.feats = append(b.feats, b.cands[i])
 	}
-
-	// Phase A: random initialization. The initial indices are fixed up front
-	// by the seeded permutation, so when the caller supplies EvaluateBatch
-	// they can all be scored in one concurrent batch; recording stays in
-	// permutation order either way, keeping the hypervolume trace and the
-	// downstream model fits bit-identical to the sequential path.
-	perm := rng.Perm(len(p.Candidates))
-	nInit := cfg.InitSamples
-	if nInit > total {
-		nInit = total
-	}
-	init := perm[:nInit]
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
-	}
-	isp := obs.StartStep(ctx, "bo.init", "bayesopt")
-	defer isp.End() // idempotent; covers the early error returns below
-	if p.EvaluateBatch != nil {
-		ys := p.EvaluateBatch(init)
-		if len(ys) != len(init) {
-			return nil, fmt.Errorf("bayesopt: batch evaluator returned %d vectors, want %d", len(ys), len(init))
-		}
-		for j, i := range init {
-			record(i, ys[j])
-		}
-	} else {
-		for _, i := range init {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
-			}
-			record(i, p.Evaluate(i))
-		}
-	}
-
-	isp.End()
-
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("bayesopt: all %d initial samples failed to evaluate", len(init))
-	}
-
-	// Phase B: model-guided SMS-EGO iterations.
-	kernel := gp.SE{Variance: 1, LengthScale: cfg.LengthScale}
-	for len(res.Evaluations) < total {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("bayesopt: cancelled: %w", err)
-		}
-		it := obs.StartStep(ctx, "bo.iter", "bayesopt")
-		cIters.Inc()
-		models, scales, err := fitModels(feats, objs, p.NumObjectives, kernel, cfg.Noise)
-		if err != nil {
-			it.End()
-			return nil, err
-		}
-		front := pareto.Filter(objs)
-		pool := screen(rng, len(p.Candidates), evaluated, cfg.ScreenSize)
-		if len(pool) == 0 {
-			it.End()
-			break
-		}
-		var weights []float64
-		var bestScalar float64
-		if cfg.Acquisition == AcqScalarizedEI {
-			weights, bestScalar = eiSetup(rng, objs, p.Ref, p.NumObjectives)
-		}
-		best, bestScore := -1, math.Inf(-1)
-		for _, ci := range pool {
-			var score float64
-			if cfg.Acquisition == AcqScalarizedEI {
-				score = expectedImprovement(models, scales, p.Candidates[ci], weights, bestScalar, p.Ref)
-			} else {
-				score = acquisition(models, scales, p.Candidates[ci], front, p.Ref, cfg.Gain)
-			}
-			if score > bestScore {
-				best, bestScore = ci, score
-			}
-		}
-		record(best, p.Evaluate(best))
-		it.End()
-	}
-
-	// Final Pareto front over everything evaluated.
-	nd := pareto.NonDominated(objs)
-	for _, i := range nd {
-		res.FrontIndices = append(res.FrontIndices, res.Evaluations[i].Index)
-	}
-	return res, nil
+	b.pending = nil
 }
 
 // fitModels fits one standardized-output GP per objective and returns the
@@ -434,28 +342,4 @@ func stdNormalPDF(z float64) float64 {
 
 func stdNormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// RandomSearch evaluates `budget` random candidates — the baseline the
-// ablation benchmarks compare SMS-EGO against.
-func RandomSearch(p Problem, budget int, seed int64) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	rng := tensor.NewRNG(seed)
-	if budget > len(p.Candidates) {
-		budget = len(p.Candidates)
-	}
-	res := &Result{}
-	var objs [][]float64
-	for _, i := range rng.Perm(len(p.Candidates))[:budget] {
-		y := p.Evaluate(i)
-		objs = append(objs, y)
-		res.Evaluations = append(res.Evaluations, Evaluation{Index: i, Objectives: y})
-		res.HypervolumeTrace = append(res.HypervolumeTrace, pareto.Hypervolume(objs, p.Ref))
-	}
-	for _, i := range pareto.NonDominated(objs) {
-		res.FrontIndices = append(res.FrontIndices, res.Evaluations[i].Index)
-	}
-	return res, nil
 }

@@ -1,43 +1,118 @@
 package bayesopt
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"autopilot/internal/pareto"
+	"autopilot/internal/space"
+	"autopilot/internal/tensor"
 )
+
+// problem is a discrete multi-objective test problem: candidate points,
+// their features, and the objective function over a candidate index (nil
+// marks a failed evaluation).
+type problem struct {
+	points []space.Point
+	feats  [][]float64
+	eval   func(i int) []float64
+	ref    []float64
+}
 
 // zdt1Grid builds a discrete two-objective problem with a known Pareto front:
 // x = (a, b) on a grid, f1 = a, f2 = b + (1-a)²; front at b = 0.
-func zdt1Grid(n int) Problem {
-	var cands [][]float64
+func zdt1Grid(n int) problem {
+	var p problem
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			cands = append(cands, []float64{float64(i) / float64(n-1), float64(j) / float64(n-1)})
+			p.points = append(p.points, space.Point{i, j})
+			p.feats = append(p.feats, []float64{float64(i) / float64(n-1), float64(j) / float64(n-1)})
 		}
 	}
-	return Problem{
-		Candidates: cands,
-		Evaluate: func(i int) []float64 {
-			a, b := cands[i][0], cands[i][1]
-			return []float64{a, b + (1-a)*(1-a)}
-		},
-		NumObjectives: 2,
-		Ref:           []float64{2, 3},
+	p.eval = func(i int) []float64 {
+		a, b := p.feats[i][0], p.feats[i][1]
+		return []float64{a, b + (1-a)*(1-a)}
 	}
+	p.ref = []float64{2, 3}
+	return p
+}
+
+// line builds a one-feature problem over n evenly spaced candidates.
+func line(n int, f func(x float64) []float64, ref ...float64) problem {
+	p := problem{ref: ref}
+	for i := 0; i < n; i++ {
+		p.points = append(p.points, space.Point{i})
+		p.feats = append(p.feats, []float64{float64(i) / float64(n-1)})
+	}
+	p.eval = func(i int) []float64 { return f(p.feats[i][0]) }
+	return p
+}
+
+// evaluation is one scored candidate.
+type evaluation struct {
+	index      int
+	objectives []float64
+}
+
+// drive runs the optimizer the way the dse search loop does, to a budget of
+// designs that returned objectives: every proposal is scored in order and
+// observed, and a failed candidate is used up without counting. It returns
+// the scored candidates in order.
+func drive(t *testing.T, p problem, cfg Config, budget int) ([]evaluation, error) {
+	t.Helper()
+	bo, err := New(p.points, p.feats, p.ref, cfg)
+	if err != nil {
+		return nil, err
+	}
+	index := map[string]int{}
+	for i, pt := range p.points {
+		index[fmt.Sprint(pt)] = i
+	}
+	var out []evaluation
+	for len(out) < budget {
+		pts, err := bo.Propose()
+		if err != nil {
+			return nil, err
+		}
+		if len(pts) == 0 {
+			break
+		}
+		ys := make([][]float64, len(pts))
+		for j, pt := range pts {
+			i := index[fmt.Sprint(pt)]
+			if ys[j] = p.eval(i); ys[j] != nil {
+				out = append(out, evaluation{i, ys[j]})
+			}
+		}
+		bo.Observe(ys)
+	}
+	return out, nil
+}
+
+// objectives returns the objective vectors of a run, in order.
+func objectives(evs []evaluation) [][]float64 {
+	out := make([][]float64, len(evs))
+	for i, e := range evs {
+		out[i] = e.objectives
+	}
+	return out
 }
 
 func TestOptimizeValidation(t *testing.T) {
 	p := zdt1Grid(5)
-	if _, err := Optimize(Problem{}, DefaultConfig()); err == nil {
-		t.Error("expected error for empty problem")
+	if _, err := New(nil, nil, p.ref, DefaultConfig()); err == nil {
+		t.Error("expected error for empty candidate set")
 	}
-	bad := p
-	bad.Ref = []float64{1}
-	if _, err := Optimize(bad, DefaultConfig()); err == nil {
-		t.Error("expected error for ref dim mismatch")
+	if _, err := New(p.points, p.feats[1:], p.ref, DefaultConfig()); err == nil {
+		t.Error("expected error for missing feature vectors")
+	}
+	if _, err := New(p.points, p.feats, nil, DefaultConfig()); err == nil {
+		t.Error("expected error for empty reference point")
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples = 0
-	if _, err := Optimize(p, cfg); err == nil {
+	if _, err := New(p.points, p.feats, p.ref, cfg); err == nil {
 		t.Error("expected error for zero init samples")
 	}
 }
@@ -45,23 +120,23 @@ func TestOptimizeValidation(t *testing.T) {
 func TestOptimizeEvaluatesEachCandidateOnce(t *testing.T) {
 	p := zdt1Grid(6)
 	calls := map[int]int{}
-	inner := p.Evaluate
-	p.Evaluate = func(i int) []float64 {
+	inner := p.eval
+	p.eval = func(i int) []float64 {
 		calls[i]++
 		return inner(i)
 	}
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 16
-	res, err := Optimize(p, cfg)
+	evs, err := drive(t, p, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Evaluations) != 20 {
-		t.Fatalf("evaluations = %d, want 20", len(res.Evaluations))
+	if len(evs) != 20 {
+		t.Fatalf("evaluations = %d, want 20", len(evs))
 	}
 	for i, c := range calls {
 		if c != 1 {
-			t.Fatalf("candidate %d evaluated %d times", i, c)
+			t.Fatalf("candidate %d proposed %d times", i, c)
 		}
 	}
 }
@@ -70,27 +145,47 @@ func TestOptimizeBudgetCappedBySpace(t *testing.T) {
 	p := zdt1Grid(3) // 9 candidates
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations = 5, 50
-	res, err := Optimize(p, cfg)
+	evs, err := drive(t, p, cfg, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Evaluations) != 9 {
-		t.Fatalf("evaluations = %d, want all 9", len(res.Evaluations))
+	if len(evs) != 9 {
+		t.Fatalf("evaluations = %d, want all 9", len(evs))
 	}
 }
 
-func TestHypervolumeTraceMonotone(t *testing.T) {
-	p := zdt1Grid(8)
+// TestFailedCandidatesUsedUpNotModeled: a candidate told nil is never
+// proposed again and adds nothing to the models, and a run whose initial
+// samples all fail is rejected.
+func TestFailedCandidatesUsedUpNotModeled(t *testing.T) {
+	p := zdt1Grid(6)
+	proposed := map[int]int{}
+	inner := p.eval
+	p.eval = func(i int) []float64 {
+		proposed[i]++
+		if i%3 == 0 {
+			return nil
+		}
+		return inner(i)
+	}
 	cfg := DefaultConfig()
-	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 6, 20, 32
-	res, err := Optimize(p, cfg)
+	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 16
+	evs, err := drive(t, p, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.HypervolumeTrace); i++ {
-		if res.HypervolumeTrace[i] < res.HypervolumeTrace[i-1]-1e-12 {
-			t.Fatalf("trace decreased at %d: %g -> %g", i, res.HypervolumeTrace[i-1], res.HypervolumeTrace[i])
+	if len(evs) != 20 {
+		t.Fatalf("evaluations = %d, want 20 survivors", len(evs))
+	}
+	for i, c := range proposed {
+		if c != 1 {
+			t.Fatalf("candidate %d proposed %d times", i, c)
 		}
+	}
+
+	p.eval = func(int) []float64 { return nil }
+	if _, err := drive(t, p, cfg, 20); err == nil {
+		t.Fatal("expected error when every initial sample fails")
 	}
 }
 
@@ -99,39 +194,26 @@ func TestFrontIsNonDominatedAndOnTrueFront(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 10, 40, 64
 	cfg.Seed = 3
-	res, err := Optimize(p, cfg)
+	evs, err := drive(t, p, cfg, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := res.Front()
-	if len(front) == 0 {
+	frontIdx := pareto.NonDominated(objectives(evs))
+	if len(frontIdx) == 0 {
 		t.Fatal("empty front")
 	}
-	for i, a := range front {
-		for j, b := range front {
-			if i == j {
-				continue
-			}
-			dom := true
-			strict := false
-			for k := range a {
-				if a[k] > b[k] {
-					dom = false
-				}
-				if a[k] < b[k] {
-					strict = true
-				}
-			}
-			if dom && strict {
-				t.Fatalf("front point %v dominates front point %v", a, b)
+	for _, i := range frontIdx {
+		for _, j := range frontIdx {
+			if i != j && pareto.Dominates(evs[i].objectives, evs[j].objectives) {
+				t.Fatalf("front point %v dominates front point %v", evs[i].objectives, evs[j].objectives)
 			}
 		}
 	}
 	// with 50 evaluations on a 100-point grid, BO should discover at least
 	// a few of the 10 true-front points (b = 0)
 	trueFront := 0
-	for _, idx := range res.FrontIndices {
-		if p.Candidates[idx][1] == 0 {
+	for _, i := range frontIdx {
+		if p.feats[evs[i].index][1] == 0 {
 			trueFront++
 		}
 	}
@@ -146,79 +228,55 @@ func TestBOBeatsRandomSearchOnBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 10, budget-10, 128
 	cfg.Seed = 7
-	bo, err := Optimize(p, cfg)
+	bo, err := drive(t, p, cfg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mean over a few random seeds to avoid flakiness
+	// random search draws `budget` distinct candidates; mean over a few
+	// seeds to avoid flakiness
 	var randHV float64
 	const seeds = 5
 	for s := int64(0); s < seeds; s++ {
-		r, err := RandomSearch(p, budget, 100+s)
-		if err != nil {
-			t.Fatal(err)
+		var objs [][]float64
+		for _, i := range tensor.NewRNG(100 + s).Perm(len(p.points))[:budget] {
+			objs = append(objs, p.eval(i))
 		}
-		randHV += r.HypervolumeTrace[len(r.HypervolumeTrace)-1]
+		randHV += pareto.Hypervolume(objs, p.ref)
 	}
 	randHV /= seeds
-	boHV := bo.HypervolumeTrace[len(bo.HypervolumeTrace)-1]
+	boHV := pareto.Hypervolume(objectives(bo), p.ref)
 	if boHV < randHV {
 		t.Fatalf("BO hypervolume %.4f below mean random-search %.4f", boHV, randHV)
 	}
 }
 
-func TestRandomSearchValidation(t *testing.T) {
-	if _, err := RandomSearch(Problem{}, 10, 1); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestRandomSearchBudgetCap(t *testing.T) {
-	p := zdt1Grid(3)
-	res, err := RandomSearch(p, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Evaluations) != 9 {
-		t.Fatalf("evaluations = %d, want 9", len(res.Evaluations))
-	}
-}
-
 func TestOptimizeDeterministicForSeed(t *testing.T) {
-	p := zdt1Grid(8)
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 6, 10, 32
-	a, err := Optimize(p, cfg)
+	a, err := drive(t, zdt1Grid(8), cfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(zdt1Grid(8), cfg)
+	b, err := drive(t, zdt1Grid(8), cfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Evaluations) != len(b.Evaluations) {
+	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
-	for i := range a.Evaluations {
-		if a.Evaluations[i].Index != b.Evaluations[i].Index {
-			t.Fatalf("evaluation %d differs: %d vs %d", i, a.Evaluations[i].Index, b.Evaluations[i].Index)
+	for i := range a {
+		if a[i].index != b[i].index {
+			t.Fatalf("evaluation %d differs: %d vs %d", i, a[i].index, b[i].index)
 		}
 	}
 }
 
 func TestAcquisitionPrefersNonDominatedRegion(t *testing.T) {
-	// direct unit check on the acquisition machinery via a 1-candidate run:
 	// a constant-objective problem must not crash the GP (zero variance path)
-	cands := [][]float64{{0}, {0.5}, {1}}
-	p := Problem{
-		Candidates:    cands,
-		Evaluate:      func(i int) []float64 { return []float64{1, 1} },
-		NumObjectives: 2,
-		Ref:           []float64{2, 2},
-	}
+	p := line(3, func(float64) []float64 { return []float64{1, 1} }, 2, 2)
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations = 2, 1
-	if _, err := Optimize(p, cfg); err != nil {
+	if _, err := drive(t, p, cfg, 3); err != nil {
 		t.Fatalf("constant objectives: %v", err)
 	}
 }
@@ -226,29 +284,16 @@ func TestAcquisitionPrefersNonDominatedRegion(t *testing.T) {
 func TestOptimizeSingleObjectiveFindsMinimum(t *testing.T) {
 	// 1-objective degenerate case: BO should find the global minimum of a
 	// smooth function on a line.
-	n := 50
-	var cands [][]float64
-	for i := 0; i < n; i++ {
-		cands = append(cands, []float64{float64(i) / float64(n-1)})
-	}
-	f := func(x float64) float64 { return (x - 0.37) * (x - 0.37) }
-	p := Problem{
-		Candidates:    cands,
-		Evaluate:      func(i int) []float64 { return []float64{f(cands[i][0])} },
-		NumObjectives: 1,
-		Ref:           []float64{2},
-	}
+	p := line(50, func(x float64) []float64 { return []float64{(x - 0.37) * (x - 0.37)} }, 2)
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 5, 15, 50
-	res, err := Optimize(p, cfg)
+	evs, err := drive(t, p, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	best := math.Inf(1)
-	for _, e := range res.Evaluations {
-		if e.Objectives[0] < best {
-			best = e.Objectives[0]
-		}
+	for _, e := range evs {
+		best = math.Min(best, e.objectives[0])
 	}
 	if best > 0.01 {
 		t.Fatalf("best objective %.4f, want near 0 (20 evals on 50 points)", best)
@@ -266,17 +311,15 @@ func TestScalarizedEIOptimizes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Acquisition = AcqScalarizedEI
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 24, 64
-	res, err := Optimize(p, cfg)
+	evs, err := drive(t, p, cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FrontIndices) == 0 {
+	if len(pareto.NonDominated(objectives(evs))) == 0 {
 		t.Fatal("empty front from EI")
 	}
-	// EI must still beat pure luck on average over a fair budget
-	final := res.HypervolumeTrace[len(res.HypervolumeTrace)-1]
-	if final <= 0 {
-		t.Fatalf("EI hypervolume %g", final)
+	if hv := pareto.Hypervolume(objectives(evs), p.ref); hv <= 0 {
+		t.Fatalf("EI hypervolume %g", hv)
 	}
 }
 

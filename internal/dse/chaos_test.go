@@ -134,3 +134,59 @@ func TestExecuteFailureBudgetExceeded(t *testing.T) {
 		t.Fatal("budget error must still return the failure report")
 	}
 }
+
+// TestExecuteInjectedFailFastErrorDeterministic: without a failure budget a
+// search stops at the lowest-index failure of the batch that hit one, after
+// the whole batch has finished, so the reported error is the same at every
+// worker count.
+func TestExecuteInjectedFailFastErrorDeterministic(t *testing.T) {
+	in := &fault.Injector{Seed: 3, ErrorRate: 0.3}
+	var want string
+	for i, workers := range []int{1, 8, 8, 8, 8} {
+		_, err := chaosExecute(t, workers, in, fault.Policy{}, 0)
+		if err == nil {
+			t.Fatal("fail-fast run with ~30% injected failures succeeded")
+		}
+		if i == 0 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d reported %q, workers=1 reported %q", workers, err, want)
+		}
+	}
+}
+
+// TestExecuteChaosEveryOptimizer: every optimizer degrades under a failure
+// budget — failed designs are recorded, never scored, and the result is
+// bitwise identical at one and at eight workers.
+func TestExecuteChaosEveryOptimizer(t *testing.T) {
+	in := &fault.Injector{Seed: 11, ErrorRate: 0.08, NaNRate: 0.08}
+	for _, opt := range []Optimizer{OptBayesian, OptGenetic, OptAnnealing, OptReinforce, OptRandom} {
+		exec := func(workers int) *Result {
+			res, err := Execute(context.Background(), Request{
+				Space: DefaultSpace(), DB: surrogateDB(), Scenario: airlearning.DenseObstacle,
+				Power: power.Default(), Config: smallConfig(), Optimizer: opt, Workers: workers,
+				FailureBudget: 1, Injector: in,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", opt, err)
+			}
+			return res
+		}
+		res := exec(1)
+		if got, want := resultDigest(exec(8)), resultDigest(res); got != want {
+			t.Errorf("%s: workers=8 digest %s, workers=1 %s", opt, got, want)
+		}
+		if len(res.Failures) == 0 {
+			t.Errorf("%s: injector produced no failures", opt)
+		}
+		scored := map[string]bool{}
+		for _, e := range res.Evaluated {
+			scored[e.Design.String()] = true
+		}
+		for _, f := range res.Failures {
+			if scored[strings.TrimPrefix(f.Job, "probe ")] {
+				t.Errorf("%s: failed design %s was scored", opt, f.Job)
+			}
+		}
+	}
+}

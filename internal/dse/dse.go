@@ -4,7 +4,8 @@
 // parameters (PE array shape, scratchpad sizes). Each candidate is scored on
 // three objectives — task success rate (from the Air Learning database),
 // SoC power, and inference runtime — and explored with SMS-EGO Bayesian
-// optimization. The output is a set of evaluated designs, their Pareto
+// optimization or one of its alternatives, all driven by one search loop
+// (search.go). The output is a set of evaluated designs, their Pareto
 // front, and the conventional-DSE picks (HT/LP/HE) that Phase 3 compares
 // against.
 package dse
@@ -23,7 +24,6 @@ import (
 	"autopilot/internal/hw"
 	"autopilot/internal/memo"
 	"autopilot/internal/obs"
-	"autopilot/internal/pareto"
 	"autopilot/internal/policy"
 	"autopilot/internal/pool"
 	"autopilot/internal/power"
@@ -33,10 +33,10 @@ import (
 
 // Space is the Table II search space plus the fixed system parameters. It is
 // a thin, domain-typed view over the generic space.Space parameter layer:
-// ParamSpace materializes the axis list, and Sample/Enumerate/Features/
-// ChoiceDims all delegate to it, so the sampling, enumeration order, and
-// feature arithmetic are exactly the generic layer's (bitwise-identical to
-// the historical hard-coded grid on the legacy axis list).
+// ParamSpace materializes the axis list, and Sample/Enumerate/Features all
+// delegate to it, so the sampling, enumeration order, and feature
+// arithmetic are exactly the generic layer's (bitwise-identical to the
+// historical hard-coded grid on the legacy axis list).
 type Space struct {
 	Layers  []int
 	Filters []int
@@ -447,7 +447,7 @@ type Evaluator struct {
 // Option configures an Evaluator.
 type Option func(*Evaluator)
 
-// WithWorkers bounds the EvaluateAll worker pool; n <= 0 selects
+// WithWorkers bounds the EvaluateEach worker pool; n <= 0 selects
 // runtime.NumCPU().
 func WithWorkers(n int) Option {
 	return func(ev *Evaluator) { ev.workers = n }
@@ -710,19 +710,11 @@ func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base in
 	return e, err
 }
 
-// EvaluateAll scores a batch of design points on the evaluator's bounded
-// worker pool and returns them in submission order. Cancellation drains the
-// pool and returns an error wrapping ctx.Err().
-func (ev *Evaluator) EvaluateAll(ctx context.Context, ds []DesignPoint) ([]Evaluated, error) {
-	return pool.Map(ctx, ev.workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
-		return ev.EvaluateContext(ctx, d)
-	})
-}
-
-// EvaluateEach scores a batch like EvaluateAll but isolates per-design
-// failures instead of failing fast: results and errors are index-aligned
-// with ds, and only context cancellation returns a terminal error. This is
-// the entry point graceful-degradation sweeps build on.
+// EvaluateEach scores a batch of design points on the evaluator's bounded
+// worker pool, isolating per-design failures: results and errors are
+// index-aligned with ds (submission order), and only context cancellation
+// returns a terminal error, wrapping ctx.Err(). Every Phase-2 design is
+// scored through it.
 func (ev *Evaluator) EvaluateEach(ctx context.Context, ds []DesignPoint) ([]Evaluated, []error, error) {
 	return pool.MapEach(ctx, ev.workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
 		return ev.EvaluateContext(ctx, d)
@@ -839,9 +831,10 @@ type Result struct {
 
 	// Failures records every design whose evaluation failed after retries,
 	// in deterministic record order — populated only when the request ran
-	// with a positive FailureBudget (fail-fast runs abort on first error
-	// instead). Failed designs appear nowhere in Evaluated; Pareto
-	// extraction and the optimizer's models are built from survivors only.
+	// with a positive FailureBudget (fail-fast runs abort at the first
+	// failing batch instead). Failed designs appear nowhere in Evaluated;
+	// Pareto extraction and the optimizer's models are built from survivors
+	// only.
 	Failures []fault.Failure
 
 	// Skips records every design whose loadout failed the catalog
@@ -877,69 +870,6 @@ func (r *Result) TopSuccess(eps float64) []int {
 		}
 	}
 	return out
-}
-
-// finishResult applies the shared Phase-2 post-processing: probe-corner
-// seeding (evaluated concurrently on the worker pool, re-assembled in sweep
-// order), Pareto-front extraction, and conventional-DSE labeling. With a
-// positive failure budget the probe sweep degrades gracefully — failed
-// probes are recorded in res.Failures and dropped — instead of aborting.
-func finishResult(ctx context.Context, res *Result, req Request, ev *Evaluator) (*Result, error) {
-	space, db, scen, cfg := req.Space, req.DB, req.Scenario, req.Config
-	if cfg.ProbeCorners {
-		if sweep := probeSweep(space, db, scen); len(sweep) > 0 {
-			seen := map[string]bool{}
-			for _, e := range res.Evaluated {
-				seen[e.Design.String()] = true
-			}
-			for _, s := range res.Skips {
-				seen[s.Design] = true
-			}
-			var probes []DesignPoint
-			for _, d := range sweep {
-				if !seen[d.String()] {
-					probes = append(probes, d)
-				}
-			}
-			if req.FailureBudget > 0 || space.HasVehicleAxes() {
-				// Per-design isolation: infeasible probe loadouts become
-				// typed skips; real failures degrade under a budget and stay
-				// fatal without one.
-				es, errs, err := ev.EvaluateEach(ctx, probes)
-				if err != nil {
-					return nil, err
-				}
-				for i, e := range es {
-					if errs[i] != nil {
-						if sk, ok := asSkip(probes[i], errs[i]); ok {
-							res.Skips = append(res.Skips, sk)
-							continue
-						}
-						if req.FailureBudget > 0 {
-							res.Failures = append(res.Failures, fault.NewFailure("probe "+probes[i].String(), errs[i]))
-							continue
-						}
-						return nil, errs[i]
-					}
-					res.Evaluated = append(res.Evaluated, e)
-				}
-			} else {
-				es, err := ev.EvaluateAll(ctx, probes)
-				if err != nil {
-					return nil, err
-				}
-				res.Evaluated = append(res.Evaluated, es...)
-			}
-		}
-	}
-	objs := make([][]float64, len(res.Evaluated))
-	for i, e := range res.Evaluated {
-		objs[i] = e.Objectives()
-	}
-	res.ParetoIdx = pareto.NonDominated(objs)
-	res.labelConventional()
-	res.CacheHits, res.CacheMisses = ev.CacheStats()
-	return res, nil
 }
 
 // labelConventional picks HT/LP/HE among top-success designs.

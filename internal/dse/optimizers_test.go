@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/power"
+	"autopilot/internal/space"
 )
 
 func TestOptimizerStrings(t *testing.T) {
@@ -15,9 +17,11 @@ func TestOptimizerStrings(t *testing.T) {
 	}
 }
 
+// TestChoiceDimsMatchSpace pins the choice-vector layout the evolutionary
+// optimizers search: the parameter space's axis cardinalities in axis order.
 func TestChoiceDimsMatchSpace(t *testing.T) {
 	s := DefaultSpace()
-	dims := s.ChoiceDims()
+	dims := s.ParamSpace().Dims()
 	want := []int{9, 3, 8, 8, 8, 8, 8}
 	if len(dims) != len(want) {
 		t.Fatalf("dims = %v", dims)
@@ -29,9 +33,11 @@ func TestChoiceDimsMatchSpace(t *testing.T) {
 	}
 }
 
+// TestFromChoicesRoundTrip: a choice vector (a space.Point) materializes the
+// design its indices select.
 func TestFromChoicesRoundTrip(t *testing.T) {
 	s := DefaultSpace()
-	d, err := s.FromChoices([]int{5, 1, 3, 4, 0, 7, 2})
+	d, err := s.FromPoint(space.Point{5, 1, 3, 4, 0, 7, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +57,13 @@ func TestFromChoicesRoundTrip(t *testing.T) {
 
 func TestFromChoicesErrors(t *testing.T) {
 	s := DefaultSpace()
-	if _, err := s.FromChoices([]int{1, 2}); err == nil {
+	if _, err := s.FromPoint(space.Point{1, 2}); err == nil {
 		t.Fatal("expected length error")
 	}
-	if _, err := s.FromChoices([]int{99, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := s.FromPoint(space.Point{99, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("expected range error")
 	}
-	if _, err := s.FromChoices([]int{-1, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := s.FromPoint(space.Point{-1, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("expected range error")
 	}
 }
@@ -175,5 +181,26 @@ func TestExhaustiveConfirmsBOFindings(t *testing.T) {
 	htFPS := res.Evaluated[res.HT].FPS
 	if htFPS < 0.95*bestFPS {
 		t.Fatalf("BO+probe HT %.1f FPS well below exhaustive best %.1f", htFPS, bestFPS)
+	}
+}
+
+// TestRandomSearchBudgetCap: random search on a space smaller than its
+// budget scores every design of the space exactly once.
+func TestRandomSearchBudgetCap(t *testing.T) {
+	s := DefaultSpace()
+	s.Layers, s.Filters = []int{7}, []int{48}
+	s.PERows, s.PECols, s.SRAMKB = []int{8, 64}, []int{8, 64}, []int{32, 512}
+	cfg := smallConfig()
+	cfg.ProbeCorners = false
+	cfg.BO.Iterations = 100 // budget 112 over a 32-design space
+	res, err := Execute(context.Background(), Request{
+		Space: s, DB: surrogateDB(), Scenario: airlearning.DenseObstacle,
+		Power: power.Default(), Config: cfg, Optimizer: OptRandom,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(res.Evaluated)) != s.Size() || res.CacheMisses != s.Size() {
+		t.Fatalf("%d evaluated, %d simulated; want all %d designs once", len(res.Evaluated), res.CacheMisses, s.Size())
 	}
 }

@@ -121,21 +121,27 @@ func TestEvaluatorMemoizesRevisits(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllPreservesOrderAndDedupes(t *testing.T) {
+func TestEvaluateEachPreservesOrderAndDedupes(t *testing.T) {
 	s := DefaultSpace()
 	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
 		WithTemplate(s.Template), WithWorkers(4))
 	base := s.Sample(8, 5)
 	// duplicate every design so half the evaluations can come from cache
 	ds := append(append([]DesignPoint{}, base...), base...)
-	es, err := ev.EvaluateAll(context.Background(), ds)
+	es, errs, err := ev.EvaluateEach(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(es) != len(ds) {
-		t.Fatalf("len = %d, want %d", len(es), len(ds))
+	if len(es) != len(ds) || len(errs) != len(ds) {
+		t.Fatalf("len = %d/%d, want %d", len(es), len(errs), len(ds))
+	}
+	if hits, misses := ev.CacheStats(); hits != int64(len(base)) || misses != int64(len(base)) {
+		t.Fatalf("cache stats = %d hits / %d misses, want %d/%d", hits, misses, len(base), len(base))
 	}
 	for i := range base {
+		if errs[i] != nil || errs[i+len(base)] != nil {
+			t.Fatalf("design %d failed: %v / %v", i, errs[i], errs[i+len(base)])
+		}
 		if es[i].Design != ds[i] {
 			t.Fatalf("result %d out of order", i)
 		}

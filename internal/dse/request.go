@@ -2,14 +2,13 @@ package dse
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"autopilot/internal/airlearning"
-	"autopilot/internal/bayesopt"
 	"autopilot/internal/fault"
 	"autopilot/internal/obs"
+	"autopilot/internal/pareto"
 	"autopilot/internal/power"
 )
 
@@ -44,10 +43,11 @@ type Request struct {
 	// composes with Retry (a timed-out attempt is retryable).
 	JobTimeout time.Duration
 	// FailureBudget is the fraction of evaluations allowed to fail (after
-	// retries) before the run errors. 0 preserves fail-fast: the first
-	// evaluation error aborts the search. A positive budget records failed
-	// designs in Result.Failures, feeds the optimizer survivors only, and
-	// completes the run as long as the failed fraction stays within budget.
+	// retries) before the run errors. 0 preserves fail-fast: the batch that
+	// hits the first evaluation error aborts the search, reporting its
+	// lowest-index failure. A positive budget records failed designs in
+	// Result.Failures, feeds the optimizer survivors only, and completes the
+	// run as long as the failed fraction stays within budget.
 	FailureBudget float64
 	// Injector deterministically injects faults into backend evaluations for
 	// chaos testing; nil injects nothing.
@@ -105,16 +105,18 @@ func (r Request) evaluator() *Evaluator {
 // local evaluation.
 func (r Request) NewEvaluator() *Evaluator { return r.evaluator() }
 
-// Execute runs Phase 2 for a request: sample the space, explore it with the
-// requested optimizer, and label the conventional-DSE picks. Design
-// evaluations fan out over a bounded worker pool but are re-assembled in
-// submission order before Pareto extraction, so the result is bitwise
-// deterministic for a given seed regardless of Workers. Cancelling the
-// context drains the pool and returns an error wrapping ctx.Err().
+// Execute runs Phase 2 for a request: explore the space with the requested
+// optimizer, score the probe sweep, and label the conventional-DSE picks.
+// Every design is scored by one search loop (see search): each proposal
+// fans out over a bounded worker pool but is filed in submission order, so
+// the result is bitwise deterministic for a given seed regardless of
+// Workers. Cancelling the context drains the pool and returns an error
+// wrapping ctx.Err().
 //
 // Each evaluation runs under the request's retry policy with panic
-// isolation. With a zero FailureBudget the first exhausted evaluation aborts
-// the search (fail-fast); a positive budget records failed designs in
+// isolation. With a zero FailureBudget an evaluation error aborts the search
+// (fail-fast) once its batch has finished, reporting the batch's
+// lowest-index failure; a positive budget records failed designs in
 // Result.Failures, feeds the optimizer the survivors, and errors only when
 // the failed fraction exceeds the budget.
 func Execute(ctx context.Context, req Request) (*Result, error) {
@@ -125,139 +127,27 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	sp := obs.StartStep(ctx, "dse "+req.Scenario.String(), "dse")
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	if req.Optimizer != OptBayesian {
-		return executeAlternate(ctx, req)
-	}
-	cfg := req.Config
-	cands := req.Space.Sample(cfg.CandidatePool, cfg.Seed)
-	ev := req.evaluator()
 
-	feats := make([][]float64, len(cands))
-	for i, d := range cands {
-		feats[i] = req.Space.Features(d)
-	}
-
-	// In fail-fast mode evaluation failures cancel the optimizer promptly
-	// instead of letting it keep modeling garbage; the first error is
-	// reported afterwards. With a failure budget, failed designs become
-	// Failure records and nil objective vectors the optimizer skips.
-	ectx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(map[int]Evaluated, cfg.BO.InitSamples+cfg.BO.Iterations)
-	var failures []fault.Failure
-	var skips []Skip
-	var evalErr error
-	fail := func(err error) {
-		if evalErr == nil {
-			evalErr = err
-			cancel()
-		}
-	}
-	// degrade records one failed design; returns false when the error is a
-	// cancellation (which stays terminal even under a budget).
-	degrade := func(i int, err error) bool {
-		if errors.Is(err, context.Canceled) || errors.Is(err, ctx.Err()) {
-			return false
-		}
-		failures = append(failures, fault.NewFailure(cands[i].String(), err))
-		return true
-	}
-	// skip records a typed infeasible-loadout verdict: the candidate is
-	// consumed with a nil objective vector (never scored, never modeled) and
-	// lands in Result.Skips rather than Failures, budget or not.
-	skip := func(i int, err error) bool {
-		sk, ok := asSkip(cands[i], err)
-		if ok {
-			skips = append(skips, sk)
-		}
-		return ok
-	}
-	problem := bayesopt.Problem{
-		Candidates: feats,
-		// Evaluate serves the sequential model-guided iterations.
-		Evaluate: func(i int) []float64 {
-			e, err := ev.EvaluateContext(ectx, cands[i])
-			if err != nil {
-				if skip(i, err) {
-					return nil
-				}
-				if req.FailureBudget > 0 && degrade(i, err) {
-					return nil
-				}
-				fail(err)
-				results[i] = e
-				return e.Objectives()
-			}
-			results[i] = e
-			return e.Objectives()
-		},
-		// EvaluateBatch scores the initial samples concurrently; the
-		// optimizer records them in submission order.
-		EvaluateBatch: func(indices []int) [][]float64 {
-			ds := make([]DesignPoint, len(indices))
-			for j, i := range indices {
-				ds[j] = cands[i]
-			}
-			ys := make([][]float64, len(indices))
-			if req.FailureBudget > 0 || req.Space.HasVehicleAxes() {
-				es, errs, err := ev.EvaluateEach(ectx, ds)
-				if err != nil {
-					fail(err)
-					return ys
-				}
-				for j, i := range indices {
-					if errs[j] != nil {
-						if skip(i, errs[j]) {
-							continue
-						}
-						if req.FailureBudget > 0 && degrade(i, errs[j]) {
-							continue
-						}
-						fail(errs[j])
-						return ys
-					}
-					results[i] = es[j]
-					ys[j] = es[j].Objectives()
-				}
-				return ys
-			}
-			es, err := ev.EvaluateAll(ectx, ds)
-			if err != nil {
-				fail(err)
-				es = make([]Evaluated, len(indices))
-			}
-			for j, e := range es {
-				results[indices[j]] = e
-				ys[j] = e.Objectives()
-			}
-			return ys
-		},
-		NumObjectives: 3,
-		// ref: success can only improve hypervolume down to -1; power tops
-		// out near the biggest SoC; runtime near the slowest design. In a
-		// vehicle space the power objective is the full-vehicle draw (rotors
-		// dominate, hundreds of watts) and the third objective is −missions.
-		Ref: []float64{0, 30, 1},
-	}
-	if req.Space.HasVehicleAxes() {
-		problem.Ref = []float64{0, 600, 0}
-	}
-	boRes, err := bayesopt.OptimizeContext(ectx, problem, cfg.BO)
-	if evalErr != nil {
-		return nil, evalErr
-	}
+	ps := req.Space.ParamSpace()
+	opt, budget, err := req.newProposer(ps)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Scenario: req.Scenario, Failures: failures, Skips: skips}
-	for _, e := range boRes.Evaluations {
-		res.Evaluated = append(res.Evaluated, results[e.Index])
-	}
-	res, err = finishResult(ctx, res, req, ev)
-	if err != nil {
+	s := &search{req: req, ev: req.evaluator(), ps: ps, res: &Result{Scenario: req.Scenario}}
+	if err := s.run(ctx, opt, budget); err != nil {
 		return nil, err
 	}
+	if err := s.probe(ctx); err != nil {
+		return nil, err
+	}
+	res := s.res
+	objs := make([][]float64, len(res.Evaluated))
+	for i, e := range res.Evaluated {
+		objs[i] = e.Objectives()
+	}
+	res.ParetoIdx = pareto.NonDominated(objs)
+	res.labelConventional()
+	res.CacheHits, res.CacheMisses = s.ev.CacheStats()
 	if req.FailureBudget > 0 {
 		attempted := len(res.Evaluated) + len(res.Failures)
 		if attempted > 0 {

@@ -176,14 +176,51 @@ func TestLegacySpaceHasNoVehicleTrace(t *testing.T) {
 	}
 }
 
-// TestVehicleAxesRequireBayesian: the GA/SA ablation paths refuse vehicle
-// spaces instead of silently scoring mixed objective vectors.
-func TestVehicleAxesRequireBayesian(t *testing.T) {
-	for _, opt := range []Optimizer{OptGenetic, OptAnnealing, OptRandom} {
-		_, err := runWith(opt, vehicleSpace(), surrogateDB(), airlearning.DenseObstacle,
-			power.Default(), smallConfig())
-		if err == nil {
-			t.Errorf("%s accepted a vehicle space", opt)
+// TestVehicleAxesEveryOptimizer: every optimizer searches the vehicle space
+// through the same loop as the Bayesian one — infeasible loadouts become
+// typed skips that are never scored, the front keeps at least two loadouts,
+// and the result is bitwise identical at one and at eight workers.
+func TestVehicleAxesEveryOptimizer(t *testing.T) {
+	for _, opt := range []Optimizer{OptGenetic, OptAnnealing, OptReinforce, OptRandom} {
+		exec := func(workers int) *Result {
+			res, err := Execute(context.Background(), Request{
+				Space: vehicleSpace(), DB: surrogateDB(), Scenario: airlearning.DenseObstacle,
+				Power: power.Default(), Config: smallConfig(), Optimizer: opt, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", opt, err)
+			}
+			return res
+		}
+		res := exec(1)
+		if got, want := resultDigest(exec(8)), resultDigest(res); got != want {
+			t.Errorf("%s: workers=8 digest %s, workers=1 %s", opt, got, want)
+		}
+		if len(res.Skips) == 0 {
+			t.Errorf("%s: no typed skips on the vehicle space", opt)
+		}
+		if len(res.Failures) != 0 {
+			t.Errorf("%s: infeasible loadouts leaked into Failures: %v", opt, res.Failures)
+		}
+		scored := map[string]bool{}
+		for _, e := range res.Evaluated {
+			scored[e.Design.String()] = true
+		}
+		for _, sk := range res.Skips {
+			if scored[sk.Design] {
+				t.Errorf("%s: design %s was both skipped and scored", opt, sk.Design)
+			}
+			if sk.Reason != string(catalog.ReasonPower) && sk.Reason != string(catalog.ReasonThrust) &&
+				sk.Reason != string(catalog.ReasonWeight) {
+				t.Errorf("%s: skip %s has unknown reason %q", opt, sk.Design, sk.Reason)
+			}
+		}
+		loadouts := map[VehicleRef]bool{}
+		for _, e := range res.Pareto() {
+			loadouts[e.Design.Vehicle] = true
+		}
+		if len(loadouts) < 2 {
+			t.Errorf("%s: front holds %d distinct loadouts, want >= 2", opt, len(loadouts))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"autopilot/internal/airlearning"
@@ -54,7 +55,10 @@ func (s *Suite) Fig3b() (Table, error) {
 	airlearning.PopulateSurrogate(db)
 	ev := dse.NewEvaluator(db, airlearning.DenseObstacle, power.Default(), dse.WithTemplate(space.Template))
 	h := policy.Hyper{Layers: 7, Filters: 48}
-	evs, err := ev.EvaluateAll(context.Background(), space.ProbeDesigns(h))
+	evs, errs, err := ev.EvaluateEach(context.Background(), space.ProbeDesigns(h))
+	if err == nil {
+		err = errors.Join(errs...)
+	}
 	if err != nil {
 		return Table{}, err
 	}

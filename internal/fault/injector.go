@@ -27,8 +27,8 @@ const (
 	InjectDelay
 
 	// Network fault classes, drawn per RPC key by distributed-execution
-	// transports (internal/grid, hw.RemoteBackend). They corrupt delivery,
-	// never payloads, so surviving results stay bitwise-comparable.
+	// transports (internal/grid). They corrupt delivery, never payloads, so
+	// surviving results stay bitwise-comparable.
 
 	// InjectDrop loses the RPC: the request is never delivered and the
 	// caller sees a transport error.

@@ -2,10 +2,17 @@
 // names as drop-in replacements for Bayesian optimization in Phase 2
 // (§III-B / Table VI: "the bayesian optimization method can be replaced with
 // reinforcement learning, evolutionary algorithms, simulated annealing"):
-// an NSGA-II-style genetic algorithm and a scalarized simulated annealer.
+// an NSGA-II-style genetic algorithm (GA), a scalarized simulated annealer
+// (SA) and a REINFORCE policy-gradient searcher (RL).
 //
-// Both operate on a discrete choice-vector genome — one index per design
-// dimension — so they plug directly into the dse.Space encoding.
+// All three are ask/tell proposers over a discrete choice-vector genome —
+// one index per design dimension, exactly a space.Point of the dse
+// parameter space. Propose returns the genomes to score next (none once the
+// optimizer is done) and Observe tells it their objective vectors in order,
+// nil for a design that failed or was skipped, possibly for only a prefix of
+// the proposal when the caller's budget runs out. None of them evaluates,
+// caches or deduplicates designs: the caller answers a revisited genome
+// with its recorded objectives.
 package moea
 
 import (
@@ -14,89 +21,40 @@ import (
 	"sort"
 
 	"autopilot/internal/pareto"
+	"autopilot/internal/space"
 	"autopilot/internal/tensor"
 )
 
-// Problem is a discrete multi-objective minimization problem over choice
-// vectors: genome[i] ∈ [0, Dims[i]).
-type Problem struct {
-	Dims          []int // cardinality of each design dimension
-	Evaluate      func(genome []int) []float64
-	NumObjectives int
-	Ref           []float64 // hypervolume reference point
-}
-
-// Validate checks the problem definition.
-func (p Problem) Validate() error {
-	if len(p.Dims) == 0 {
+// checkProblem validates the genome layout and, when the optimizer uses
+// one, the hypervolume reference point.
+func checkProblem(dims []int, ref []float64, needRef bool) error {
+	if len(dims) == 0 {
 		return fmt.Errorf("moea: empty genome")
 	}
-	for i, d := range p.Dims {
+	for i, d := range dims {
 		if d <= 0 {
 			return fmt.Errorf("moea: dimension %d has cardinality %d", i, d)
 		}
 	}
-	if p.Evaluate == nil {
-		return fmt.Errorf("moea: nil evaluator")
-	}
-	if p.NumObjectives <= 0 || len(p.Ref) != p.NumObjectives {
-		return fmt.Errorf("moea: bad objective spec (%d objectives, ref dim %d)", p.NumObjectives, len(p.Ref))
+	if needRef && len(ref) == 0 {
+		return fmt.Errorf("moea: empty reference point")
 	}
 	return nil
 }
 
+// randomGenome draws one index per dimension.
+func randomGenome(rng *tensor.RNG, dims []int) space.Point {
+	g := make(space.Point, len(dims))
+	for i, d := range dims {
+		g[i] = rng.Intn(d)
+	}
+	return g
+}
+
 // Individual is one evaluated genome.
 type Individual struct {
-	Genome     []int
+	Genome     space.Point
 	Objectives []float64
-}
-
-// Result is the optimizer output, mirroring bayesopt.Result.
-type Result struct {
-	Evaluations      []Individual
-	Front            []Individual
-	HypervolumeTrace []float64
-	EvalCount        int // total evaluator calls (memoized duplicates excluded)
-}
-
-// tracker memoizes evaluations and maintains the hypervolume trace.
-type tracker struct {
-	p     Problem
-	seen  map[string][]float64
-	objs  [][]float64
-	res   *Result
-	limit int
-}
-
-func key(g []int) string {
-	b := make([]byte, 0, len(g)*3)
-	for _, v := range g {
-		b = append(b, byte(v), byte(v>>8), '|')
-	}
-	return string(b)
-}
-
-func (t *tracker) eval(g []int) []float64 {
-	k := key(g)
-	if y, ok := t.seen[k]; ok {
-		return y
-	}
-	y := t.p.Evaluate(g)
-	t.seen[k] = y
-	genome := append([]int(nil), g...)
-	t.res.Evaluations = append(t.res.Evaluations, Individual{Genome: genome, Objectives: y})
-	t.objs = append(t.objs, y)
-	t.res.HypervolumeTrace = append(t.res.HypervolumeTrace, pareto.Hypervolume(t.objs, t.p.Ref))
-	t.res.EvalCount++
-	return y
-}
-
-func (t *tracker) exhausted() bool { return t.res.EvalCount >= t.limit }
-
-func (t *tracker) finish() {
-	for _, i := range pareto.NonDominated(t.objs) {
-		t.res.Front = append(t.res.Front, t.res.Evaluations[i])
-	}
 }
 
 // GAConfig controls the genetic algorithm.
@@ -106,7 +64,6 @@ type GAConfig struct {
 	CrossoverP  float64
 	MutationP   float64 // per-gene mutation probability
 	TournamentK int
-	MaxEvals    int // hard budget on evaluator calls
 	Seed        int64
 }
 
@@ -115,72 +72,95 @@ func DefaultGAConfig() GAConfig {
 	return GAConfig{
 		Population: 24, Generations: 12,
 		CrossoverP: 0.9, MutationP: 0.15, TournamentK: 2,
-		MaxEvals: 96, Seed: 1,
+		Seed: 1,
 	}
 }
 
-// NSGA2 runs an NSGA-II-style multi-objective genetic algorithm: fast
-// non-dominated sorting plus crowding-distance environmental selection.
-func NSGA2(p Problem, cfg GAConfig) (*Result, error) {
-	if err := p.Validate(); err != nil {
+// GA is an NSGA-II-style multi-objective genetic algorithm: fast
+// non-dominated sorting plus crowding-distance environmental selection. It
+// proposes a random initial population, then one generation of offspring
+// per call, Generations times. Individuals told nil never enter the
+// population; while the population is empty the GA proposes a fresh random
+// one instead of offspring.
+type GA struct {
+	cfg  GAConfig
+	dims []int
+	rng  *tensor.RNG
+	pop  []Individual
+	kids []space.Point // the last proposal
+	gen  int           // proposals made so far
+}
+
+// NewGA builds the genetic algorithm over genomes with the given
+// per-dimension cardinalities.
+func NewGA(dims []int, cfg GAConfig) (*GA, error) {
+	if err := checkProblem(dims, nil, false); err != nil {
 		return nil, err
 	}
 	if cfg.Population < 4 || cfg.Generations < 1 {
 		return nil, fmt.Errorf("moea: bad GA budget %+v", cfg)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	t := &tracker{p: p, seen: map[string][]float64{}, res: &Result{}, limit: cfg.MaxEvals}
+	return &GA{cfg: cfg, dims: dims, rng: tensor.NewRNG(cfg.Seed)}, nil
+}
 
-	randomGenome := func() []int {
-		g := make([]int, len(p.Dims))
-		for i, d := range p.Dims {
-			g[i] = rng.Intn(d)
-		}
-		return g
+// Propose returns the next population or generation of offspring.
+func (g *GA) Propose() ([]space.Point, error) {
+	if g.gen > g.cfg.Generations {
+		return nil, nil
 	}
-	pop := make([]Individual, cfg.Population)
-	for i := range pop {
-		g := randomGenome()
-		pop[i] = Individual{Genome: g, Objectives: t.eval(g)}
-		if t.exhausted() {
-			break
+	g.gen++
+	g.kids = make([]space.Point, 0, g.cfg.Population)
+	if len(g.pop) == 0 {
+		for range g.cfg.Population {
+			g.kids = append(g.kids, randomGenome(g.rng, g.dims))
 		}
+		return g.kids, nil
 	}
-
-	for gen := 0; gen < cfg.Generations && !t.exhausted(); gen++ {
-		ranks, crowd := rankAndCrowd(pop)
-		tournament := func() Individual {
-			best := rng.Intn(len(pop))
-			for k := 1; k < cfg.TournamentK; k++ {
-				c := rng.Intn(len(pop))
-				if ranks[c] < ranks[best] || (ranks[c] == ranks[best] && crowd[c] > crowd[best]) {
-					best = c
-				}
+	ranks, crowd := rankAndCrowd(g.pop)
+	tournament := func() Individual {
+		best := g.rng.Intn(len(g.pop))
+		for k := 1; k < g.cfg.TournamentK; k++ {
+			c := g.rng.Intn(len(g.pop))
+			if ranks[c] < ranks[best] || (ranks[c] == ranks[best] && crowd[c] > crowd[best]) {
+				best = c
 			}
-			return pop[best]
 		}
-		var offspring []Individual
-		for len(offspring) < cfg.Population && !t.exhausted() {
-			a, b := tournament(), tournament()
-			child := append([]int(nil), a.Genome...)
-			if rng.Float64() < cfg.CrossoverP {
-				for i := range child {
-					if rng.Float64() < 0.5 {
-						child[i] = b.Genome[i]
-					}
-				}
-			}
+		return g.pop[best]
+	}
+	for len(g.kids) < g.cfg.Population {
+		a, b := tournament(), tournament()
+		child := a.Genome.Clone()
+		if g.rng.Float64() < g.cfg.CrossoverP {
 			for i := range child {
-				if rng.Float64() < cfg.MutationP {
-					child[i] = rng.Intn(p.Dims[i])
+				if g.rng.Float64() < 0.5 {
+					child[i] = b.Genome[i]
 				}
 			}
-			offspring = append(offspring, Individual{Genome: child, Objectives: t.eval(child)})
 		}
-		pop = environmentalSelect(append(pop, offspring...), cfg.Population)
+		for i := range child {
+			if g.rng.Float64() < g.cfg.MutationP {
+				child[i] = g.rng.Intn(g.dims[i])
+			}
+		}
+		g.kids = append(g.kids, child)
 	}
-	t.finish()
-	return t.res, nil
+	return g.kids, nil
+}
+
+// Observe tells the GA the objectives of its last proposal. Offspring
+// compete with the current population for its places.
+func (g *GA) Observe(ys [][]float64) {
+	var told []Individual
+	for j, y := range ys {
+		if y != nil {
+			told = append(told, Individual{Genome: g.kids[j], Objectives: y})
+		}
+	}
+	if len(g.pop) == 0 {
+		g.pop = told
+		return
+	}
+	g.pop = environmentalSelect(append(g.pop, told...), g.cfg.Population)
 }
 
 // rankAndCrowd computes non-domination ranks and crowding distances.
@@ -243,7 +223,8 @@ func assignCrowding(pop []Individual, front []int, crowd []float64) {
 	}
 }
 
-// environmentalSelect keeps the best n individuals by (rank, crowding).
+// environmentalSelect keeps the best n individuals by (rank, crowding), or
+// all of them when fewer than n survived.
 func environmentalSelect(pop []Individual, n int) []Individual {
 	ranks, crowd := rankAndCrowd(pop)
 	idx := make([]int, len(pop))
@@ -257,7 +238,7 @@ func environmentalSelect(pop []Individual, n int) []Individual {
 		return crowd[idx[a]] > crowd[idx[b]]
 	})
 	out := make([]Individual, 0, n)
-	for _, i := range idx[:n] {
+	for _, i := range idx[:min(n, len(idx))] {
 		out = append(out, pop[i])
 	}
 	return out
@@ -265,70 +246,106 @@ func environmentalSelect(pop []Individual, n int) []Individual {
 
 // SAConfig controls the simulated annealer.
 type SAConfig struct {
-	Chains   int     // independent chains with random scalarization weights
-	Steps    int     // annealing steps per chain
-	TempHi   float64 // initial temperature
-	TempLo   float64 // final temperature
-	MaxEvals int
-	Seed     int64
+	Chains int     // independent chains with random scalarization weights
+	Steps  int     // annealing steps per chain
+	TempHi float64 // initial temperature
+	TempLo float64 // final temperature
+	Seed   int64
 }
 
 // DefaultSAConfig returns settings sized like the Phase-2 BO budget.
 func DefaultSAConfig() SAConfig {
-	return SAConfig{Chains: 4, Steps: 24, TempHi: 1.0, TempLo: 0.01, MaxEvals: 96, Seed: 1}
+	return SAConfig{Chains: 4, Steps: 24, TempHi: 1.0, TempLo: 0.01, Seed: 1}
 }
 
-// Anneal runs weighted-sum simulated annealing: each chain draws a random
-// weight vector over the (normalized) objectives and anneals a single
-// genome; together the chains trace out the Pareto front.
-func Anneal(p Problem, cfg SAConfig) (*Result, error) {
-	if err := p.Validate(); err != nil {
+// SA is weighted-sum simulated annealing: each chain draws a random weight
+// vector over the objectives (normalized by the reference point) and
+// anneals a single genome; together the chains trace out the Pareto front.
+// It proposes one genome per call — a chain's random start, then Steps
+// single-gene mutations of its current genome. A genome told nil has
+// infinite energy: it is never accepted, and a chain that starts on one
+// moves to its first neighbor that scores.
+type SA struct {
+	cfg  SAConfig
+	dims []int
+	ref  []float64
+	rng  *tensor.RNG
+
+	chains int // chains started
+	step   int // steps observed in the current chain; -1 before its start
+	w      []float64
+	cur    space.Point
+	curE   float64
+	next   space.Point // the last proposal
+}
+
+// NewSA builds the annealer over genomes with the given per-dimension
+// cardinalities; ref normalizes the objectives and sets their number.
+func NewSA(dims []int, ref []float64, cfg SAConfig) (*SA, error) {
+	if err := checkProblem(dims, ref, true); err != nil {
 		return nil, err
 	}
 	if cfg.Chains < 1 || cfg.Steps < 1 {
 		return nil, fmt.Errorf("moea: bad SA budget %+v", cfg)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	t := &tracker{p: p, seen: map[string][]float64{}, res: &Result{}, limit: cfg.MaxEvals}
+	return &SA{cfg: cfg, dims: dims, ref: ref, rng: tensor.NewRNG(cfg.Seed), step: cfg.Steps}, nil
+}
 
-	scalar := func(w, y []float64) float64 {
-		s := 0.0
-		for i := range y {
-			// normalize by the reference point so objectives are comparable
-			s += w[i] * y[i] / math.Max(math.Abs(p.Ref[i]), 1e-9)
+// Propose returns the next genome of the running chain, starts the next
+// chain, or returns nothing once every chain has finished.
+func (s *SA) Propose() ([]space.Point, error) {
+	if s.step == s.cfg.Steps {
+		if s.chains == s.cfg.Chains {
+			return nil, nil
 		}
-		return s
-	}
-	for chain := 0; chain < cfg.Chains && !t.exhausted(); chain++ {
-		w := make([]float64, p.NumObjectives)
+		s.chains++
+		s.step = -1
+		s.w = make([]float64, len(s.ref))
 		sum := 0.0
-		for i := range w {
-			w[i] = rng.Float64() + 1e-3
-			sum += w[i]
+		for i := range s.w {
+			s.w[i] = s.rng.Float64() + 1e-3
+			sum += s.w[i]
 		}
-		for i := range w {
-			w[i] /= sum
+		for i := range s.w {
+			s.w[i] /= sum
 		}
-		cur := make([]int, len(p.Dims))
-		for i, d := range p.Dims {
-			cur[i] = rng.Intn(d)
-		}
-		curE := scalar(w, t.eval(cur))
-		for step := 0; step < cfg.Steps && !t.exhausted(); step++ {
-			denom := float64(cfg.Steps - 1)
-			if denom < 1 {
-				denom = 1
-			}
-			temp := cfg.TempHi * math.Pow(cfg.TempLo/cfg.TempHi, float64(step)/denom)
-			next := append([]int(nil), cur...)
-			i := rng.Intn(len(next))
-			next[i] = rng.Intn(p.Dims[i])
-			nextE := scalar(w, t.eval(next))
-			if nextE < curE || rng.Float64() < math.Exp((curE-nextE)/math.Max(temp, 1e-12)) {
-				cur, curE = next, nextE
-			}
+		s.next = randomGenome(s.rng, s.dims)
+		return []space.Point{s.next}, nil
+	}
+	s.next = s.cur.Clone()
+	i := s.rng.Intn(len(s.next))
+	s.next[i] = s.rng.Intn(s.dims[i])
+	return []space.Point{s.next}, nil
+}
+
+// Observe scores the proposed genome and applies the Metropolis acceptance
+// test at the step's temperature.
+func (s *SA) Observe(ys [][]float64) {
+	if len(ys) == 0 {
+		return
+	}
+	e := s.energy(ys[0])
+	if s.step < 0 {
+		s.cur, s.curE = s.next, e
+	} else {
+		denom := math.Max(float64(s.cfg.Steps-1), 1)
+		temp := s.cfg.TempHi * math.Pow(s.cfg.TempLo/s.cfg.TempHi, float64(s.step)/denom)
+		if e < s.curE || s.rng.Float64() < math.Exp((s.curE-e)/math.Max(temp, 1e-12)) {
+			s.cur, s.curE = s.next, e
 		}
 	}
-	t.finish()
-	return t.res, nil
+	s.step++
+}
+
+// energy is the chain's weighted sum of the objectives, each normalized by
+// the reference point so they are comparable; +Inf for a nil vector.
+func (s *SA) energy(y []float64) float64 {
+	if y == nil {
+		return math.Inf(1)
+	}
+	e := 0.0
+	for i := range y {
+		e += s.w[i] * y[i] / math.Max(math.Abs(s.ref[i]), 1e-9)
+	}
+	return e
 }

@@ -3,8 +3,10 @@ package moea
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"autopilot/internal/pareto"
+	"autopilot/internal/space"
 	"autopilot/internal/tensor"
 )
 
@@ -14,122 +16,133 @@ type RLConfig struct {
 	Updates   int     // policy-gradient updates
 	LR        float64 // logit learning rate
 	Entropy   float64 // entropy bonus keeping exploration alive
-	MaxEvals  int
 	Seed      int64
 }
 
 // DefaultRLConfig returns settings sized like the Phase-2 BO budget.
 func DefaultRLConfig() RLConfig {
-	return RLConfig{BatchSize: 12, Updates: 8, LR: 0.35, Entropy: 0.01, MaxEvals: 96, Seed: 1}
+	return RLConfig{BatchSize: 12, Updates: 8, LR: 0.35, Entropy: 0.01, Seed: 1}
 }
 
-// Reinforce runs the RL-based design-space search the paper lists as a BO
+// RL is the RL-based design-space search the paper lists as a BO
 // alternative (§III-B, citing Sutton & Barto): a factored categorical policy
-// over the choice dimensions is sampled in batches and updated with
-// REINFORCE, where a genome's reward is the hypervolume improvement its
-// objectives contribute over the front discovered so far.
-func Reinforce(p Problem, cfg RLConfig) (*Result, error) {
-	if err := p.Validate(); err != nil {
+// over the choice dimensions proposes a batch of genomes per call and is
+// updated with REINFORCE once the batch is observed, Updates times. A
+// genome's reward is the hypervolume its objectives add to the front
+// observed so far, so a revisit, a repeat and a genome told nil earn zero.
+type RL struct {
+	cfg  RLConfig
+	dims []int
+	ref  []float64
+	rng  *tensor.RNG
+
+	logits  [][]float64 // independent logits per dimension
+	probs   [][]float64 // the policy the last batch was sampled from
+	batch   []space.Point
+	updates int
+
+	objs [][]float64 // distinct objective vectors observed
+	hv   float64     // their hypervolume
+}
+
+// NewRL builds the policy-gradient searcher over genomes with the given
+// per-dimension cardinalities; ref is the hypervolume reference point the
+// rewards are measured against.
+func NewRL(dims []int, ref []float64, cfg RLConfig) (*RL, error) {
+	if err := checkProblem(dims, ref, true); err != nil {
 		return nil, err
 	}
 	if cfg.BatchSize < 2 || cfg.Updates < 1 {
 		return nil, fmt.Errorf("moea: bad RL budget %+v", cfg)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	t := &tracker{p: p, seen: map[string][]float64{}, res: &Result{}, limit: cfg.MaxEvals}
-
-	// factored policy: independent logits per dimension
-	logits := make([][]float64, len(p.Dims))
-	for i, d := range p.Dims {
+	logits := make([][]float64, len(dims))
+	for i, d := range dims {
 		logits[i] = make([]float64, d)
 	}
-	softmax := func(l []float64) []float64 {
-		mx := math.Inf(-1)
-		for _, v := range l {
-			mx = math.Max(mx, v)
-		}
-		out := make([]float64, len(l))
-		sum := 0.0
-		for i, v := range l {
-			out[i] = math.Exp(v - mx)
-			sum += out[i]
-		}
-		for i := range out {
-			out[i] /= sum
-		}
-		return out
-	}
-	sample := func(probs []float64) int {
-		u := rng.Float64()
-		acc := 0.0
-		for i, v := range probs {
-			acc += v
-			if u < acc {
-				return i
-			}
-		}
-		return len(probs) - 1
-	}
-
-	for upd := 0; upd < cfg.Updates && !t.exhausted(); upd++ {
-		probs := make([][]float64, len(logits))
-		for i := range logits {
-			probs[i] = softmax(logits[i])
-		}
-		type rollout struct {
-			genome []int
-			reward float64
-		}
-		var batch []rollout
-		for b := 0; b < cfg.BatchSize && !t.exhausted(); b++ {
-			g := make([]int, len(p.Dims))
-			for i := range g {
-				g[i] = sample(probs[i])
-			}
-			before := 0.0
-			if n := len(t.res.HypervolumeTrace); n > 0 {
-				before = t.res.HypervolumeTrace[n-1]
-			}
-			t.eval(g)
-			after := t.res.HypervolumeTrace[len(t.res.HypervolumeTrace)-1]
-			batch = append(batch, rollout{genome: g, reward: after - before})
-		}
-		if len(batch) == 0 {
-			break
-		}
-		// baseline: batch mean reward
-		mean := 0.0
-		for _, r := range batch {
-			mean += r.reward
-		}
-		mean /= float64(len(batch))
-		for _, r := range batch {
-			adv := r.reward - mean
-			for i, choice := range r.genome {
-				for j := range logits[i] {
-					grad := -probs[i][j]
-					if j == choice {
-						grad += 1
-					}
-					logits[i][j] += cfg.LR * (adv*grad + cfg.Entropy*(-probs[i][j]*math.Log(probs[i][j]+1e-12)))
-				}
-			}
-		}
-	}
-	t.finish()
-	return t.res, nil
+	return &RL{cfg: cfg, dims: dims, ref: ref, rng: tensor.NewRNG(cfg.Seed), logits: logits}, nil
 }
 
-// FrontObjectives extracts the objective vectors of a result's front.
-func (r *Result) FrontObjectives() [][]float64 {
-	out := make([][]float64, len(r.Front))
-	for i, ind := range r.Front {
-		out[i] = ind.Objectives
+// Propose samples the next batch from the current policy, or returns
+// nothing once every update has been made.
+func (r *RL) Propose() ([]space.Point, error) {
+	if r.updates == r.cfg.Updates {
+		return nil, nil
+	}
+	r.updates++
+	r.probs = make([][]float64, len(r.logits))
+	for i := range r.logits {
+		r.probs[i] = softmax(r.logits[i])
+	}
+	r.batch = make([]space.Point, r.cfg.BatchSize)
+	for b := range r.batch {
+		g := make(space.Point, len(r.dims))
+		for i := range g {
+			g[i] = r.sample(r.probs[i])
+		}
+		r.batch[b] = g
+	}
+	return r.batch, nil
+}
+
+// Observe rewards the observed prefix of the batch and takes one REINFORCE
+// step with the batch-mean reward as baseline.
+func (r *RL) Observe(ys [][]float64) {
+	if len(ys) == 0 {
+		return
+	}
+	rewards := make([]float64, len(ys))
+	mean := 0.0
+	for j, y := range ys {
+		if y != nil && !slices.ContainsFunc(r.objs, func(v []float64) bool { return slices.Equal(v, y) }) {
+			r.objs = append(r.objs, y)
+			hv := pareto.Hypervolume(r.objs, r.ref)
+			rewards[j] = hv - r.hv
+			r.hv = hv
+		}
+		mean += rewards[j]
+	}
+	mean /= float64(len(ys))
+	for j, reward := range rewards {
+		adv := reward - mean
+		for i, choice := range r.batch[j] {
+			for k := range r.logits[i] {
+				p := r.probs[i][k]
+				grad := -p
+				if k == choice {
+					grad += 1
+				}
+				r.logits[i][k] += r.cfg.LR * (adv*grad + r.cfg.Entropy*(-p*math.Log(p+1e-12)))
+			}
+		}
+	}
+}
+
+// sample draws a choice index from a categorical distribution.
+func (r *RL) sample(probs []float64) int {
+	u := r.rng.Float64()
+	acc := 0.0
+	for i, v := range probs {
+		acc += v
+		if u < acc {
+			return i
+		}
+	}
+	return len(probs) - 1
+}
+
+func softmax(l []float64) []float64 {
+	mx := math.Inf(-1)
+	for _, v := range l {
+		mx = math.Max(mx, v)
+	}
+	out := make([]float64, len(l))
+	sum := 0.0
+	for i, v := range l {
+		out[i] = math.Exp(v - mx)
+		sum += out[i]
+	}
+	for i := range out {
+		out[i] /= sum
 	}
 	return out
-}
-
-// Hypervolume returns the dominated hypervolume of the final front.
-func (r *Result) Hypervolume(ref []float64) float64 {
-	return pareto.Hypervolume(r.FrontObjectives(), ref)
 }
