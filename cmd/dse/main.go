@@ -40,12 +40,14 @@
 // -debug-addr serves live metrics/expvar/pprof over HTTP. A one-line metrics
 // summary (cache hits/misses, simulations, retries) is printed on exit.
 //
-// In grid mode the trace is fleet-merged: workers ship their evaluation
-// spans back over the grid protocol and each worker renders on its own pid
-// lane; the manifest gains a grid topology section (who did what, at what
-// cost); and the grid listener additionally serves /grid/v1/fleet (per-worker
-// health and federated metrics) plus /debug/prometheus (text exposition of
-// the coordinator registry and the per-worker-labeled fleet series).
+// In grid mode the trace is fleet-merged: each worker ships an evaluation
+// span on every result post, and the delivery that completes a job puts its
+// span on that worker's own pid lane; the manifest gains a grid topology
+// section (who did what, at what cost); and the grid listener additionally
+// serves /grid/v1/fleet (per-worker health and federated metrics) plus
+// /debug/prometheus (text exposition of the coordinator registry and the
+// per-worker-labeled fleet series). -debug-addr's /debug/prometheus carries
+// the coordinator registry only.
 package main
 
 import (

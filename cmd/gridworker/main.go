@@ -17,10 +17,10 @@
 // serves the worker's live metrics (including /debug/prometheus in text
 // exposition format).
 //
-// When the coordinator runs with telemetry on, the worker also ships its
-// evaluation spans and metrics snapshots back piggybacked on its existing
-// RPCs, so the coordinator's merged trace and /grid/v1/fleet endpoint show
-// this worker's lane.
+// When the coordinator runs with telemetry on, the worker times each
+// evaluation and ships the span on that job's result post, and attaches its
+// metrics snapshot to heartbeats, so the coordinator's merged trace shows
+// this worker's lane and /grid/v1/fleet its metrics. No extra RPCs are sent.
 //
 // The worker exits 0 when the coordinator reports the sweep done, and
 // non-zero when the coordinator stays unreachable.

@@ -13,7 +13,6 @@ import (
 	"autopilot/internal/api"
 	"autopilot/internal/dse"
 	"autopilot/internal/fault"
-	"autopilot/internal/memo"
 	"autopilot/internal/obs"
 )
 
@@ -99,9 +98,8 @@ type job struct {
 	sp        *obs.Span
 }
 
-// workerState is the coordinator's per-worker bookkeeping: trace lane,
-// telemetry sequencing, and attribution counters for the fleet endpoint and
-// the run manifest.
+// workerState is the coordinator's per-worker bookkeeping: trace lane and
+// attribution counters for the fleet endpoint and the run manifest.
 type workerState struct {
 	pid      int // merged-trace lane (2, 3, ... — coordinator is 1)
 	lastSeen time.Time
@@ -109,7 +107,6 @@ type workerState struct {
 	steals   int64
 	reclaims int64
 	busy     time.Duration // sum over accepted results of delivery - grant
-	spanSeq  int64         // highest ingested span sequence number
 }
 
 // Coordinator owns a sweep's job table and serves the grid wire protocol.
@@ -128,8 +125,7 @@ type Coordinator struct {
 	lastReclaim time.Time
 	workers     map[string]*workerState
 
-	delivered *memo.Store[int64, uint32]
-	fleet     *obs.Fleet
+	fleet *obs.Fleet
 
 	cJobs, cJobsDone, cJobsFailed, cExhausted *obs.Counter
 	cGranted, cExpired, cStolen, cRenewed     *obs.Counter
@@ -141,18 +137,13 @@ type Coordinator struct {
 // request.
 func NewCoordinator(req api.CoDesignRequest, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	counters := memo.NewCounters()
-	if cfg.Obs != nil && cfg.Obs.Metrics != nil {
-		counters = memo.RegistryCounters(cfg.Obs.Metrics, "grid.delivered")
-	}
 	o := cfg.Obs
 	c := &Coordinator{
-		cfg:       cfg,
-		req:       req.Normalized(),
-		jobs:      make(map[int64]*job),
-		workers:   make(map[string]*workerState),
-		delivered: memo.New[int64, uint32](1<<14, counters),
-		fleet:     obs.NewFleet(),
+		cfg:     cfg,
+		req:     req.Normalized(),
+		jobs:    make(map[int64]*job),
+		workers: make(map[string]*workerState),
+		fleet:   obs.NewFleet(),
 
 		cJobs:       o.Counter("grid.jobs.submitted"),
 		cJobsDone:   o.Counter("grid.jobs.completed"),
@@ -182,8 +173,9 @@ func (c *Coordinator) tracer() *obs.Tracer {
 	return c.cfg.Obs.Trace
 }
 
-// telemetryOn reports whether this coordinator ingests telemetry attachments
-// — advertised in hello so untelemetered sweeps ship (and allocate) nothing.
+// telemetryOn reports whether this coordinator ingests worker spans and
+// metrics — advertised in hello so untelemetered sweeps ship (and allocate)
+// nothing.
 func (c *Coordinator) telemetryOn() bool {
 	return c.cfg.Obs != nil && (c.cfg.Obs.Trace != nil || c.cfg.Obs.Metrics != nil)
 }
@@ -200,31 +192,6 @@ func (c *Coordinator) workerStateLocked(id string) *workerState {
 		c.tracer().SetProcessName(ws.pid, "worker "+id)
 	}
 	return ws
-}
-
-// ingestLocked merges one RPC's telemetry attachment: spans above the
-// worker's acknowledged sequence go to the tracer on the worker's pid lane,
-// and the metrics snapshot (latest sequence wins) replaces the worker's
-// entry in the fleet registry, counting — not dropping — any instrument
-// whose histogram layout disagrees. Returns the new span acknowledgment.
-// Callers hold c.mu.
-func (c *Coordinator) ingestLocked(ws *workerState, worker string, t *TelemetryAttachment) int64 {
-	if t == nil {
-		return ws.spanSeq
-	}
-	var fresh []obs.WireSpan
-	for _, s := range t.Spans {
-		if s.Seq > ws.spanSeq {
-			ws.spanSeq = s.Seq
-			fresh = append(fresh, s)
-		}
-	}
-	c.tracer().Ingest(ws.pid, fresh...)
-	if t.Metrics != nil && t.MetricsSeq > 0 {
-		skipped := c.fleet.Update(worker, t.MetricsSeq, *t.Metrics)
-		c.cMergeSkipped.Add(int64(len(skipped)))
-	}
-	return ws.spanSeq
 }
 
 // Evaluate is the sweep's evaluation delegate: it turns one design into a
@@ -316,16 +283,15 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 				c.cExpired.Inc()
 				ws := c.workerStateLocked(l.worker)
 				ws.reclaims++
-				// The holder died (or went silent) without shipping the
-				// evaluation span, so the merged trace would show nothing on
-				// its lane for this attempt. Close the orphan explicitly with
-				// a typed annotation — the trace stays well-formed because
-				// only completed spans ever enter it.
-				c.tracer().Ingest(ws.pid, obs.WireSpan{
+				// The holder died (or went silent) without delivering, so
+				// the merged trace would show nothing on its lane for this
+				// attempt. Close the orphan explicitly with a typed
+				// annotation — the trace stays well-formed because only
+				// completed spans ever enter it.
+				c.tracer().Ingest(ws.pid, j.sp, obs.WireSpan{
 					Name: fmt.Sprintf("orphan job %d", j.id), Cat: "grid", TID: j.id,
 					StartUnixNano: l.granted.UnixNano(),
 					DurNanos:      now.Sub(l.granted).Nanoseconds(),
-					Parent:        j.sp.Context(),
 					Args: map[string]string{
 						"reason":  "lease-expired",
 						"worker":  l.worker,
@@ -354,14 +320,7 @@ func (c *Coordinator) grantLocked(j *job, worker string, now time.Time) Job {
 	j.leases[a] = lease{worker: worker, granted: now, deadline: now.Add(c.cfg.LeaseTTL)}
 	j.issued[a] = worker
 	c.cGranted.Inc()
-	return Job{
-		ID:      j.id,
-		Design:  j.design,
-		Seed:    fault.AttemptSeed(j.seed, a),
-		Attempt: a,
-		LeaseMS: c.cfg.LeaseTTL.Milliseconds(),
-		Parent:  j.sp.Context(),
-	}
+	return Job{ID: j.id, Design: j.design, Seed: fault.AttemptSeed(j.seed, a), Attempt: a}
 }
 
 // lease grants up to req.Max pending jobs; with the queue empty it steals
@@ -375,9 +334,8 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 	c.reclaimLocked(now)
 	ws := c.workerStateLocked(req.Worker)
 	ws.lastSeen = now
-	ack := c.ingestLocked(ws, req.Worker, req.Telemetry)
 	if c.closed {
-		return LeaseResponse{Done: true, SpanAck: ack}
+		return LeaseResponse{Done: true}
 	}
 	max := req.Max
 	if max <= 0 || max > c.cfg.BatchSize {
@@ -422,9 +380,9 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 		}
 	}
 	if len(jobs) == 0 {
-		return LeaseResponse{WaitMS: 50, SpanAck: ack}
+		return LeaseResponse{WaitMS: 50}
 	}
-	return LeaseResponse{Jobs: jobs, SpanAck: ack}
+	return LeaseResponse{Jobs: jobs}
 }
 
 // outstandingLocked returns incomplete, unqueued, currently-leased jobs in
@@ -441,102 +399,99 @@ func (c *Coordinator) outstandingLocked() []*job {
 	return out
 }
 
-// heartbeat renews every lease the worker still holds and reports the jobs
-// it no longer does (reclaimed, stolen-and-finished, or unknown) so the
-// worker can stop burning cycles on them.
+// heartbeat renews every lease the worker still holds on the listed jobs
+// and federates the worker's metrics snapshot: the latest sequence wins, and
+// any instrument whose histogram layout disagrees is counted, not dropped.
+// Jobs the worker no longer holds (reclaimed, completed elsewhere, unknown)
+// are simply not renewed.
 func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reclaimLocked(now)
-	ws := c.workerStateLocked(req.Worker)
-	ws.lastSeen = now
-	resp := HeartbeatResponse{Done: c.closed, SpanAck: c.ingestLocked(ws, req.Worker, req.Telemetry)}
+	c.workerStateLocked(req.Worker).lastSeen = now
+	if req.Metrics != nil && req.MetricsSeq > 0 {
+		skipped := c.fleet.Update(req.Worker, req.MetricsSeq, *req.Metrics)
+		c.cMergeSkipped.Add(int64(len(skipped)))
+	}
 	for _, id := range req.Jobs {
 		j := c.jobs[id]
 		if j == nil || j.completed {
-			resp.Drop = append(resp.Drop, id)
 			continue
 		}
-		renewed := false
 		for a, l := range j.leases {
 			if l.worker == req.Worker {
 				// Renewal moves the deadline but not the grant time: a slow
 				// worker that keeps heartbeating is still a straggler the
 				// steal scan may duplicate.
 				j.leases[a] = lease{worker: l.worker, granted: l.granted, deadline: now.Add(c.cfg.LeaseTTL)}
-				renewed = true
 				c.cRenewed.Inc()
 			}
 		}
-		if !renewed {
-			resp.Drop = append(resp.Drop, id)
-		}
 	}
-	return resp
+	return HeartbeatResponse{Done: c.closed}
 }
 
 // result arbitrates one delivery: reject attempts that were never leased to
 // the sender (stale re-deliveries), absorb duplicates of an already-completed
-// job through the delivery cache, CRC-check the payload, and complete the
-// job on first valid delivery — which is what makes duplicate leases (steals)
-// and at-least-once posting safe.
+// job, CRC-check the payload, and complete the job on first valid delivery —
+// which is what makes duplicate leases (steals) and at-least-once posting
+// safe. The delivery's evaluation span is recorded only when the delivery
+// completes the job, so the same arbitration makes spans exactly-once.
 func (c *Coordinator) result(p ResultPost) ResultResponse {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Telemetry ingests before arbitration: a stale or duplicate delivery is
-	// still a live worker shipping real spans and metrics.
 	ws := c.workerStateLocked(p.Worker)
 	ws.lastSeen = now
-	ack := c.ingestLocked(ws, p.Worker, p.Telemetry)
 	j := c.jobs[p.Job]
 	if j == nil {
 		c.cStale.Inc()
-		return ResultResponse{Stale: true, Done: c.closed, SpanAck: ack}
+		return ResultResponse{Stale: true, Done: c.closed}
 	}
 	if w, ok := j.issued[p.Attempt]; !ok || w != p.Worker {
 		c.cStale.Inc()
-		return ResultResponse{Stale: true, Done: c.closed, SpanAck: ack}
+		return ResultResponse{Stale: true, Done: c.closed}
 	}
-	if _, dup := c.delivered.Get(p.Job); dup || j.completed {
+	if j.completed {
 		c.cDuplicate.Inc()
-		return ResultResponse{Accepted: true, Duplicate: true, Done: c.closed, SpanAck: ack}
+		return ResultResponse{Accepted: true, Duplicate: true, Done: c.closed}
 	}
 	if p.Error != nil {
-		c.delivered.Put(p.Job, 0)
-		c.cAccepted.Inc()
-		c.attributeLocked(ws, j, p.Attempt, now)
-		c.completeLocked(j, dse.Evaluated{}, p.Error.reconstruct())
-		return ResultResponse{Accepted: true, Done: c.closed, SpanAck: ack}
+		c.acceptLocked(ws, j, p, now, dse.Evaluated{}, p.Error.reconstruct())
+		return ResultResponse{Accepted: true, Done: c.closed}
 	}
 	if Checksum(p.Result) != p.CRC {
 		// A corrupt payload is dropped, not fatal: the lease stays
 		// outstanding, so the job is re-delivered or reclaimed like any
 		// other lost attempt.
 		c.cCRCError.Inc()
-		return ResultResponse{Done: c.closed, SpanAck: ack}
+		return ResultResponse{Done: c.closed}
 	}
 	var e dse.Evaluated
 	if err := json.Unmarshal(p.Result, &e); err != nil {
 		c.cCRCError.Inc()
-		return ResultResponse{Done: c.closed, SpanAck: ack}
+		return ResultResponse{Done: c.closed}
 	}
-	c.delivered.Put(p.Job, p.CRC)
-	c.cAccepted.Inc()
-	c.attributeLocked(ws, j, p.Attempt, now)
-	c.completeLocked(j, e, nil)
-	return ResultResponse{Accepted: true, Done: c.closed, SpanAck: ack}
+	c.acceptLocked(ws, j, p, now, e, nil)
+	return ResultResponse{Accepted: true, Done: c.closed}
 }
 
-// attributeLocked credits an accepted delivery to its worker: one job, plus
-// coordinator-clock wall time from the winning attempt's lease grant to
-// delivery. Callers hold c.mu.
-func (c *Coordinator) attributeLocked(ws *workerState, j *job, attempt int, now time.Time) {
+// acceptLocked completes a job from the delivery that won arbitration: it
+// credits the sender with one job plus coordinator-clock wall time from the
+// winning attempt's lease grant to delivery, records the delivery's
+// evaluation span on the sender's lane under the job span, and finishes the
+// job. Callers hold c.mu.
+func (c *Coordinator) acceptLocked(ws *workerState, j *job, p ResultPost, now time.Time, res dse.Evaluated, err error) {
+	c.cAccepted.Inc()
 	ws.accepted++
-	if l, ok := j.leases[attempt]; ok {
+	if l, ok := j.leases[p.Attempt]; ok {
 		ws.busy += now.Sub(l.granted)
 	}
+	if p.Span != nil {
+		c.tracer().Ingest(ws.pid, j.sp, *p.Span)
+	}
+	c.completeLocked(j, res, err)
 }
 
 // fleetStatus snapshots the coordinator's view of the fleet for the
@@ -586,7 +541,7 @@ func (c *Coordinator) fleetStatus() FleetResponse {
 		if t, ok := oldest[id]; ok {
 			st.OldestLeaseMS = now.Sub(t).Milliseconds()
 		}
-		if snap, _, ok := c.fleet.Worker(id); ok {
+		if snap, ok := c.fleet.Worker(id); ok {
 			st.Metrics = snap
 		}
 		resp.Workers = append(resp.Workers, st)

@@ -333,7 +333,7 @@ func TestGridCRCReject(t *testing.T) {
 
 // TestGridDuplicateDelivery pins at-least-once semantics: re-posting a
 // completed job's result is acknowledged (so the sender stops retrying) but
-// discarded, and counted through the memo-backed delivery cache.
+// discarded, and counted.
 func TestGridDuplicateDelivery(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCoordinator(tinyRequest(), Config{Obs: &obs.Observer{Metrics: reg}})

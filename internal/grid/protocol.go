@@ -34,9 +34,10 @@ import (
 
 // ProtocolVersion is the coordinator/worker wire-protocol version; a worker
 // refuses to join a coordinator speaking a different one. Version 2 added
-// fleet telemetry: span contexts on leases, telemetry attachments with
-// sequence-acked span shipping, and the /grid/v1/fleet endpoint.
-const ProtocolVersion = 2
+// fleet telemetry and the /grid/v1/fleet endpoint; version 3 ships each
+// evaluation span on its job's result post and drops the fields no worker
+// read (lease TTLs on jobs, heartbeat drop lists).
+const ProtocolVersion = 3
 
 // Wire paths under the coordinator's mux.
 const (
@@ -52,9 +53,9 @@ const (
 // exact evaluator a local run would have used. NowUnixNano is the
 // coordinator's wall clock at response time — workers derive a clock offset
 // from it so the spans they ship are stamped on the coordinator's clock —
-// and Telemetry tells workers whether the coordinator ingests telemetry
-// attachments at all (when false, workers buffer and ship nothing, keeping
-// the no-op path allocation-free).
+// and Telemetry tells workers whether the coordinator ingests spans and
+// metrics at all (when false, workers time and ship nothing, keeping the
+// no-op path allocation-free).
 type HelloResponse struct {
 	Version     int                 `json:"version"`
 	Request     api.CoDesignRequest `json:"request"`
@@ -62,24 +63,10 @@ type HelloResponse struct {
 	Telemetry   bool                `json:"telemetry,omitempty"`
 }
 
-// TelemetryAttachment piggybacks fleet telemetry on the RPCs workers already
-// send — no extra requests, so RPC chaos keys and golden output are
-// untouched. Spans are the worker's entire unacknowledged buffer (the
-// receiver deduplicates by Seq and acknowledges, so at-least-once delivery
-// cannot double-ingest); Metrics is a full cumulative registry snapshot
-// ordered by MetricsSeq (latest wins, so duplicated or reordered heartbeats
-// cannot double-count).
-type TelemetryAttachment struct {
-	Spans      []obs.WireSpan `json:"spans,omitempty"`
-	MetricsSeq int64          `json:"metrics_seq,omitempty"`
-	Metrics    *obs.Snapshot  `json:"metrics,omitempty"`
-}
-
 // LeaseRequest asks for up to Max jobs on behalf of a worker.
 type LeaseRequest struct {
-	Worker    string               `json:"worker"`
-	Max       int                  `json:"max,omitempty"`
-	Telemetry *TelemetryAttachment `json:"telemetry,omitempty"`
+	Worker string `json:"worker"`
+	Max    int    `json:"max,omitempty"`
 }
 
 // Job is one leased design evaluation. Seed is the attempt-keyed chaos seed
@@ -90,37 +77,31 @@ type Job struct {
 	Design  dse.DesignPoint `json:"design"`
 	Seed    int64           `json:"seed"`
 	Attempt int             `json:"attempt"`
-	LeaseMS int64           `json:"lease_ms"`
-	// Parent is the coordinator-side span this evaluation belongs to, so the
-	// worker's spans nest under it in the merged trace. Zero when untraced.
-	Parent obs.SpanContext `json:"parent,omitempty"`
 }
 
 // LeaseResponse grants jobs, or — when none are available — tells the worker
 // how long to back off before asking again. Done means the sweep is over and
-// the worker should exit. SpanAck acknowledges every shipped span with
-// Seq <= SpanAck so the worker can prune its buffer.
+// the worker should exit.
 type LeaseResponse struct {
-	Jobs    []Job `json:"jobs,omitempty"`
-	Done    bool  `json:"done,omitempty"`
-	WaitMS  int64 `json:"wait_ms,omitempty"`
-	SpanAck int64 `json:"span_ack,omitempty"`
+	Jobs   []Job `json:"jobs,omitempty"`
+	Done   bool  `json:"done,omitempty"`
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // HeartbeatRequest renews every lease the worker holds on the listed jobs.
+// A telemetry-on worker also attaches its full cumulative registry snapshot,
+// ordered by MetricsSeq: the newest sequence wins at the coordinator, so
+// duplicated or reordered heartbeats cannot double-count.
 type HeartbeatRequest struct {
-	Worker    string               `json:"worker"`
-	Jobs      []int64              `json:"jobs,omitempty"`
-	Telemetry *TelemetryAttachment `json:"telemetry,omitempty"`
+	Worker     string        `json:"worker"`
+	Jobs       []int64       `json:"jobs,omitempty"`
+	MetricsSeq int64         `json:"metrics_seq,omitempty"`
+	Metrics    *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// HeartbeatResponse reports leases the worker no longer holds (reclaimed or
-// completed elsewhere — the worker should stop working on them) and whether
-// the sweep is over.
+// HeartbeatResponse reports whether the sweep is over.
 type HeartbeatResponse struct {
-	Done    bool    `json:"done,omitempty"`
-	Drop    []int64 `json:"drop,omitempty"`
-	SpanAck int64   `json:"span_ack,omitempty"`
+	Done bool `json:"done,omitempty"`
 }
 
 // WireInfeasible carries a typed catalog.InfeasibleError verdict across the
@@ -140,15 +121,18 @@ type WireError struct {
 }
 
 // ResultPost delivers one attempt's outcome. Exactly one of Result/Error is
-// set; CRC covers the Result payload bytes.
+// set; CRC covers the Result payload bytes. Span is the attempt's evaluation
+// span when the coordinator asked for telemetry: it describes exactly this
+// attempt, so the coordinator records it only if this delivery completes
+// the job, and the result arbitration makes spans exactly-once too.
 type ResultPost struct {
-	Worker    string               `json:"worker"`
-	Job       int64                `json:"job"`
-	Attempt   int                  `json:"attempt"`
-	CRC       uint32               `json:"crc,omitempty"`
-	Result    json.RawMessage      `json:"result,omitempty"`
-	Error     *WireError           `json:"error,omitempty"`
-	Telemetry *TelemetryAttachment `json:"telemetry,omitempty"`
+	Worker  string          `json:"worker"`
+	Job     int64           `json:"job"`
+	Attempt int             `json:"attempt"`
+	CRC     uint32          `json:"crc,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
+	Error   *WireError      `json:"error,omitempty"`
+	Span    *obs.WireSpan   `json:"span,omitempty"`
 }
 
 // ResultResponse acknowledges a delivery. Duplicate means the job was already
@@ -156,11 +140,10 @@ type ResultPost struct {
 // Stale means the (job, attempt, worker) triple never held a lease and the
 // delivery was rejected.
 type ResultResponse struct {
-	Accepted  bool  `json:"accepted,omitempty"`
-	Duplicate bool  `json:"duplicate,omitempty"`
-	Stale     bool  `json:"stale,omitempty"`
-	Done      bool  `json:"done,omitempty"`
-	SpanAck   int64 `json:"span_ack,omitempty"`
+	Accepted  bool `json:"accepted,omitempty"`
+	Duplicate bool `json:"duplicate,omitempty"`
+	Stale     bool `json:"stale,omitempty"`
+	Done      bool `json:"done,omitempty"`
 }
 
 // FleetWorkerStatus is one worker's row in the fleet health report.

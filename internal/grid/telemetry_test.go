@@ -98,8 +98,9 @@ func runGridTraced(t *testing.T, chaos bool, n int) (*dse.Result, *Coordinator, 
 			Obs:  &obs.Observer{Metrics: obs.NewRegistry()},
 		}
 		if chaos {
-			// Dropped and duplicated RPCs exercise exactly the faults the
-			// seq-acked span shipping and latest-wins snapshots must absorb.
+			// Dropped, duplicated and stale-replayed RPCs exercise exactly
+			// the faults result arbitration (which spans ride) and
+			// latest-wins snapshots must absorb.
 			wc.Net = &fault.Injector{
 				Seed: 2000 + int64(i), DropRate: 0.15, DupRate: 0.10,
 				StaleRate: 0.10, DelayRate: 0.05, Delay: 2 * time.Millisecond,
@@ -154,8 +155,10 @@ func TestGridTelemetryBitwiseParity(t *testing.T) {
 // TestGridMergedTraceUnderChaos pins trace well-formedness when the RPCs
 // carrying telemetry are dropped, duplicated, delayed and stale-replayed: the
 // merged export stays valid, every worker that did jobs has its own named pid
-// lane with at least one evaluation span, and seq-deduplication keeps
-// re-delivered span batches from double-rendering.
+// lane, and each completed job has exactly one evaluation span — on the lane
+// of the worker whose delivery completed it, under its job span — because
+// spans ride result posts and are recorded only by the delivery that wins
+// arbitration. Worker lanes hold nothing else but lease-expired orphans.
 func TestGridMergedTraceUnderChaos(t *testing.T) {
 	want := render(runLocal(t, tinyRequest()))
 	res, coord, tr, _ := runGridTraced(t, true, 3)
@@ -169,38 +172,159 @@ func TestGridMergedTraceUnderChaos(t *testing.T) {
 		t.Errorf("local pid named %q, want coordinator", procs[obs.LocalPID])
 	}
 
-	spansPerPID := map[int]int{}
-	dups := map[string]int{}
+	evalsPerPID := map[int]int64{}
+	evalsPerJob := map[int64]int{}
+	var evals int64
 	for _, e := range evs {
-		if e.Ph != "X" {
+		if e.Ph != "X" || e.PID == obs.LocalPID {
 			continue
 		}
-		spansPerPID[e.PID]++
-		if e.PID != obs.LocalPID {
-			dups[fmt.Sprintf("%d/%s/%v", e.PID, e.Name, e.TS)]++
+		var id int64
+		if _, err := fmt.Sscanf(e.Name, "orphan job %d", &id); err == nil {
+			continue
+		}
+		if _, err := fmt.Sscanf(e.Name, "eval job %d", &id); err != nil || e.TID != id {
+			t.Errorf("unexpected span %q (tid %d) on worker lane %q", e.Name, e.TID, procs[e.PID])
+			continue
+		}
+		evals++
+		evalsPerPID[e.PID]++
+		evalsPerJob[id]++
+		if w := e.Args["worker"]; procs[e.PID] != "worker "+w {
+			t.Errorf("%s by worker %q rendered on lane %q", e.Name, w, procs[e.PID])
+		}
+		if o := e.Args["outcome"]; e.Args["attempt"] == "" || (o != "ok" && o != "error") {
+			t.Errorf("%s args = %v, want attempt and outcome", e.Name, e.Args)
+		}
+		if p := e.Args["parent_span"]; p != fmt.Sprintf("grid job %d", id) {
+			t.Errorf("%s parent_span = %q", e.Name, p)
 		}
 	}
-	for key, n := range dups {
-		if n > 1 {
-			t.Errorf("span %s rendered %d times; duplicated delivery leaked past seq dedup", key, n)
+	for id, n := range evalsPerJob {
+		if n != 1 {
+			t.Errorf("eval job %d rendered %d times; a re-sent or duplicate delivery drew a span", id, n)
 		}
 	}
 
-	// Every worker the coordinator attributed jobs to must own a trace lane
-	// with at least one shipped evaluation span.
+	// One span per completed job, each on the lane of the worker the
+	// coordinator credited with that job.
 	m := coord.Manifest()
-	if len(m.Workers) == 0 {
-		t.Fatal("manifest names no workers")
+	if m.JobsCompleted == 0 {
+		t.Fatal("no jobs completed")
+	}
+	if evals != m.JobsCompleted {
+		t.Errorf("%d eval job spans for %d completed jobs", evals, m.JobsCompleted)
 	}
 	for _, w := range m.Workers {
-		if w.Jobs == 0 {
-			continue
-		}
-		if procs[w.PID] != "worker "+w.ID {
+		if w.Jobs > 0 && procs[w.PID] != "worker "+w.ID {
 			t.Errorf("worker %s pid %d lane named %q", w.ID, w.PID, procs[w.PID])
 		}
-		if spansPerPID[w.PID] == 0 {
-			t.Errorf("worker %s (pid %d, %d jobs) shipped no spans", w.ID, w.PID, w.Jobs)
+		if evalsPerPID[w.PID] != w.Jobs {
+			t.Errorf("worker %s completed %d jobs but its lane holds %d eval spans", w.ID, w.Jobs, evalsPerPID[w.PID])
+		}
+	}
+}
+
+// TestGridSpanExactlyOnce pins the span rule at the coordinator, with no
+// HTTP in between: a job leased to w0 and stolen by w1 draws exactly one
+// evaluation span, from the delivery that completes it. w1's re-sent
+// delivery, w0's corrupt and late deliveries, and a forged stale replay all
+// carry spans, and none of them renders.
+func TestGridSpanExactlyOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	before := time.Now()
+	tr := obs.NewTracer()
+	after := time.Now()
+	o := &obs.Observer{Metrics: reg, Trace: tr}
+	c := NewCoordinator(tinyRequest(), Config{LeaseTTL: 10 * time.Second, StealAfter: time.Nanosecond, Obs: o})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Evaluate(obs.NewContext(context.Background(), o), testDesign())
+		done <- err
+	}()
+	first := captureFirstJob(t, c, "w0")
+	time.Sleep(time.Millisecond) // past StealAfter
+	lr := c.lease(LeaseRequest{Worker: "w1", Max: 1})
+	if len(lr.Jobs) != 1 || lr.Jobs[0].ID != first.ID || lr.Jobs[0].Attempt != first.Attempt+1 {
+		t.Fatalf("w1 did not steal job %d: %+v", first.ID, lr)
+	}
+	stolen := lr.Jobs[0]
+
+	ship := after.UnixNano() + 5e6 // worker-measured start, coordinator clock
+	span := func(worker string, attempt int) *obs.WireSpan {
+		return &obs.WireSpan{
+			Name: fmt.Sprintf("eval job %d", first.ID), Cat: "grid", TID: first.ID,
+			StartUnixNano: ship, DurNanos: 7e6,
+			Args: map[string]string{"worker": worker, "attempt": fmt.Sprint(attempt), "outcome": "ok"},
+		}
+	}
+	payload, _ := json.Marshal(dse.Evaluated{Design: first.Design, SuccessRate: 0.5})
+	post := func(worker string, attempt int, crc uint32) ResultResponse {
+		return c.result(ResultPost{Worker: worker, Job: first.ID, Attempt: attempt,
+			CRC: crc, Result: payload, Span: span(worker, attempt)})
+	}
+	if r := post("w0", first.Attempt, Checksum(payload)+1); r.Accepted {
+		t.Fatalf("corrupt delivery accepted: %+v", r)
+	}
+	if r := post("w1", stolen.Attempt, Checksum(payload)); !r.Accepted || r.Duplicate {
+		t.Fatalf("w1's delivery: %+v", r)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if r := post("w1", stolen.Attempt, Checksum(payload)); !r.Duplicate {
+		t.Errorf("w1's re-sent delivery: %+v", r)
+	}
+	if r := post("w0", first.Attempt, Checksum(payload)); !r.Duplicate {
+		t.Errorf("w0's late delivery: %+v", r)
+	}
+	if r := post("w1", first.Attempt, Checksum(payload)); !r.Stale {
+		t.Errorf("stale replay: %+v", r)
+	}
+	for name, want := range map[string]int64{
+		"grid.result.accepted": 1, "grid.result.duplicate": 2,
+		"grid.result.stale": 1, "grid.result.crc_error": 1,
+	} {
+		if v := reg.Counter(name).Value(); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+
+	evs := exportTrace(t, tr)
+	procs := checkTraceWellFormed(t, evs)
+	var evals []tEvent
+	for _, e := range evs {
+		if e.Ph == "X" && e.PID != obs.LocalPID {
+			if procs[e.PID] != "worker w1" || !strings.HasPrefix(e.Name, "eval job ") {
+				t.Errorf("span %q on lane %q", e.Name, procs[e.PID])
+			}
+			evals = append(evals, e)
+		}
+	}
+	if len(evals) != 1 {
+		t.Fatalf("%d evaluation spans, want exactly one: %+v", len(evals), evals)
+	}
+	e := evals[0]
+	if e.Name != fmt.Sprintf("eval job %d", first.ID) || e.TID != first.ID {
+		t.Errorf("span %q tid %d", e.Name, e.TID)
+	}
+	if e.Args["worker"] != "w1" || e.Args["attempt"] != fmt.Sprint(stolen.Attempt) || e.Args["outcome"] != "ok" {
+		t.Errorf("span args = %v", e.Args)
+	}
+	if p := e.Args["parent_span"]; p != fmt.Sprintf("grid job %d", first.ID) {
+		t.Errorf("parent_span = %q, want the job span", p)
+	}
+	// The start converts against the tracer's base, which lies between
+	// before and after; the duration is shipped verbatim.
+	lo := float64(ship-after.UnixNano()) / 1e3
+	hi := float64(ship-before.UnixNano()) / 1e3
+	if e.TS < lo || e.TS > hi || e.Dur != 7000 {
+		t.Errorf("span ts=%vus dur=%vus, want ts in [%v, %v] and dur 7000", e.TS, e.Dur, lo, hi)
+	}
+	for _, w := range c.Manifest().Workers {
+		if w.ID == "w1" && (w.Steals != 1 || w.Jobs != 1) {
+			t.Errorf("w1 attribution = %+v, want one steal and one job", w)
 		}
 	}
 }

@@ -58,11 +58,12 @@ type gridWorker struct {
 	ev     *dse.Evaluator
 	done   atomic.Bool
 
-	// buf holds completed evaluation spans awaiting shipment; nil when the
-	// coordinator's hello declared telemetry off, so untelemetered sweeps
-	// record and allocate nothing.
-	buf    *obs.SpanBuffer
-	telSeq atomic.Int64 // metrics snapshot sequence (latest wins)
+	// telemetry is the coordinator's hello verdict: when false the worker
+	// times nothing and ships no spans or metrics. clockOffset converts this
+	// process's wall clock to the coordinator's (theirs ≈ ours + offset).
+	telemetry   bool
+	clockOffset int64
+	telSeq      atomic.Int64 // metrics snapshot sequence (latest wins)
 
 	mu   sync.Mutex
 	held map[int64]bool
@@ -100,7 +101,8 @@ func Run(ctx context.Context, cfg WorkerConfig) error {
 		// Spans ship stamped on the coordinator's clock: the offset between
 		// the two wall clocks is learned here (one-shot, RTT ignored — trace
 		// alignment needs milliseconds, not microseconds).
-		w.buf = obs.NewSpanBuffer(hello.NowUnixNano - time.Now().UnixNano())
+		w.telemetry = true
+		w.clockOffset = hello.NowUnixNano - time.Now().UnixNano()
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
@@ -135,39 +137,27 @@ func Run(ctx context.Context, cfg WorkerConfig) error {
 	return err
 }
 
-// flushTelemetry makes one best-effort final shipment of buffered spans and
-// the closing metrics snapshot when the sweep ends cleanly. It bypasses the
-// chaos injector: the sweep's results are already delivered, so this RPC is
-// outside the deterministic surface and should not consume chaos decisions.
+// flushTelemetry makes one best-effort final shipment of the closing metrics
+// snapshot when the sweep ends cleanly. It bypasses the chaos injector: the
+// sweep's results are already delivered, so this RPC is outside the
+// deterministic surface and should not consume chaos decisions.
 func (w *gridWorker) flushTelemetry() {
-	t := w.attachment(true)
-	if t == nil {
+	req := w.heartbeatRequest(nil)
+	if req.Metrics == nil {
 		return
 	}
-	var hr HeartbeatResponse
-	if err := w.post(PathHeartbeat, HeartbeatRequest{Worker: w.cfg.ID, Telemetry: t}, &hr); err == nil {
-		w.buf.Ack(hr.SpanAck)
-	}
+	_ = w.post(PathHeartbeat, req, nil)
 }
 
-// attachment assembles the telemetry to piggyback on an outgoing RPC: the
-// whole unacknowledged span buffer, plus (when withMetrics — the periodic
-// heartbeat path) a sequenced cumulative snapshot of the worker's registry.
-// Returns nil when there is nothing to ship, so untelemetered workers add
-// zero bytes to every request.
-func (w *gridWorker) attachment(withMetrics bool) *TelemetryAttachment {
-	if w.buf == nil {
-		return nil
-	}
-	t := &TelemetryAttachment{Spans: w.buf.Pending()}
-	if withMetrics && w.cfg.Obs != nil && w.cfg.Obs.Metrics != nil {
+// heartbeatRequest renews the given jobs and, when telemetry is on, attaches
+// a sequenced cumulative snapshot of the worker's registry.
+func (w *gridWorker) heartbeatRequest(jobs []int64) HeartbeatRequest {
+	req := HeartbeatRequest{Worker: w.cfg.ID, Jobs: jobs}
+	if w.telemetry && w.cfg.Obs != nil && w.cfg.Obs.Metrics != nil {
 		snap := w.cfg.Obs.Metrics.Snapshot()
-		t.Metrics, t.MetricsSeq = &snap, w.telSeq.Add(1)
+		req.Metrics, req.MetricsSeq = &snap, w.telSeq.Add(1)
 	}
-	if t.Metrics == nil && len(t.Spans) == 0 {
-		return nil
-	}
-	return t
+	return req
 }
 
 // hello fetches the coordinator's self-description, waiting out the window
@@ -214,7 +204,7 @@ func (w *gridWorker) leaseLoop(ctx context.Context) error {
 		var lr LeaseResponse
 		key := fmt.Sprintf("lease|%s#%d", w.cfg.ID, seq)
 		seq++
-		req := LeaseRequest{Worker: w.cfg.ID, Max: w.cfg.Batch, Telemetry: w.attachment(false)}
+		req := LeaseRequest{Worker: w.cfg.ID, Max: w.cfg.Batch}
 		err := w.cfg.Net.RPC(key, func() error {
 			return w.post(PathLease, req, &lr)
 		})
@@ -227,7 +217,6 @@ func (w *gridWorker) leaseLoop(ctx context.Context) error {
 			continue
 		}
 		failures = 0
-		w.buf.Ack(lr.SpanAck)
 		if lr.Done {
 			return nil
 		}
@@ -268,27 +257,38 @@ func (w *gridWorker) runJob(ctx context.Context, jb Job) {
 		w.mu.Unlock()
 	}()
 
-	// The evaluation span lands on this worker's pid lane in the merged
-	// trace, parented to the coordinator's job span; tid = job id keeps one
-	// job's attempts on one row. It ships only after End — a worker killed
-	// mid-evaluation leaks nothing malformed, and the coordinator closes the
-	// orphan with a lease-expired annotation instead.
-	sp := w.buf.Start(fmt.Sprintf("eval job %d", jb.ID), "grid", jb.ID, jb.Parent).
-		Arg("worker", w.cfg.ID).
-		Arg("attempt", fmt.Sprintf("%d", jb.Attempt))
+	var start time.Time
+	if w.telemetry {
+		start = time.Now()
+	}
 	e, err := w.ev.EvaluateAttempt(ctx, jb.Design, jb.Attempt)
 	if ctx.Err() != nil {
 		// A cancelled evaluation is this worker dying, not an answer; leave
 		// the lease to expire and be re-issued elsewhere.
 		return
 	}
-	if err != nil {
-		sp.Arg("outcome", "error")
-	} else {
-		sp.Arg("outcome", "ok")
-	}
-	sp.End()
 	post := ResultPost{Worker: w.cfg.ID, Job: jb.ID, Attempt: jb.Attempt}
+	if w.telemetry {
+		// The evaluation span rides this attempt's result post and lands on
+		// this worker's pid lane in the merged trace, under the
+		// coordinator's job span; tid = job id keeps one job's attempts on
+		// one row. A worker killed mid-evaluation posts nothing, and the
+		// coordinator closes the orphan with a lease-expired annotation.
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		}
+		post.Span = &obs.WireSpan{
+			Name: fmt.Sprintf("eval job %d", jb.ID), Cat: "grid", TID: jb.ID,
+			StartUnixNano: start.UnixNano() + w.clockOffset,
+			DurNanos:      time.Since(start).Nanoseconds(),
+			Args: map[string]string{
+				"worker":  w.cfg.ID,
+				"attempt": fmt.Sprintf("%d", jb.Attempt),
+				"outcome": outcome,
+			},
+		}
+	}
 	if err != nil {
 		post.Error = encodeError(err)
 	} else {
@@ -309,10 +309,6 @@ func (w *gridWorker) runJob(ctx context.Context, jb Job) {
 // forges a re-delivery tagged with the previous attempt rank to exercise the
 // coordinator's arbitration.
 func (w *gridWorker) deliver(ctx context.Context, jb Job, post ResultPost) {
-	// The just-completed evaluation span rides the delivery itself; re-sent
-	// deliveries re-ship the same sequence numbers, which the coordinator
-	// deduplicates before acknowledging.
-	post.Telemetry = w.attachment(false)
 	var rr ResultResponse
 	p := fault.Policy{Attempts: 6, BaseDelay: 20 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
 	err := fault.Retry(ctx, p, func(ctx context.Context, attempt int) error {
@@ -322,7 +318,6 @@ func (w *gridWorker) deliver(ctx context.Context, jb Job, post ResultPost) {
 	if err != nil {
 		return // lease expires; the coordinator re-issues the job
 	}
-	w.buf.Ack(rr.SpanAck)
 	if rr.Done {
 		w.done.Store(true)
 	}
@@ -354,13 +349,12 @@ func (w *gridWorker) heartbeatLoop(ctx context.Context) {
 		var hr HeartbeatResponse
 		key := fmt.Sprintf("heartbeat|%s#%d", w.cfg.ID, seq)
 		seq++
-		req := HeartbeatRequest{Worker: w.cfg.ID, Jobs: ids, Telemetry: w.attachment(true)}
+		req := w.heartbeatRequest(ids)
 		if err := w.cfg.Net.RPC(key, func() error {
 			return w.post(PathHeartbeat, req, &hr)
 		}); err != nil {
 			continue // missed heartbeats are exactly what lease TTLs absorb
 		}
-		w.buf.Ack(hr.SpanAck)
 		if hr.Done {
 			w.done.Store(true)
 		}

@@ -1,215 +1,40 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
+import "sync"
 
 // This file is the fleet half of the observability layer: the pieces that
 // let one coordinator process assemble a single attributable view of a sweep
 // sharded across workers.
 //
-//   - SpanContext serializes a live span's identity so a worker-side
-//     evaluation span can name the coordinator-side job span it belongs to;
-//   - SpanBuffer accumulates completed spans worker-side as WireSpans,
-//     stamped on the coordinator's clock and sequence-numbered so shipping
-//     them piggybacked on at-least-once RPCs (result posts, heartbeats)
-//     stays idempotent under drops and duplicates;
+//   - WireSpan is one completed span in transit: a grid worker times each
+//     evaluation and ships the span on that job's result post, stamped on
+//     the coordinator's clock;
 //   - Fleet federates worker metrics snapshots coordinator-side: cumulative
 //     snapshots replace (never re-add) per worker, mismatched histogram
 //     layouts are skipped and counted per instrument instead of poisoning
-//     the worker's whole snapshot, and the merged or per-worker-labeled
-//     views feed /grid/v1/fleet and the Prometheus exposition.
+//     the worker's whole snapshot, and the per-worker-labeled view feeds
+//     /grid/v1/fleet and the Prometheus exposition.
 //
 // Everything here keeps the package's two core contracts: nil receivers
 // no-op with zero allocations, and nothing draws randomness or reorders
 // work, so fleet telemetry is bitwise-invisible to sweep results.
 
-// SpanContext is the serializable identity of a span, carried across process
-// boundaries so remote children can name their parent. The zero value means
-// "no parent" (tracing off).
-type SpanContext struct {
-	// Trace identifies the originating tracer, Span the span within it.
-	Trace uint64 `json:"trace,omitempty"`
-	Span  int64  `json:"span,omitempty"`
-}
-
-// Valid reports whether the context names a real span.
-func (sc SpanContext) Valid() bool { return sc.Span != 0 }
-
-// Context returns the span's serializable identity; the zero SpanContext for
-// a nil span.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{Trace: s.tr.id, Span: s.id}
-}
-
-// WireSpan is one completed span in transit between processes. Start times
-// are wall-clock nanoseconds already aligned to the receiving tracer's clock
-// (the sender learned the offset at handshake), and Seq orders a sender's
-// spans so receivers can deduplicate at-least-once delivery.
+// WireSpan is one completed span in transit between processes. The start
+// time is wall-clock nanoseconds already aligned to the receiving tracer's
+// clock (the sender learned the offset at handshake).
 type WireSpan struct {
-	Seq           int64             `json:"seq"`
 	Name          string            `json:"name"`
 	Cat           string            `json:"cat,omitempty"`
 	TID           int64             `json:"tid,omitempty"`
 	StartUnixNano int64             `json:"start_unix_nano"`
 	DurNanos      int64             `json:"dur_nanos"`
-	Parent        SpanContext       `json:"parent,omitempty"`
 	Args          map[string]string `json:"args,omitempty"`
-}
-
-// maxBufferedSpans bounds a SpanBuffer that is never acknowledged (a
-// coordinator that stopped ingesting); the oldest spans are dropped first,
-// which degrades the trace but never the sweep.
-const maxBufferedSpans = 4096
-
-// SpanBuffer accumulates completed spans on a worker for piggybacked
-// shipping. A nil *SpanBuffer no-ops everywhere, so workers joined to an
-// untraced coordinator record nothing and allocate nothing.
-type SpanBuffer struct {
-	// offset converts this process's wall clock to the consumer's:
-	// consumerNow ≈ localNow + offset.
-	offset int64
-
-	mu      sync.Mutex
-	next    int64
-	pending []WireSpan
-	dropped int64
-}
-
-// NewSpanBuffer returns a buffer whose spans are stamped with the given
-// clock offset (consumer wall clock minus local wall clock, nanoseconds).
-func NewSpanBuffer(offsetNanos int64) *SpanBuffer {
-	return &SpanBuffer{offset: offsetNanos}
-}
-
-// RemoteSpan is one in-flight worker-side operation destined for a remote
-// trace. End completes it into the buffer; a nil *RemoteSpan no-ops.
-type RemoteSpan struct {
-	b      *SpanBuffer
-	name   string
-	cat    string
-	tid    int64
-	parent SpanContext
-	start  time.Time
-
-	mu    sync.Mutex
-	args  map[string]string
-	ended bool
-}
-
-// Start opens a span on the buffer. tid groups related spans onto one lane
-// in the merged trace (grid workers use the job id); parent names the
-// consumer-side span this work belongs to. Nil-safe.
-func (b *SpanBuffer) Start(name, cat string, tid int64, parent SpanContext) *RemoteSpan {
-	if b == nil {
-		return nil
-	}
-	return &RemoteSpan{b: b, name: name, cat: cat, tid: tid, parent: parent, start: time.Now()}
-}
-
-// Arg attaches a key/value annotation; nil-safe, chainable.
-func (r *RemoteSpan) Arg(k, v string) *RemoteSpan {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	if r.args == nil {
-		r.args = map[string]string{}
-	}
-	r.args[k] = v
-	r.mu.Unlock()
-	return r
-}
-
-// End completes the span into its buffer. Ending twice records once; ending
-// a nil span is a no-op.
-func (r *RemoteSpan) End() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.ended {
-		r.mu.Unlock()
-		return
-	}
-	r.ended = true
-	args := r.args
-	r.mu.Unlock()
-
-	end := time.Now()
-	b := r.b
-	b.mu.Lock()
-	b.next++
-	b.pending = append(b.pending, WireSpan{
-		Seq:           b.next,
-		Name:          r.name,
-		Cat:           r.cat,
-		TID:           r.tid,
-		StartUnixNano: r.start.UnixNano() + b.offset,
-		DurNanos:      end.Sub(r.start).Nanoseconds(),
-		Parent:        r.parent,
-		Args:          args,
-	})
-	if over := len(b.pending) - maxBufferedSpans; over > 0 {
-		b.pending = append(b.pending[:0:0], b.pending[over:]...)
-		b.dropped += int64(over)
-	}
-	b.mu.Unlock()
-}
-
-// Pending returns a copy of every unacknowledged span in sequence order.
-// Senders attach it to each outgoing RPC; because acknowledgment is by
-// sequence number, re-sending the same window under at-least-once delivery
-// is harmless. Nil-safe (returns nil).
-func (b *SpanBuffer) Pending() []WireSpan {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.pending) == 0 {
-		return nil
-	}
-	return append([]WireSpan(nil), b.pending...)
-}
-
-// Ack discards buffered spans with Seq <= seq — the receiver has durably
-// ingested them. Nil-safe.
-func (b *SpanBuffer) Ack(seq int64) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	i := 0
-	for i < len(b.pending) && b.pending[i].Seq <= seq {
-		i++
-	}
-	if i > 0 {
-		b.pending = append(b.pending[:0:0], b.pending[i:]...)
-	}
-	b.mu.Unlock()
-}
-
-// Dropped reports spans lost to the buffer cap; 0 for a nil buffer.
-func (b *SpanBuffer) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // Fleet federates worker metrics snapshots on the coordinator. Workers ship
 // cumulative Registry.Snapshot()s (idempotent under duplicated or dropped
 // heartbeats — the newest sequence number wins, nothing is re-added), and
-// the fleet serves merged and per-worker-labeled views of them.
+// the fleet serves them per worker and as one worker-labeled view.
 type Fleet struct {
 	mu      sync.Mutex
 	workers map[string]*fleetWorker
@@ -222,7 +47,6 @@ type Fleet struct {
 type fleetWorker struct {
 	snap Snapshot
 	seq  int64
-	last time.Time
 }
 
 // NewFleet returns an empty fleet registry.
@@ -248,7 +72,6 @@ func (f *Fleet) Update(worker string, seq int64, s Snapshot) []*MergeError {
 		w = &fleetWorker{}
 		f.workers[worker] = w
 	}
-	w.last = time.Now()
 	if seq <= w.seq {
 		return nil
 	}
@@ -295,50 +118,18 @@ func (f *Fleet) Skipped() int64 {
 	return f.skipped
 }
 
-// Workers returns the known worker ids in sorted order.
-func (f *Fleet) Workers() []string {
+// Worker returns a worker's latest snapshot.
+func (f *Fleet) Worker(id string) (Snapshot, bool) {
 	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := make([]string, 0, len(f.workers))
-	for id := range f.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Worker returns a worker's latest snapshot and last-contact time.
-func (f *Fleet) Worker(id string) (Snapshot, time.Time, bool) {
-	if f == nil {
-		return Snapshot{}, time.Time{}, false
+		return Snapshot{}, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	w, ok := f.workers[id]
 	if !ok {
-		return Snapshot{}, time.Time{}, false
+		return Snapshot{}, false
 	}
-	return w.snap, w.last, true
-}
-
-// Merged returns the fleet-wide aggregate: counters and histogram series
-// summed across workers (histogram folding reuses the Histogram.Merge bucket
-// semantics via Snapshot.Merge), gauges per-worker-last-wins. Layout
-// mismatches were already pruned at Update, so the merge itself is total.
-func (f *Fleet) Merged() Snapshot {
-	if f == nil {
-		return Snapshot{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out Snapshot
-	for _, id := range f.sortedLocked() {
-		out.Merge(f.workers[id].snap)
-	}
-	return out
+	return w.snap, true
 }
 
 // Labeled returns every worker's snapshot as one flat snapshot whose series
@@ -351,8 +142,8 @@ func (f *Fleet) Labeled() Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out Snapshot
-	for _, id := range f.sortedLocked() {
-		snap := f.workers[id].snap
+	for id, w := range f.workers {
+		snap := w.snap
 		if len(snap.Counters) > 0 && out.Counters == nil {
 			out.Counters = map[string]int64{}
 		}
@@ -378,14 +169,5 @@ func (f *Fleet) Labeled() Snapshot {
 // labelWorker appends the worker label to a series name in the ";k=v" form
 // the exposition encoder understands.
 func labelWorker(name, worker string) string {
-	return fmt.Sprintf("%s;worker=%s", name, worker)
-}
-
-func (f *Fleet) sortedLocked() []string {
-	ids := make([]string, 0, len(f.workers))
-	for id := range f.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return name + ";worker=" + worker
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -21,126 +21,6 @@ func exportEvents(t *testing.T, tr *Tracer) []traceEvent {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
 	return file.TraceEvents
-}
-
-func TestSpanContextIdentity(t *testing.T) {
-	if (SpanContext{}).Valid() {
-		t.Error("zero SpanContext claims validity")
-	}
-	var nilSpan *Span
-	if sc := nilSpan.Context(); sc.Valid() {
-		t.Errorf("nil span produced a valid context: %+v", sc)
-	}
-
-	tr := NewTracer()
-	a := tr.Span("a", "t")
-	b := tr.Span("b", "t")
-	ca, cb := a.Context(), b.Context()
-	if !ca.Valid() || !cb.Valid() {
-		t.Fatalf("live spans produced invalid contexts: %+v %+v", ca, cb)
-	}
-	if ca.Span == cb.Span {
-		t.Error("two spans share one context id")
-	}
-	if ca.Trace != cb.Trace {
-		t.Errorf("one tracer, two trace ids: %d vs %d", ca.Trace, cb.Trace)
-	}
-	a.End()
-	b.End()
-}
-
-func TestSpanBufferSequencedShipping(t *testing.T) {
-	const offset = int64(5e9) // pretend the consumer's clock is 5s ahead
-	b := NewSpanBuffer(offset)
-
-	b.Start("first", "grid", 7, SpanContext{Trace: 1, Span: 42}).Arg("k", "v").End()
-	b.Start("second", "grid", 8, SpanContext{}).End()
-
-	p := b.Pending()
-	if len(p) != 2 {
-		t.Fatalf("pending = %d spans, want 2", len(p))
-	}
-	if p[0].Seq != 1 || p[1].Seq != 2 {
-		t.Errorf("sequence numbers %d,%d, want 1,2", p[0].Seq, p[1].Seq)
-	}
-	if p[0].Name != "first" || p[0].TID != 7 || p[0].Parent.Span != 42 || p[0].Args["k"] != "v" {
-		t.Errorf("span fields lost: %+v", p[0])
-	}
-	// The stamped start must carry the consumer-clock offset: both spans just
-	// happened locally, so consumer-clock-now (local now + offset) minus the
-	// stamp should be far under the 5s offset itself.
-	if p[0].StartUnixNano <= p[0].StartUnixNano-offset {
-		t.Error("offset not applied")
-	}
-
-	// Pending is a stable re-readable window (at-least-once resend), not a drain.
-	if again := b.Pending(); len(again) != 2 || again[0].Seq != 1 {
-		t.Errorf("second Pending read differs: %+v", again)
-	}
-
-	// Ack prunes by sequence; re-acking old sequences is harmless.
-	b.Ack(1)
-	if p := b.Pending(); len(p) != 1 || p[0].Seq != 2 {
-		t.Errorf("after Ack(1): %+v", p)
-	}
-	b.Ack(1)
-	b.Ack(0)
-	if p := b.Pending(); len(p) != 1 {
-		t.Errorf("stale acks pruned live spans: %+v", p)
-	}
-	b.Ack(2)
-	if b.Pending() != nil {
-		t.Error("fully acked buffer still pending")
-	}
-
-	// New spans after a full ack keep climbing the sequence.
-	b.Start("third", "grid", 9, SpanContext{}).End()
-	if p := b.Pending(); len(p) != 1 || p[0].Seq != 3 {
-		t.Errorf("post-ack span: %+v", p)
-	}
-}
-
-func TestSpanBufferCapDropsOldest(t *testing.T) {
-	b := NewSpanBuffer(0)
-	for i := 0; i < maxBufferedSpans+10; i++ {
-		b.Start(fmt.Sprintf("s%d", i), "t", 0, SpanContext{}).End()
-	}
-	p := b.Pending()
-	if len(p) != maxBufferedSpans {
-		t.Fatalf("pending = %d, want cap %d", len(p), maxBufferedSpans)
-	}
-	if b.Dropped() != 10 {
-		t.Errorf("dropped = %d, want 10", b.Dropped())
-	}
-	if p[0].Seq != 11 {
-		t.Errorf("oldest surviving seq = %d, want 11 (oldest dropped first)", p[0].Seq)
-	}
-	if p[len(p)-1].Name != fmt.Sprintf("s%d", maxBufferedSpans+9) {
-		t.Errorf("newest span lost: %q", p[len(p)-1].Name)
-	}
-}
-
-func TestSpanBufferNilSafe(t *testing.T) {
-	var b *SpanBuffer
-	sp := b.Start("x", "y", 0, SpanContext{})
-	if sp != nil {
-		t.Fatal("nil buffer returned a live span")
-	}
-	sp.Arg("k", "v").End() // must not panic
-	b.Ack(5)
-	if b.Pending() != nil || b.Dropped() != 0 {
-		t.Error("nil buffer has state")
-	}
-}
-
-func TestRemoteSpanEndIdempotent(t *testing.T) {
-	b := NewSpanBuffer(0)
-	sp := b.Start("once", "t", 0, SpanContext{})
-	sp.End()
-	sp.End()
-	if p := b.Pending(); len(p) != 1 {
-		t.Errorf("double End recorded %d spans", len(p))
-	}
 }
 
 func workerSnap(c int64) Snapshot {
@@ -163,7 +43,7 @@ func TestFleetLatestSnapshotWins(t *testing.T) {
 	f.Update("w1", 2, workerSnap(7))
 	f.Update("w1", 3, workerSnap(999))
 
-	snap, _, ok := f.Worker("w1")
+	snap, ok := f.Worker("w1")
 	if !ok {
 		t.Fatal("worker unknown after updates")
 	}
@@ -171,17 +51,18 @@ func TestFleetLatestSnapshotWins(t *testing.T) {
 		t.Errorf("jobs = %d, want 9 (latest seq wins, stale ignored)", snap.Counters["jobs"])
 	}
 
-	// Cumulative replace, never re-add: merged equals the per-worker sums.
+	// Cumulative replace, never re-add: each worker's labeled series carries
+	// exactly its latest snapshot.
 	f.Update("w2", 1, workerSnap(4))
-	m := f.Merged()
-	if m.Counters["jobs"] != 13 {
-		t.Errorf("merged jobs = %d, want 13", m.Counters["jobs"])
+	l := f.Labeled()
+	if l.Counters["jobs;worker=w1"] != 9 || l.Counters["jobs;worker=w2"] != 4 {
+		t.Errorf("labeled jobs = %v, want w1=9 w2=4", l.Counters)
 	}
-	if m.Histograms["lat"].Count != 13 {
-		t.Errorf("merged histogram count = %d, want 13", m.Histograms["lat"].Count)
+	if l.Histograms["lat;worker=w1"].Count != 9 {
+		t.Errorf("w1 histogram count = %d, want 9", l.Histograms["lat;worker=w1"].Count)
 	}
-	if got := f.Workers(); len(got) != 2 || got[0] != "w1" || got[1] != "w2" {
-		t.Errorf("Workers() = %v", got)
+	if len(l.Counters) != 2 {
+		t.Errorf("labeled counters = %v, want one series per worker", l.Counters)
 	}
 }
 
@@ -204,17 +85,20 @@ func TestFleetSkipsMismatchedLayouts(t *testing.T) {
 	}
 
 	// The rest of w2's snapshot survives — skip one instrument, not the worker.
-	snap, _, _ := f.Worker("w2")
+	snap, _ := f.Worker("w2")
 	if snap.Counters["jobs"] != 1 {
 		t.Error("counter lost alongside the skipped histogram")
 	}
 	if _, ok := snap.Histograms["lat"]; ok {
 		t.Error("mismatched histogram kept in the stored snapshot")
 	}
-	// And the merge stays total: no layout conflict can reach Merged().
-	m := f.Merged()
-	if m.Histograms["lat"].Count != 1 {
-		t.Errorf("merged count = %d, want w1's 1", m.Histograms["lat"].Count)
+	// And no conflicting layout reaches the exposition view.
+	l := f.Labeled()
+	if l.Histograms["lat;worker=w1"].Count != 1 {
+		t.Errorf("w1 histogram = %+v, want its count of 1", l.Histograms["lat;worker=w1"])
+	}
+	if _, ok := l.Histograms["lat;worker=w2"]; ok {
+		t.Error("skipped histogram reached the labeled view")
 	}
 }
 
@@ -236,27 +120,35 @@ func TestFleetNilSafe(t *testing.T) {
 	if sk := f.Update("w", 1, workerSnap(1)); sk != nil {
 		t.Error("nil fleet returned skips")
 	}
-	if f.Workers() != nil || f.Skipped() != 0 {
-		t.Error("nil fleet has workers")
+	if f.Skipped() != 0 {
+		t.Error("nil fleet counts skips")
 	}
-	if _, _, ok := f.Worker("w"); ok {
+	if _, ok := f.Worker("w"); ok {
 		t.Error("nil fleet knows a worker")
 	}
-	m := f.Merged()
-	if len(m.Counters) != 0 {
-		t.Error("nil fleet merged non-empty")
+	l := f.Labeled()
+	if len(l.Counters) != 0 || len(l.Gauges) != 0 || len(l.Histograms) != 0 {
+		t.Error("nil fleet labeled view non-empty")
 	}
 }
 
-// TestHistogramMergeTypedError pins the typed contract: a layout mismatch
-// surfaces as *MergeError through errors.As, carrying the disagreeing bound.
+// TestHistogramMergeTypedError pins the typed contract of federation: a
+// layout mismatch surfaces as *MergeError through errors.As, carrying the
+// disagreeing bound or, when the bucket counts differ, Index -1.
 func TestHistogramMergeTypedError(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 3})
-	b := NewHistogram([]float64{1, 2.5, 3})
-	err := a.Merge(b)
-	if err == nil {
-		t.Fatal("mismatched layouts merged")
+	snap := func(bounds ...float64) Snapshot {
+		return Snapshot{Histograms: map[string]HistogramSnapshot{
+			"lat": {Bounds: bounds, Counts: make([]int64, len(bounds)+1)},
+		}}
 	}
+	f := NewFleet()
+	f.Update("w0", 1, snap(1, 2, 3))
+
+	skipped := f.Update("w1", 1, snap(1, 2.5, 3))
+	if len(skipped) != 1 {
+		t.Fatalf("mismatched layout not skipped: %v", skipped)
+	}
+	var err error = skipped[0]
 	var me *MergeError
 	if !errors.As(err, &me) {
 		t.Fatalf("error %T is not *MergeError", err)
@@ -264,14 +156,15 @@ func TestHistogramMergeTypedError(t *testing.T) {
 	if me.Index != 1 || me.WantBound != 2 || me.GotBound != 2.5 {
 		t.Errorf("MergeError = %+v", me)
 	}
-	if me.Error() == "" {
-		t.Error("empty error string")
+	if !strings.Contains(me.Error(), "lat") {
+		t.Errorf("error %q does not name the instrument", me.Error())
 	}
 
-	c := NewHistogram([]float64{1, 2})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("different bucket counts merged")
-	} else if !errors.As(err, &me) || me.Index != -1 || me.WantBounds != 3 || me.GotBounds != 2 {
+	skipped = f.Update("w2", 1, snap(1, 2))
+	if len(skipped) != 1 {
+		t.Fatal("different bucket counts not skipped")
+	}
+	if me := skipped[0]; me.Index != -1 || me.WantBounds != 3 || me.GotBounds != 2 {
 		t.Errorf("count-mismatch MergeError = %+v", me)
 	}
 }
@@ -285,10 +178,10 @@ func TestTracerIngestAndMergedExport(t *testing.T) {
 
 	// A remote span that started before the trace's base clamps to zero
 	// instead of rendering at a negative timestamp.
-	tr.Ingest(2,
-		WireSpan{Seq: 1, Name: "early", Cat: "grid", TID: 3, StartUnixNano: tr.BaseUnixNano() - 1e9, DurNanos: 10, Parent: root.Context()},
-		WireSpan{Seq: 2, Name: "late", Cat: "grid", TID: 4, StartUnixNano: tr.BaseUnixNano() + 1e6, DurNanos: 20, Args: map[string]string{"b": "2", "a": "1"}},
-	)
+	base := tr.base.UnixNano()
+	tr.Ingest(2, root, WireSpan{Name: "early", Cat: "grid", TID: 3, StartUnixNano: base - 1e9, DurNanos: 10})
+	tr.Ingest(2, nil, WireSpan{Name: "late", Cat: "grid", TID: 4, StartUnixNano: base + 1e6, DurNanos: 20000,
+		Args: map[string]string{"b": "2", "a": "1"}})
 
 	evs := exportEvents(t, tr)
 	byName := map[string]traceEvent{}
@@ -310,11 +203,18 @@ func TestTracerIngestAndMergedExport(t *testing.T) {
 	if early.PID != 2 || early.TS != 0 {
 		t.Errorf("early span pid=%d ts=%v, want pid 2 ts clamped to 0", early.PID, early.TS)
 	}
-	if early.Args["parent_span"] == "" {
-		t.Error("cross-process parent annotation missing")
+	if early.Args["parent_span"] != "sweep" {
+		t.Errorf("parent annotation = %q, want the parent span's name", early.Args["parent_span"])
 	}
-	if late := byName["late"]; late.Args["a"] != "1" || late.Args["b"] != "2" {
+	late := byName["late"]
+	if late.Args["a"] != "1" || late.Args["b"] != "2" {
 		t.Errorf("ingested args lost: %v", late.Args)
+	}
+	if _, ok := late.Args["parent_span"]; ok {
+		t.Error("parentless span annotated with a parent")
+	}
+	if late.TS != 1000 || late.Dur != 20 {
+		t.Errorf("late span ts=%vus dur=%vus, want 1000 and 20", late.TS, late.Dur)
 	}
 	if local := byName["sweep"]; local.PID != LocalPID {
 		t.Errorf("local span pid = %d, want %d", local.PID, LocalPID)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -172,13 +171,12 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// MergeError is the typed rejection of a histogram merge whose bucket
-// layouts disagree. Federation paths (obs.Fleet) use the type to skip and
-// count the single mismatched instrument instead of dropping a whole worker
-// snapshot.
+// MergeError is the typed rejection of a histogram snapshot whose bucket
+// layout disagrees with the one obs.Fleet pinned for its name. The fleet
+// skips and counts the single mismatched instrument instead of dropping a
+// whole worker snapshot.
 type MergeError struct {
-	// Instrument names the mismatched series when the merge ran inside a
-	// snapshot federation; empty for a direct Histogram.Merge.
+	// Instrument names the mismatched series.
 	Instrument string
 	// Index is the first disagreeing bound index (-1 when the bucket counts
 	// themselves differ).
@@ -196,33 +194,6 @@ func (e *MergeError) Error() string {
 		return fmt.Sprintf("obs: merge%s of mismatched histograms (%d vs %d buckets)", name, e.WantBounds+1, e.GotBounds+1)
 	}
 	return fmt.Sprintf("obs: merge%s of mismatched histogram bounds at %d (%v vs %v)", name, e.Index, e.WantBound, e.GotBound)
-}
-
-// Merge folds other's observations into h. Both histograms must share the
-// same bucket bounds — a mismatch is a typed *MergeError; merging into or
-// from nil is a no-op.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return &MergeError{Index: -1, WantBounds: len(h.bounds), GotBounds: len(other.bounds)}
-	}
-	for i, b := range other.bounds {
-		if h.bounds[i] != b {
-			return &MergeError{Index: i, WantBounds: len(h.bounds), GotBounds: len(other.bounds), WantBound: h.bounds[i], GotBound: b}
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+other.Sum())) {
-			return nil
-		}
-	}
 }
 
 // HistogramSnapshot is the JSON-marshalable state of one histogram.
@@ -247,30 +218,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Merge folds other's observations into s. Like Histogram.Merge it demands
-// identical bucket layouts, reported as a typed *MergeError; an empty
-// receiver adopts other's layout.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(s.Bounds) == 0 {
-		s.Bounds = append([]float64(nil), other.Bounds...)
-		s.Counts = make([]int64, len(other.Counts))
-	}
-	if len(s.Bounds) != len(other.Bounds) {
-		return &MergeError{Index: -1, WantBounds: len(s.Bounds), GotBounds: len(other.Bounds)}
-	}
-	for i, b := range other.Bounds {
-		if s.Bounds[i] != b {
-			return &MergeError{Index: i, WantBounds: len(s.Bounds), GotBounds: len(other.Bounds), WantBound: s.Bounds[i], GotBound: b}
-		}
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
 }
 
 // Registry holds a run's named instruments. Lookups create instruments on
@@ -346,42 +293,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Merge folds other into s: counters and histogram series sum, gauges take
-// other's value (last writer wins — gauges are point-in-time). A histogram
-// whose bucket layout disagrees with s's is skipped and returned in the
-// mismatch list (typed *MergeError per series) rather than poisoning the
-// whole merge — the skip-and-count contract snapshot federation relies on.
-func (s *Snapshot) Merge(other Snapshot) []*MergeError {
-	var skipped []*MergeError
-	if len(other.Counters) > 0 && s.Counters == nil {
-		s.Counters = make(map[string]int64, len(other.Counters))
-	}
-	for name, v := range other.Counters {
-		s.Counters[name] += v
-	}
-	if len(other.Gauges) > 0 && s.Gauges == nil {
-		s.Gauges = make(map[string]float64, len(other.Gauges))
-	}
-	for name, v := range other.Gauges {
-		s.Gauges[name] = v
-	}
-	if len(other.Histograms) > 0 && s.Histograms == nil {
-		s.Histograms = make(map[string]HistogramSnapshot, len(other.Histograms))
-	}
-	for name, h := range other.Histograms {
-		dst := s.Histograms[name]
-		if err := dst.Merge(h); err != nil {
-			me := &MergeError{Index: -1}
-			errors.As(err, &me)
-			me.Instrument = name
-			skipped = append(skipped, me)
-			continue
-		}
-		s.Histograms[name] = dst
-	}
-	return skipped
 }
 
 // Snapshot captures every instrument's current value. A nil registry yields

@@ -69,37 +69,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(99)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	s := a.snapshot()
-	if s.Counts[0] != 1 || s.Counts[1] != 1 || s.Counts[2] != 1 {
-		t.Fatalf("merged counts = %v, want [1 1 1]", s.Counts)
-	}
-	if a.Count() != 3 || a.Sum() != 0.5+1.5+99 {
-		t.Fatalf("merged count/sum = %d/%v", a.Count(), a.Sum())
-	}
-}
-
-func TestHistogramMergeMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	if err := a.Merge(NewHistogram([]float64{1, 2, 3})); err == nil {
-		t.Fatal("merge of different bucket counts succeeded")
-	}
-	if err := a.Merge(NewHistogram([]float64{1, 3})); err == nil {
-		t.Fatal("merge of different bounds succeeded")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("merge with nil errored: %v", err)
-	}
-}
-
 func TestNewHistogramPanics(t *testing.T) {
 	for _, bounds := range [][]float64{nil, {}, {1, 1}, {2, 1}} {
 		func() {

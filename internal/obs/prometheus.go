@@ -129,7 +129,7 @@ func splitSeries(series string) (name, labels string) {
 		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", sanitizeLabelName(k), escapeLabelValue(v))
+		b.WriteString(labelPair(sanitizeLabelName(k), v))
 	}
 	if b.Len() == 0 {
 		return name, ""
@@ -139,7 +139,7 @@ func splitSeries(series string) (name, labels string) {
 
 // addLabel inserts k=v into a rendered label block (possibly empty).
 func addLabel(labels, k, v string) string {
-	pair := fmt.Sprintf("%s=%q", k, escapeLabelValue(v))
+	pair := labelPair(k, v)
 	if labels == "" {
 		return "{" + pair + "}"
 	}
@@ -174,9 +174,29 @@ func sanitizeLabelName(name string) string {
 	return strings.ReplaceAll(s, ":", "_")
 }
 
-// escapeLabelValue leaves the value ready for %q rendering — Go's quoting is
-// a superset of the exposition format's (\\, \", \n), so no extra work.
-func escapeLabelValue(v string) string { return v }
+// labelPair renders k="v". The exposition format defines exactly three
+// escapes in a label value — \\, \" and \n — so those are the only bytes
+// rewritten: other valid UTF-8 passes through unchanged, and each invalid
+// byte becomes U+FFFD, which is what ranging over a string yields for it.
+func labelPair(k, v string) string {
+	var b strings.Builder
+	b.WriteString(k)
+	b.WriteString(`="`)
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
 
 // formatPromValue renders a float the way the exposition format expects,
 // including the +Inf/-Inf/NaN spellings.

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // Exposition-format line grammar (text format 0.0.4): a TYPE comment or a
@@ -14,7 +15,7 @@ import (
 // output against, so the encoder tests share it.
 var (
 	promTypeRe   = regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$`)
-	promSampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]Inf|[-+0-9.eE]+)$`)
+	promSampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\[\\"n]|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\[\\"n]|[^"\\])*")*\})? (NaN|[+-]Inf|[-+0-9.eE]+)$`)
 )
 
 // checkPromGrammar fails on any line that is neither a valid TYPE comment nor
@@ -96,6 +97,33 @@ func TestPrometheusWorkerLabels(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)
+		}
+	}
+}
+
+// TestPrometheusLabelEscaping pins label-value escaping for worker ids, which
+// arrive from outside the program: the exposition format defines only \\,
+// \" and \n, so a tab and other valid UTF-8 pass through raw and an invalid
+// byte becomes U+FFFD — never a Go escape like \t, \xff or \u2028.
+func TestPrometheusLabelEscaping(t *testing.T) {
+	f := NewFleet()
+	f.Update("w\t\"\\\n\xff\u2028", 1, Snapshot{
+		Counters:   map[string]int64{"grid.worker.jobs": 4},
+		Histograms: map[string]HistogramSnapshot{"lat": {Bounds: []float64{1}, Counts: []int64{1, 0}, Count: 1, Sum: 1}},
+	})
+	text := promText(t, f.Labeled())
+	checkPromGrammar(t, text)
+	if !utf8.ValidString(text) {
+		t.Errorf("exposition is not valid UTF-8:\n%q", text)
+	}
+	const label = `{worker="w` + "\t" + `\"\\\n` + "\uFFFD\u2028" + `"`
+	for _, want := range []string{
+		"grid_worker_jobs" + label + "} 4\n",
+		"lat_bucket" + label + `,le="1"} 1` + "\n",
+		"lat_count" + label + "} 1\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q in:\n%q", want, text)
 		}
 	}
 }

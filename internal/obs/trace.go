@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -21,9 +20,6 @@ import (
 // a sweep at concurrency N renders as exactly N job rows under its phase.
 type Tracer struct {
 	base time.Time
-	// id identifies this tracer in serialized SpanContexts, so a worker can
-	// tell which coordinator trace a parent span belongs to.
-	id uint64
 
 	mu    sync.Mutex
 	spans []spanRecord
@@ -31,9 +27,6 @@ type Tracer struct {
 	// laneBase and are reused once their previous occupant ends.
 	roots int64
 	lanes []time.Duration // lane -> busy-until (laneForever while open)
-	// nextID numbers spans so a SpanContext can name its parent across
-	// process boundaries.
-	nextID int64
 	// procs names the non-default pid lanes remote span ingestion creates
 	// (pid -> process name, rendered as trace metadata).
 	procs map[int]string
@@ -65,8 +58,7 @@ type spanArg struct{ k, v string }
 
 // NewTracer returns a tracer whose clock starts now.
 func NewTracer() *Tracer {
-	now := time.Now()
-	return &Tracer{base: now, id: uint64(now.UnixNano())}
+	return &Tracer{base: time.Now()}
 }
 
 // Span is one in-flight timed operation. End records it; a nil *Span no-ops
@@ -75,7 +67,6 @@ type Span struct {
 	tr    *Tracer
 	name  string
 	cat   string
-	id    int64
 	tid   int64
 	lane  int // forked lane index to release on End; -1 otherwise
 	start time.Duration
@@ -94,10 +85,8 @@ func (t *Tracer) Span(name, cat string) *Span {
 	t.mu.Lock()
 	t.roots++
 	tid := t.roots
-	t.nextID++
-	id := t.nextID
 	t.mu.Unlock()
-	return &Span{tr: t, name: name, cat: cat, id: id, tid: tid, lane: -1, start: start}
+	return &Span{tr: t, name: name, cat: cat, tid: tid, lane: -1, start: start}
 }
 
 // Child starts a span nested under s on the same lane — for sequential
@@ -106,12 +95,7 @@ func (s *Span) Child(name, cat string) *Span {
 	if s == nil {
 		return nil
 	}
-	t := s.tr
-	t.mu.Lock()
-	t.nextID++
-	id := t.nextID
-	t.mu.Unlock()
-	return &Span{tr: t, name: name, cat: cat, id: id, tid: s.tid, lane: -1, start: time.Since(t.base)}
+	return &Span{tr: s.tr, name: name, cat: cat, tid: s.tid, lane: -1, start: time.Since(s.tr.base)}
 }
 
 // Fork starts a span for work running concurrently with s's other children:
@@ -136,10 +120,8 @@ func (s *Span) Fork(name, cat string) *Span {
 		t.lanes = append(t.lanes, 0)
 	}
 	t.lanes[lane] = laneForever
-	t.nextID++
-	id := t.nextID
 	t.mu.Unlock()
-	return &Span{tr: t, name: name, cat: cat, id: id, tid: laneBase + int64(lane), lane: lane, start: start}
+	return &Span{tr: t, name: name, cat: cat, tid: laneBase + int64(lane), lane: lane, start: start}
 }
 
 // Arg attaches a key/value annotation rendered in the trace viewer's span
@@ -226,48 +208,34 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 	t.mu.Unlock()
 }
 
-// BaseUnixNano is the wall-clock instant of the tracer's time zero — the
-// reference remote spans (stamped in wall-clock nanoseconds) are converted
-// against when ingested. 0 for a nil tracer.
-func (t *Tracer) BaseUnixNano() int64 {
+// Ingest merges one externally completed span — shipped from another
+// process as a WireSpan — into the trace on the given pid lane, annotated
+// with the name of its local parent span (nil for none). The start time is
+// wall clock (the sender aligned it to this process's clock at handshake)
+// and converts to a trace-relative offset against the tracer's base; a span
+// that began before the trace did clamps to zero rather than rendering
+// off-screen. Nil-safe, so an untraced coordinator discards remote spans for
+// free.
+func (t *Tracer) Ingest(pid int, parent *Span, ws WireSpan) {
 	if t == nil {
-		return 0
-	}
-	return t.base.UnixNano()
-}
-
-// Ingest merges externally completed spans — shipped from another process as
-// WireSpans — into the trace on the given pid lane. Start times are wall
-// clock (the sender aligned them to the coordinator's clock at hello) and
-// convert to trace-relative offsets against the tracer's base; spans that
-// began before the trace did clamp to zero rather than rendering off-screen.
-// Nil-safe, so an untraced coordinator discards remote buffers for free.
-func (t *Tracer) Ingest(pid int, spans ...WireSpan) {
-	if t == nil || len(spans) == 0 {
 		return
 	}
-	base := t.base.UnixNano()
-	t.mu.Lock()
-	for _, ws := range spans {
-		rel := time.Duration(ws.StartUnixNano - base)
-		if rel < 0 {
-			rel = 0
-		}
-		var args []spanArg
-		if len(ws.Args) > 0 {
-			args = make([]spanArg, 0, len(ws.Args))
-			for _, k := range sortedKeys(ws.Args) {
-				args = append(args, spanArg{k: k, v: ws.Args[k]})
-			}
-		}
-		if ws.Parent.Span != 0 {
-			args = append(args, spanArg{k: "parent_span", v: fmt.Sprintf("%d", ws.Parent.Span)})
-		}
-		t.spans = append(t.spans, spanRecord{
-			name: ws.Name, cat: ws.Cat, pid: pid, tid: ws.TID,
-			start: rel, dur: time.Duration(ws.DurNanos), args: args,
-		})
+	rel := time.Duration(ws.StartUnixNano - t.base.UnixNano())
+	if rel < 0 {
+		rel = 0
 	}
+	var args []spanArg
+	for _, k := range sortedKeys(ws.Args) {
+		args = append(args, spanArg{k: k, v: ws.Args[k]})
+	}
+	if parent != nil {
+		args = append(args, spanArg{k: "parent_span", v: parent.name})
+	}
+	t.mu.Lock()
+	t.spans = append(t.spans, spanRecord{
+		name: ws.Name, cat: ws.Cat, pid: pid, tid: ws.TID,
+		start: rel, dur: time.Duration(ws.DurNanos), args: args,
+	})
 	t.mu.Unlock()
 }
 
