@@ -38,7 +38,7 @@
 // Observability: -trace writes a Chrome trace_event JSON of the search and
 // evaluation spans, -manifest a machine-readable run manifest, and
 // -debug-addr serves live metrics/expvar/pprof over HTTP. A one-line metrics
-// summary (cache hits/misses, simulations, retries) is printed on exit.
+// summary (evaluations, simulations, retries) is printed on exit.
 //
 // In grid mode the trace is fleet-merged: each worker ships an evaluation
 // span on every result post, and the delivery that completes a job puts its
@@ -214,7 +214,7 @@ func main() {
 	fmt.Printf("design space: %d joint points; exploring %d candidates with %d+%d evaluations\n",
 		p2.Space.Size(), p2.Config.CandidatePool, p2.Config.BO.InitSamples, p2.Config.BO.Iterations)
 
-	// Grid mode: the optimizer loop stays in this process; every uncached
+	// Grid mode: the optimizer loop stays in this process; every design
 	// evaluation is delegated to the coordinator's lease pool and scored by
 	// grid workers — in-process goroutines here, external gridworker
 	// processes via -grid-listen. Grid status goes to stderr so stdout stays

@@ -16,8 +16,10 @@ import (
 
 // resultDigest hashes everything a Phase-2 search decides: every field of
 // every evaluated design (floats by their bit patterns), the Pareto indices,
-// the conventional picks, the cache statistics, the failure records' job
-// names and kinds, and the skip records.
+// the conventional picks, the scored-design count, the failure records' job
+// names and kinds, and the skip records. The digests were captured when the
+// evaluator still had a cache of its own; its hit count, 0 in every pinned
+// run, is written as that constant.
 func resultDigest(res *Result) string {
 	h := sha256.New()
 	bits := func(vs ...float64) {
@@ -41,7 +43,7 @@ func resultDigest(res *Result) string {
 		fmt.Fprint(h, "\n")
 	}
 	fmt.Fprintf(h, "pareto %v\npicks %d %d %d\ncache %d %d\n",
-		res.ParetoIdx, res.HT, res.LP, res.HE, res.CacheHits, res.CacheMisses)
+		res.ParetoIdx, res.HT, res.LP, res.HE, 0, res.CacheMisses)
 	for _, f := range res.Failures {
 		fmt.Fprintf(h, "failure %q %s\n", f.Job, f.Kind)
 	}
@@ -59,7 +61,7 @@ func resultDigest(res *Result) string {
 // algorithm co-search space, the vehicle space and a seeded chaos run under
 // a failure budget. The digests were captured before the optimizers were
 // rewritten as ask/tell proposers, so any drift in a search trajectory, a
-// cache count, a failure or a skip record fails here.
+// scored-design count, a failure or a skip record fails here.
 func TestSearchDigestGolden(t *testing.T) {
 	base := func(opt Optimizer, cfg Config) Request {
 		return Request{

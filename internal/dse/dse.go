@@ -14,15 +14,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-	"time"
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/bayesopt"
 	"autopilot/internal/catalog"
 	"autopilot/internal/fault"
 	"autopilot/internal/hw"
-	"autopilot/internal/memo"
 	"autopilot/internal/obs"
 	"autopilot/internal/policy"
 	"autopilot/internal/pool"
@@ -257,7 +256,7 @@ func Bandwidth(pes int) float64 {
 // trained with (empty means the legacy fixed-DQN calibration), and, when it
 // co-searches vehicle axes, the fully-resolved loadout reference (the zero
 // VehicleRef means the legacy SoC-only evaluation). All fields are
-// comparable, so the point keys the memoization cache directly.
+// comparable, so the point keys maps directly.
 type DesignPoint struct {
 	Hyper   policy.Hyper
 	HW      systolic.Config
@@ -306,16 +305,6 @@ func (s Space) Sample(n int, seed int64) []DesignPoint {
 		out[i] = d
 	}
 	return out
-}
-
-// SampleForModel draws n design points with the model hyper-parameters
-// pinned — used when Phase 3 needs the accelerator space for the
-// highest-success model.
-func (s Space) SampleForModel(h policy.Hyper, n int, seed int64) []DesignPoint {
-	pinned := s
-	pinned.Layers = []int{h.Layers}
-	pinned.Filters = []int{h.Filters}
-	return pinned.Sample(n, seed)
 }
 
 // Features encodes a design point as a normalized vector for the GP models:
@@ -386,62 +375,32 @@ func (e Evaluated) EfficiencyFPSW() float64 {
 	return e.FPS / e.SoCPowerW
 }
 
-// BackendFactory builds the hardware cost-model backend scoring one design
-// point. The default factory wraps the design's systolic configuration with
-// the evaluator's power model; swapping it retargets Phase 2 at a different
-// accelerator template without touching the search machinery.
-type BackendFactory func(DesignPoint) hw.Backend
-
-// evalKey keys the memoization cache on backend identity plus design, so
-// one evaluator can score the same design on different backends without
-// collisions.
-type evalKey struct {
-	backend string
-	design  DesignPoint
-}
-
-// Evaluator scores design points through a hw.Backend. It is safe for
-// concurrent use: built networks are shared per model, evaluations are
-// memoized in a shared memo.Store keyed by (backend, DesignPoint), and
-// goroutines racing on the same uncached design are deduplicated
-// singleflight-style so each design simulates exactly once.
+// Evaluator scores design points on the systolic-array cost model. It is
+// safe for concurrent use, and built networks are shared per model. It keeps
+// no record of what it scored: the search loop answers revisits, so every
+// call runs the cost model (or the delegate).
 type Evaluator struct {
-	db       *airlearning.Database
-	scen     airlearning.Scenario
-	model    power.Model
-	tmpl     policy.TemplateConfig
-	workers  int
-	cacheCap int
-
-	backendID string
-	backend   BackendFactory
+	db      *airlearning.Database
+	scen    airlearning.Scenario
+	model   power.Model
+	tmpl    policy.TemplateConfig
+	workers int
 
 	retry    fault.Policy
 	injector *fault.Injector
 	vp       VehicleParams // mission/thermal context for vehicle-axis designs
 
-	// delegate, when non-nil, replaces the local uncached evaluation with a
-	// remote one (the grid coordinator's lease pool). Memoization, dedup and
-	// skip/failure accounting stay coordinator-side; retries, chaos
-	// injection and the actual cost-model run happen wherever the delegate
-	// executes.
+	// delegate, when non-nil, replaces the local evaluation with a remote
+	// one (the grid coordinator's lease pool). Skip/failure accounting stays
+	// here; retries, chaos injection and the actual cost-model run happen
+	// wherever the delegate executes.
 	delegate func(ctx context.Context, d DesignPoint) (Evaluated, error)
 
-	o     *obs.Observer
-	instr func(hw.Backend) hw.Backend // estimate-latency wrapper; nil when obs off
+	instr     func(hw.Backend) hw.Backend // estimate-latency wrapper; nil when obs off
+	cFailures *obs.Counter                // dse.eval.failures; nil when obs off
 
 	netMu sync.Mutex
 	nets  map[policy.Hyper]*policy.Network
-
-	// store memoizes settled evaluations with LRU eviction and singleflight
-	// dedup — the same seam cmd/autopilotd uses process-wide for whole-job
-	// results. With an observer its counters are the registry's
-	// dse.cache.{hits,misses,dedup,evictions}; without one they are
-	// standalone so CacheStats (and Result.CacheHits/Misses) keep working
-	// either way.
-	store *memo.Store[evalKey, Evaluated]
-
-	cFailures *obs.Counter // dse.eval.failures; nil when obs off
 }
 
 // Option configures an Evaluator.
@@ -453,112 +412,29 @@ func WithWorkers(n int) Option {
 	return func(ev *Evaluator) { ev.workers = n }
 }
 
-// WithCache bounds the memoization cache to at most size entries with
-// least-recently-used eviction; 0 means unbounded, negative disables caching
-// entirely.
-func WithCache(size int) Option {
-	return func(ev *Evaluator) { ev.cacheCap = size }
-}
-
 // WithTemplate sets the E2E model template networks are built from. The
 // default is policy.DefaultTemplate().
 func WithTemplate(t policy.TemplateConfig) Option {
 	return func(ev *Evaluator) { ev.tmpl = t }
 }
 
-// WithBackend replaces the hardware cost-model backend designs are scored
-// on. The id names the backend family and keys the memoization cache, so
-// estimates from different backends never collide. The default is the
-// systolic-array template ("systolic") with the evaluator's power model.
-func WithBackend(id string, factory BackendFactory) Option {
-	return func(ev *Evaluator) { ev.backendID, ev.backend = id, factory }
-}
-
-// WithRetry sets the per-design retry policy. The zero policy (the default)
-// performs a single attempt, bitwise identical to the pre-retry evaluator.
-// Retried attempts re-key the fault surfaces by attempt index, so an
-// injected (or genuinely transient) fault that clears on retry still yields
-// the deterministic estimate.
-func WithRetry(p fault.Policy) Option {
-	return func(ev *Evaluator) { ev.retry = p }
-}
-
-// WithJobTimeout bounds each evaluation attempt; it composes with WithRetry
-// (a timed-out attempt is retryable). Zero means unbounded.
-func WithJobTimeout(d time.Duration) Option {
-	return func(ev *Evaluator) { ev.retry.Timeout = d }
-}
-
-// WithInjector threads a deterministic chaos injector into every backend
-// call, keyed by (backend, design, attempt). nil (the default) injects
-// nothing.
-func WithInjector(in *fault.Injector) Option {
-	return func(ev *Evaluator) { ev.injector = in }
-}
-
-// WithDelegate routes every uncached evaluation through fn instead of the
-// local backend — the hook distributed sweeps (internal/grid) plug the
-// coordinator's lease pool into. The evaluator still memoizes and
-// singleflight-dedups around fn, so duplicate designs cost one remote job,
-// and still classifies returned errors (typed infeasibility verdicts become
-// skips exactly as locally). nil restores local evaluation.
-func WithDelegate(fn func(ctx context.Context, d DesignPoint) (Evaluated, error)) Option {
-	return func(ev *Evaluator) { ev.delegate = fn }
-}
-
-// WithObs instruments the evaluator: cache hits/misses/singleflight dedups
-// land on the observer's registry (dse.cache.*), every backend estimate is
-// timed into hw.estimate_seconds, and terminal evaluation failures are
-// counted. nil (the default) disables instrumentation at zero cost; scores
-// are bitwise identical either way.
-func WithObs(o *obs.Observer) Option {
-	return func(ev *Evaluator) { ev.o = o }
-}
-
 // NewEvaluator builds a concurrency-safe evaluator over a success-rate
-// database for one deployment scenario:
+// database for one deployment scenario, with a single attempt per design,
+// no chaos injection and no telemetry; Request.NewEvaluator builds one
+// configured from a request:
 //
-//	ev := dse.NewEvaluator(db, scen, pm, dse.WithWorkers(8), dse.WithCache(1<<16))
+//	ev := dse.NewEvaluator(db, scen, pm, dse.WithWorkers(8))
 func NewEvaluator(db *airlearning.Database, scen airlearning.Scenario, pm power.Model, opts ...Option) *Evaluator {
 	ev := &Evaluator{
 		db: db, scen: scen, model: pm,
 		tmpl: policy.DefaultTemplate(),
+		vp:   DefaultVehicleParams(),
 		nets: map[policy.Hyper]*policy.Network{},
-	}
-	ev.backendID = "systolic"
-	ev.backend = func(d DesignPoint) hw.Backend {
-		return hw.SystolicBackend{Config: d.HW, Power: ev.model}
 	}
 	for _, opt := range opts {
 		opt(ev)
 	}
-	if ev.vp == (VehicleParams{}) {
-		ev.vp = DefaultVehicleParams()
-	}
-	counters := memo.NewCounters()
-	if ev.o != nil {
-		counters = memo.Counters{
-			Hits:      ev.o.Counter("dse.cache.hits"),
-			Misses:    ev.o.Counter("dse.cache.misses"),
-			Dedups:    ev.o.Counter("dse.cache.dedup"),
-			Evictions: ev.o.Counter("dse.cache.evictions"),
-		}
-		ev.cFailures = ev.o.Counter("dse.eval.failures")
-		sec := ev.o.Histogram("hw.estimate_seconds", obs.LatencyBuckets)
-		calls := ev.o.Counter("hw.estimate.calls")
-		errs := ev.o.Counter("hw.estimate.errors")
-		ev.instr = func(b hw.Backend) hw.Backend { return hw.Instrument(b, sec, calls, errs) }
-	}
-	ev.store = memo.New[evalKey, Evaluated](ev.cacheCap, counters)
 	return ev
-}
-
-// Workers returns the resolved worker-pool size.
-func (ev *Evaluator) Workers() int { return pool.Workers(ev.workers) }
-
-// CacheStats reports memoization cache hits and misses so far.
-func (ev *Evaluator) CacheStats() (hits, misses int64) {
-	return ev.store.Stats()
 }
 
 // network returns the shared deployment network for a model, building it on
@@ -591,20 +467,20 @@ func FromEstimate(d DesignPoint, success float64, est hw.Estimate) Evaluated {
 	}
 }
 
-// evaluate scores one design on the evaluator's backend, bypassing the
-// cache. Estimation is a pure function of the design, so results are
-// bit-identical regardless of which goroutine computed them. The attempt
-// index re-keys the chaos injector so injected faults clear (or persist)
-// deterministically across retries; estimates are guarded against
-// non-finite fields before they can reach the optimizer's models.
+// evaluate scores one design on the systolic-array backend. Estimation is a
+// pure function of the design, so results are bit-identical regardless of
+// which goroutine computed them or how often. The attempt index re-keys the
+// chaos injector so injected faults clear (or persist) deterministically
+// across retries; estimates are guarded against non-finite fields before
+// they can reach the optimizer's models.
 func (ev *Evaluator) evaluate(d DesignPoint, attempt int) (Evaluated, error) {
 	net, err := ev.network(d.Hyper)
 	if err != nil {
 		return Evaluated{}, err
 	}
-	backend := ev.backend(d)
+	var backend hw.Backend = hw.SystolicBackend{Config: d.HW, Power: ev.model}
 	if ev.injector != nil {
-		backend = ev.injector.Backend(fmt.Sprintf("%s|%s#%d", ev.backendID, d, attempt), backend)
+		backend = ev.injector.Backend(fmt.Sprintf("systolic|%s#%d", d, attempt), backend)
 	}
 	if ev.instr != nil {
 		// Instrument outermost so injected faults count in the estimate
@@ -633,8 +509,8 @@ func (ev *Evaluator) evaluate(d DesignPoint, attempt int) (Evaluated, error) {
 	return e, nil
 }
 
-// evaluateRetry runs the uncached evaluation under the evaluator's retry
-// policy with panic isolation. The zero policy performs exactly one attempt.
+// evaluateRetry runs one evaluation under the evaluator's retry policy with
+// panic isolation. The zero policy performs exactly one attempt.
 // base offsets every attempt index — a job re-issued under grid lease
 // attempt n evaluates attempts n, n+1, ... so its fault surfaces (injector
 // keys, fault.AttemptSeed derivations) are re-keyed instead of
@@ -659,11 +535,26 @@ func (ev *Evaluator) evaluateRetry(ctx context.Context, d DesignPoint, base int)
 	return e, nil
 }
 
-// compute performs one uncached evaluation — locally under the retry policy,
-// or through the remote delegate when one is installed — and keeps the
-// terminal-failure accounting identical either way (skips are answers, not
-// faults; only real failures count).
-func (ev *Evaluator) compute(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
+// Evaluate scores one design point. It is EvaluateContext without
+// cancellation.
+func (ev *Evaluator) Evaluate(d DesignPoint) (Evaluated, error) {
+	return ev.EvaluateContext(context.Background(), d)
+}
+
+// EvaluateContext scores one design point.
+func (ev *Evaluator) EvaluateContext(ctx context.Context, d DesignPoint) (Evaluated, error) {
+	return ev.EvaluateAttempt(ctx, d, 0)
+}
+
+// EvaluateAttempt scores one design point with its attempt indices offset by
+// base — the entry point grid workers run re-issued leases through, so lease
+// attempt n re-keys the design's fault surfaces deterministically; a
+// re-leased design is simply scored again. base 0 is exactly
+// EvaluateContext. The design is scored locally under the retry policy, or
+// through the delegate when one is installed, and the terminal-failure
+// accounting is identical either way: skips are answers, not faults, so
+// only real failures count.
+func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
 	var e Evaluated
 	var err error
 	if ev.delegate != nil {
@@ -678,36 +569,6 @@ func (ev *Evaluator) compute(ctx context.Context, d DesignPoint, base int) (Eval
 		return Evaluated{}, err
 	}
 	return e, nil
-}
-
-// Evaluate scores one design point, consulting the memoization cache first.
-// It is EvaluateContext without cancellation.
-func (ev *Evaluator) Evaluate(d DesignPoint) (Evaluated, error) {
-	return ev.EvaluateContext(context.Background(), d)
-}
-
-// EvaluateContext scores one design point, consulting the memoization cache
-// first. Concurrent calls for the same uncached design are deduplicated: one
-// goroutine (the leader, counted as the miss) runs the backend — under the
-// evaluator's retry policy, so only settled successes are ever cached —
-// while the rest wait on its in-flight result (counted as hits), so misses
-// equals the number of designs actually simulated.
-func (ev *Evaluator) EvaluateContext(ctx context.Context, d DesignPoint) (Evaluated, error) {
-	return ev.EvaluateAttempt(ctx, d, 0)
-}
-
-// EvaluateAttempt scores one design point with its attempt indices offset by
-// base — the entry point grid workers run re-issued leases through, so lease
-// attempt n re-keys the design's fault surfaces deterministically. base 0 is
-// exactly EvaluateContext. The memoization cache is shared across bases: a
-// settled success from an earlier lease answers a re-lease for free, and
-// errors are never cached, so a re-lease after a faulted attempt genuinely
-// re-evaluates.
-func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
-	e, _, err := ev.store.Do(ctx, evalKey{backend: ev.backendID, design: d}, func() (Evaluated, error) {
-		return ev.compute(ctx, d, base)
-	})
-	return e, err
 }
 
 // EvaluateEach scores a batch of design points on the evaluator's bounded
@@ -743,10 +604,15 @@ func DefaultConfig() Config {
 
 // ProbeDesigns returns the deterministic accelerator sweep for one model:
 // square arrays from the smallest to the largest Table II size crossed with
-// three scratchpad sizes.
+// the first, middle and last scratchpad sizes, each distinct size once.
 func (s Space) ProbeDesigns(h policy.Hyper) []DesignPoint {
 	var out []DesignPoint
-	srams := []int{s.SRAMKB[0], s.SRAMKB[len(s.SRAMKB)/2], s.SRAMKB[len(s.SRAMKB)-1]}
+	var srams []int
+	for _, kb := range []int{s.SRAMKB[0], s.SRAMKB[len(s.SRAMKB)/2], s.SRAMKB[len(s.SRAMKB)-1]} {
+		if !slices.Contains(srams, kb) {
+			srams = append(srams, kb)
+		}
+	}
 	for _, side := range s.PERows {
 		for _, kb := range srams {
 			out = append(out, s.design(h.Layers, h.Filters, side, side, kb, kb, kb))
@@ -825,9 +691,10 @@ type Result struct {
 	// top-success model.
 	HT, LP, HE int
 
-	// CacheHits and CacheMisses report the run's evaluator memoization
-	// stats; misses equals the number of cost-model simulations performed.
-	CacheHits, CacheMisses int64
+	// CacheMisses counts the designs the search sent to the evaluator,
+	// failed and skipped ones included. The search answers every revisit
+	// itself, so this is the number of designs the run scored.
+	CacheMisses int64
 
 	// Failures records every design whose evaluation failed after retries,
 	// in deterministic record order — populated only when the request ran

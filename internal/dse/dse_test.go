@@ -2,10 +2,12 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/bayesopt"
+	"autopilot/internal/policy"
 	"autopilot/internal/power"
 	"autopilot/internal/systolic"
 )
@@ -117,13 +119,42 @@ func TestSampleIncludesCornerDesigns(t *testing.T) {
 	}
 }
 
-func TestSampleForModelPinsHyper(t *testing.T) {
-	s := DefaultSpace()
-	h := s.Sample(1, 1)[0].Hyper
-	for _, d := range s.SampleForModel(h, 50, 2) {
-		if d.Hyper != h {
-			t.Fatalf("hyper not pinned: %v", d.Hyper)
+// TestProbeSweepHasNoRepeats: with one or two scratchpad choices the first,
+// middle and last sizes coincide, yet the probe sweep holds each design once,
+// and so do Execute's evaluated set and its frontier.
+func TestProbeSweepHasNoRepeats(t *testing.T) {
+	for _, srams := range [][]int{{64}, {32, 4096}} {
+		s := DefaultSpace()
+		s.SRAMKB = srams
+		probes := s.ProbeDesigns(policy.Hyper{Layers: 7, Filters: 48})
+		if want := len(s.PERows) * len(srams); len(probes) != want {
+			t.Errorf("sram %v: %d probe designs, want %d", srams, len(probes), want)
 		}
+		assertDistinct(t, fmt.Sprintf("sram %v probes", srams), probes)
+		res, err := run(s, surrogateDB(), airlearning.DenseObstacle, power.Default(), smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evaluated, front []DesignPoint
+		for _, e := range res.Evaluated {
+			evaluated = append(evaluated, e.Design)
+		}
+		for _, e := range res.Pareto() {
+			front = append(front, e.Design)
+		}
+		assertDistinct(t, fmt.Sprintf("sram %v evaluated", srams), evaluated)
+		assertDistinct(t, fmt.Sprintf("sram %v frontier", srams), front)
+	}
+}
+
+func assertDistinct(t *testing.T, what string, ds []DesignPoint) {
+	t.Helper()
+	seen := map[DesignPoint]bool{}
+	for _, d := range ds {
+		if seen[d] {
+			t.Errorf("%s: %s appears twice", what, d)
+		}
+		seen[d] = true
 	}
 }
 

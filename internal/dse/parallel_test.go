@@ -99,34 +99,14 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-func TestEvaluatorMemoizesRevisits(t *testing.T) {
-	s := DefaultSpace()
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template))
-	d := s.Sample(3, 1)[2]
-	first, err := ev.Evaluate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ev.Evaluate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatal("cached result differs from fresh result")
-	}
-	hits, misses := ev.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-}
-
-func TestEvaluateEachPreservesOrderAndDedupes(t *testing.T) {
+// TestEvaluateEachPreservesOrder: results come back index-aligned with the
+// batch, and both copies of a design submitted twice equal the design
+// scored alone.
+func TestEvaluateEachPreservesOrder(t *testing.T) {
 	s := DefaultSpace()
 	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
 		WithTemplate(s.Template), WithWorkers(4))
 	base := s.Sample(8, 5)
-	// duplicate every design so half the evaluations can come from cache
 	ds := append(append([]DesignPoint{}, base...), base...)
 	es, errs, err := ev.EvaluateEach(context.Background(), ds)
 	if err != nil {
@@ -134,9 +114,6 @@ func TestEvaluateEachPreservesOrderAndDedupes(t *testing.T) {
 	}
 	if len(es) != len(ds) || len(errs) != len(ds) {
 		t.Fatalf("len = %d/%d, want %d", len(es), len(errs), len(ds))
-	}
-	if hits, misses := ev.CacheStats(); hits != int64(len(base)) || misses != int64(len(base)) {
-		t.Fatalf("cache stats = %d hits / %d misses, want %d/%d", hits, misses, len(base), len(base))
 	}
 	for i := range base {
 		if errs[i] != nil || errs[i+len(base)] != nil {
@@ -148,44 +125,9 @@ func TestEvaluateEachPreservesOrderAndDedupes(t *testing.T) {
 		if es[i] != es[i+len(base)] {
 			t.Fatalf("duplicate design %d evaluated inconsistently", i)
 		}
-	}
-}
-
-func TestWithCacheBoundsAndDisables(t *testing.T) {
-	s := DefaultSpace()
-	ds := s.Sample(6, 2)
-
-	bounded := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template), WithCache(2))
-	for _, d := range ds {
-		if _, err := bounded.Evaluate(d); err != nil {
-			t.Fatal(err)
+		if want, _ := ev.Evaluate(ds[i]); es[i] != want {
+			t.Fatalf("design %d: batch and single evaluation differ", i)
 		}
-	}
-	if bounded.store.Len() > 2 {
-		t.Fatalf("cache grew to %d entries with cap 2", bounded.store.Len())
-	}
-
-	disabled := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(),
-		WithTemplate(s.Template), WithCache(-1))
-	for i := 0; i < 2; i++ {
-		if _, err := disabled.Evaluate(ds[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, _ := disabled.CacheStats(); hits != 0 {
-		t.Fatalf("disabled cache recorded %d hits", hits)
-	}
-}
-
-func TestDefaultWorkersResolved(t *testing.T) {
-	ev := NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default())
-	if ev.Workers() < 1 {
-		t.Fatalf("Workers() = %d", ev.Workers())
-	}
-	ev = NewEvaluator(surrogateDB(), airlearning.DenseObstacle, power.Default(), WithWorkers(3))
-	if ev.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", ev.Workers())
 	}
 }
 

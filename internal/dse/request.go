@@ -7,13 +7,13 @@ import (
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/fault"
+	"autopilot/internal/hw"
 	"autopilot/internal/obs"
 	"autopilot/internal/pareto"
 	"autopilot/internal/power"
 )
 
-// Request bundles everything a Phase-2 run needs. It replaces the positional
-// arguments of the deprecated Run/RunWith entry points, so new knobs (worker
+// Request bundles everything a Phase-2 run needs, so new knobs (worker
 // count, optimizer choice) extend the API without breaking callers.
 type Request struct {
 	// Space is the joint model/accelerator search space (Table II).
@@ -52,13 +52,13 @@ type Request struct {
 	// Injector deterministically injects faults into backend evaluations for
 	// chaos testing; nil injects nothing.
 	Injector *fault.Injector
-	// Delegate, when non-nil, routes every uncached design evaluation
-	// through a remote executor (the grid coordinator's lease pool) instead
-	// of the local backend. Memoization, dedup and skip/failure accounting
-	// stay local; see dse.WithDelegate.
+	// Delegate, when non-nil, routes every design evaluation through a
+	// remote executor (the grid coordinator's lease pool) instead of the
+	// local backend. Revisits and skip/failure accounting stay local: the
+	// search answers a revisited design without calling it.
 	Delegate func(ctx context.Context, d DesignPoint) (Evaluated, error)
-	// Obs, when non-nil, instruments the run: cache and estimate telemetry on
-	// its registry, search/eval trace spans, retry counters. nil disables
+	// Obs, when non-nil, instruments the run: estimate and failure telemetry
+	// on its registry, search/eval trace spans, retry counters. nil disables
 	// instrumentation; scores are bitwise identical either way.
 	Obs *obs.Observer
 }
@@ -77,33 +77,34 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// evaluator builds the request's shared concurrent evaluator.
-func (r Request) evaluator() *Evaluator {
-	opts := []Option{WithTemplate(r.Space.Template), WithWorkers(r.Workers), WithRetry(r.Retry)}
-	if r.Vehicle != (VehicleParams{}) {
-		opts = append(opts, WithVehicle(r.Vehicle))
-	}
+// NewEvaluator builds the request's evaluator without running a search: the
+// only way to get one configured with the request's retry policy, job
+// timeout, chaos injector, delegate, vehicle context and telemetry. Execute
+// scores with it, and grid workers use it to score individual design points
+// with exactly the engine a local Execute would have used (same retry
+// policy, injector keys and telemetry), which is what keeps remote
+// evaluation bitwise identical to local evaluation. A positive JobTimeout
+// overrides Retry.Timeout, and a zero Vehicle selects
+// DefaultVehicleParams().
+func (r Request) NewEvaluator() *Evaluator {
+	ev := NewEvaluator(r.DB, r.Scenario, r.Power, WithTemplate(r.Space.Template), WithWorkers(r.Workers))
+	ev.retry, ev.injector, ev.delegate = r.Retry, r.Injector, r.Delegate
 	if r.JobTimeout > 0 {
-		opts = append(opts, WithJobTimeout(r.JobTimeout))
+		ev.retry.Timeout = r.JobTimeout
 	}
-	if r.Injector != nil {
-		opts = append(opts, WithInjector(r.Injector))
+	if r.Vehicle != (VehicleParams{}) {
+		ev.vp = r.Vehicle
 	}
-	if r.Delegate != nil {
-		opts = append(opts, WithDelegate(r.Delegate))
+	if o := r.Obs; o != nil {
+		// Every backend estimate is timed into hw.estimate_seconds, and
+		// terminal evaluation failures are counted.
+		ev.cFailures = o.Counter("dse.eval.failures")
+		sec := o.Histogram("hw.estimate_seconds", obs.LatencyBuckets)
+		calls, errs := o.Counter("hw.estimate.calls"), o.Counter("hw.estimate.errors")
+		ev.instr = func(b hw.Backend) hw.Backend { return hw.Instrument(b, sec, calls, errs) }
 	}
-	if r.Obs != nil {
-		opts = append(opts, WithObs(r.Obs))
-	}
-	return NewEvaluator(r.DB, r.Scenario, r.Power, opts...)
+	return ev
 }
-
-// NewEvaluator builds the request's evaluator without running a search. Grid
-// workers use it to score individual design points with exactly the engine a
-// local Execute would have used (same retry policy, injector keys, memoization
-// and telemetry), which is what keeps remote evaluation bitwise identical to
-// local evaluation.
-func (r Request) NewEvaluator() *Evaluator { return r.evaluator() }
 
 // Execute runs Phase 2 for a request: explore the space with the requested
 // optimizer, score the probe sweep, and label the conventional-DSE picks.
@@ -133,7 +134,7 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &search{req: req, ev: req.evaluator(), ps: ps, res: &Result{Scenario: req.Scenario}}
+	s := &search{req: req, ev: req.NewEvaluator(), ps: ps, res: &Result{Scenario: req.Scenario}}
 	if err := s.run(ctx, opt, budget); err != nil {
 		return nil, err
 	}
@@ -147,7 +148,6 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	}
 	res.ParetoIdx = pareto.NonDominated(objs)
 	res.labelConventional()
-	res.CacheHits, res.CacheMisses = s.ev.CacheStats()
 	if req.FailureBudget > 0 {
 		attempted := len(res.Evaluated) + len(res.Failures)
 		if attempted > 0 {

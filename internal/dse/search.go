@@ -22,10 +22,10 @@ type proposer interface {
 }
 
 // search is the one Phase-2 evaluation loop. It is the only code that scores
-// designs during a search: it answers revisits, enforces the budget, scores
-// each proposal as one Evaluator.EvaluateEach batch, files every outcome in
-// submission order, and then runs the probe sweep through the same scoring
-// step.
+// designs during a search, and the only dedup: it answers revisits, enforces
+// the budget, scores each proposal as one Evaluator.EvaluateEach batch, files
+// every outcome in submission order, and then runs the probe sweep through
+// the same scoring step.
 type search struct {
 	req Request
 	ev  *Evaluator
@@ -128,17 +128,19 @@ func (s *search) round(ctx context.Context, opt proposer, left int, cEvals, cFai
 	return true, nil
 }
 
-// score evaluates ds as one EvaluateEach batch and files each outcome in
-// submission order: a scored design is appended to res.Evaluated, an
-// infeasible loadout to res.Skips, and — under a failure budget — any other
-// failure to res.Failures as job prefix+design. Without a budget the
-// lowest-index failure is returned once the whole batch has finished, so
-// the error does not depend on the worker count; a cancellation is returned
-// either way. errs[i] is nil exactly when ds[i] was scored.
+// score evaluates ds as one EvaluateEach batch, counts it in
+// res.CacheMisses and files each outcome in submission order: a scored
+// design is appended to res.Evaluated, an infeasible loadout to res.Skips,
+// and — under a failure budget — any other failure to res.Failures as job
+// prefix+design. Without a budget the lowest-index failure is returned once
+// the whole batch has finished, so the error does not depend on the worker
+// count; a cancellation is returned either way. errs[i] is nil exactly when
+// ds[i] was scored.
 func (s *search) score(ctx context.Context, ds []DesignPoint, prefix string) ([]error, error) {
 	if len(ds) == 0 {
 		return nil, nil
 	}
+	s.res.CacheMisses += int64(len(ds))
 	es, errs, err := s.ev.EvaluateEach(ctx, ds)
 	if err != nil {
 		return nil, err

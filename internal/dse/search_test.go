@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -62,7 +63,7 @@ func loopSearch(t *testing.T, workers int, failLayers ...int) (*search, *atomic.
 		return local.EvaluateContext(ctx, d)
 	}
 	ps := req.Space.ParamSpace()
-	return &search{req: req, ev: req.evaluator(), ps: ps, res: &Result{}}, calls
+	return &search{req: req, ev: req.NewEvaluator(), ps: ps, res: &Result{}}, calls
 }
 
 // TestSearchBudgetCountsOnlyScoredDesigns: a failed design is used up but
@@ -155,6 +156,57 @@ func TestSearchCancelledBetweenRounds(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("%d evaluator calls, want 1", calls.Load())
+	}
+}
+
+// TestSearchIsTheOnlyDedup: Execute sends every design to the evaluator
+// once, probes included, so each design reaches the delegate exactly once
+// and Result.CacheMisses equals the number of delegate calls. It covers
+// every optimizer at the small budget with probes, the vehicle space and a
+// one-choice scratchpad axis, at one and at eight workers.
+func TestSearchIsTheOnlyDedup(t *testing.T) {
+	oneSRAM := DefaultSpace()
+	oneSRAM.SRAMKB = []int{64}
+	type tc struct {
+		name  string
+		opt   Optimizer
+		space Space
+	}
+	var cases []tc
+	for _, opt := range []Optimizer{OptBayesian, OptGenetic, OptAnnealing, OptReinforce, OptRandom} {
+		cases = append(cases, tc{opt.String(), opt, DefaultSpace()})
+	}
+	cases = append(cases, tc{"vehicle", OptBayesian, vehicleSpace()}, tc{"sram=64", OptBayesian, oneSRAM})
+	for _, c := range cases {
+		for _, workers := range []int{1, 8} {
+			req := Request{
+				Space: c.space, DB: surrogateDB(), Scenario: airlearning.DenseObstacle,
+				Power: power.Default(), Config: smallConfig(), Optimizer: c.opt, Workers: workers,
+			}
+			local := req.NewEvaluator()
+			var mu sync.Mutex
+			calls := map[DesignPoint]int{}
+			req.Delegate = func(ctx context.Context, d DesignPoint) (Evaluated, error) {
+				mu.Lock()
+				calls[d]++
+				mu.Unlock()
+				return local.EvaluateContext(ctx, d)
+			}
+			res, err := Execute(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			total := 0
+			for d, n := range calls {
+				if n != 1 {
+					t.Errorf("%s workers=%d: %s reached the evaluator %d times", c.name, workers, d, n)
+				}
+				total += n
+			}
+			if int64(total) != res.CacheMisses {
+				t.Errorf("%s workers=%d: %d evaluator calls, CacheMisses %d", c.name, workers, total, res.CacheMisses)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 )
 
 // VehicleRef names a fully-resolved catalog loadout by its component keys.
-// It is a comparable value type so DesignPoint (and the memoization key built
-// from it) stays usable as a map key; the zero value means "no vehicle axes"
-// — the legacy SoC-only evaluation.
+// It is a comparable value type so DesignPoint stays usable as a map key;
+// the zero value means "no vehicle axes" — the legacy SoC-only evaluation.
 type VehicleRef struct {
 	Airframe string
 	Battery  string
@@ -58,13 +57,6 @@ func DefaultVehicleParams() VehicleParams {
 		Params:  mission.DefaultParams(),
 		Thermal: thermal.Default(),
 	}
-}
-
-// WithVehicle sets the mission/thermal context used to score designs that
-// carry vehicle axes. The default is DefaultVehicleParams(); designs without
-// a vehicle reference never consult it.
-func WithVehicle(vp VehicleParams) Option {
-	return func(ev *Evaluator) { ev.vp = vp }
 }
 
 // Skip records one design whose loadout failed the catalog feasibility check.

@@ -18,8 +18,8 @@ type injectedBackend struct {
 	b   hw.Backend
 }
 
-// Name identifies the wrapped backend family unchanged, so memoization-cache
-// keys are unaffected by injection.
+// Name identifies the wrapped backend family unchanged, so injection never
+// shows in a backend's name.
 func (f injectedBackend) Name() string { return f.b.Name() }
 
 // Estimate runs the wrapped backend under the key's fault decision: panics

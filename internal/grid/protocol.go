@@ -1,6 +1,6 @@
 // Package grid shards a Phase-2 design-space sweep across worker processes
 // with lease-based fault recovery. A coordinator owns the job table: every
-// uncached design evaluation the search engine requests becomes a job, jobs
+// design evaluation the search engine requests becomes a job, jobs
 // are granted to workers in short-lived leases (renewed by heartbeat,
 // reclaimed and re-issued on expiry), stragglers are handled by work-stealing
 // duplicate leases, and deliveries are CRC-checked and deduplicated before

@@ -116,9 +116,9 @@ type Estimate struct {
 }
 
 // Backend estimates the cost of running a workload on one hardware
-// configuration. Name identifies the backend family for memoization-cache
-// keying; implementations must be deterministic pure functions of the
-// workload so cached and fresh estimates are bit-identical.
+// configuration. Name identifies the backend family; implementations must
+// be deterministic pure functions of the workload, so an estimate is
+// bit-identical however often and wherever it is computed.
 type Backend interface {
 	Name() string
 	Estimate(Workload) (Estimate, error)

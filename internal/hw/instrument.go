@@ -18,8 +18,7 @@ type instrumented struct {
 // histogram and counts calls and errors. The wrapper changes nothing about
 // the estimate itself — backends stay deterministic pure functions of the
 // workload — and with all instruments nil it still reads the clock, so only
-// wrap when observability is on. Name is forwarded, keeping memoization-
-// cache keys identical to the unwrapped backend's.
+// wrap when observability is on. Name is forwarded unchanged.
 func Instrument(b Backend, seconds *obs.Histogram, calls, errors *obs.Counter) Backend {
 	return instrumented{b: b, seconds: seconds, calls: calls, errors: errors}
 }

@@ -1,10 +1,7 @@
-// Package memo is the process-wide content-addressed result store behind
-// AutoPilot's duplicate-heavy workloads. It promotes the in-process
-// (backend, design) singleflight cache that internal/dse grew in PR 1/2 into
-// a reusable seam: any layer that computes a pure function of a hashable key
-// — a design-point cost estimate, a whole co-design job keyed by its
-// canonical request hash — can share one Store so a million duplicate
-// requests cost one evaluation.
+// Package memo is a content-addressed result store for a pure function of a
+// hashable key. Its one user is the job server (internal/server), which keys
+// whole co-design jobs by their canonical request hash so a duplicate
+// submission costs no second run.
 //
 // A Store combines three mechanisms:
 //
@@ -14,8 +11,8 @@
 //   - singleflight deduplication: concurrent calls for the same uncached key
 //     elect one leader to compute while the rest wait on its in-flight
 //     result, so each key computes exactly once even under racing traffic;
-//   - hit/miss/dedup/eviction counters: obs.Counter instruments (nil-safe,
-//     standalone or registry-bound) make cache effectiveness observable.
+//   - hit/miss/dedup/eviction counters: obs.Counter instruments resolved from
+//     a registry (nil-safe) make cache effectiveness observable.
 //
 // Values must be pure functions of their key for the dedup to be sound; the
 // Store never caches errors, so a failed computation is retried by the next
@@ -31,8 +28,7 @@ import (
 )
 
 // Counters are the store's instruments. Any field may be nil (obs counters
-// no-op on nil); NewCounters returns a standalone set for callers that track
-// stats without a metrics registry.
+// no-op on nil).
 type Counters struct {
 	// Hits counts calls served from the completed-value cache, including
 	// waiters that received a deduplicated in-flight result.
@@ -45,14 +41,6 @@ type Counters struct {
 	Dedups *obs.Counter
 	// Evictions counts completed values dropped by the LRU bound.
 	Evictions *obs.Counter
-}
-
-// NewCounters returns a fully populated standalone counter set.
-func NewCounters() Counters {
-	return Counters{
-		Hits: obs.NewCounter(), Misses: obs.NewCounter(),
-		Dedups: obs.NewCounter(), Evictions: obs.NewCounter(),
-	}
 }
 
 // RegistryCounters resolves the store's counters from a registry under the

@@ -8,10 +8,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"autopilot/internal/obs"
 )
 
+// counters returns a fully populated counter set on a fresh registry.
+func counters() Counters { return RegistryCounters(obs.NewRegistry(), "test") }
+
 func TestDoMemoizes(t *testing.T) {
-	s := New[string, int](0, NewCounters())
+	s := New[string, int](0, counters())
 	calls := 0
 	fn := func() (int, error) { calls++; return 42, nil }
 	for i := 0; i < 3; i++ {
@@ -32,7 +37,7 @@ func TestDoMemoizes(t *testing.T) {
 }
 
 func TestErrorsNeverCached(t *testing.T) {
-	s := New[string, int](0, NewCounters())
+	s := New[string, int](0, counters())
 	boom := errors.New("boom")
 	calls := 0
 	fail := func() (int, error) { calls++; return 0, boom }
@@ -51,7 +56,7 @@ func TestErrorsNeverCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := NewCounters()
+	c := counters()
 	s := New[int, int](2, c)
 	id := func(v int) func() (int, error) { return func() (int, error) { return v, nil } }
 	s.Do(context.Background(), 1, id(1))
@@ -82,7 +87,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDisabledCapacityAlwaysComputes(t *testing.T) {
-	s := New[string, int](-1, NewCounters())
+	s := New[string, int](-1, counters())
 	calls := 0
 	for i := 0; i < 3; i++ {
 		s.Do(context.Background(), "k", func() (int, error) { calls++; return 7, nil })
@@ -96,7 +101,7 @@ func TestDisabledCapacityAlwaysComputes(t *testing.T) {
 }
 
 func TestSingleflightDedup(t *testing.T) {
-	c := NewCounters()
+	c := counters()
 	s := New[string, int](0, c)
 	var calls atomic.Int64
 	started := make(chan struct{})
@@ -154,7 +159,7 @@ func TestSingleflightDedup(t *testing.T) {
 }
 
 func TestWaitCancellation(t *testing.T) {
-	s := New[string, int](0, NewCounters())
+	s := New[string, int](0, counters())
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go s.Do(context.Background(), "k", func() (int, error) {
@@ -178,7 +183,7 @@ func TestWaitCancellation(t *testing.T) {
 }
 
 func TestPutWarmStart(t *testing.T) {
-	c := NewCounters()
+	c := counters()
 	s := New[string, string](4, c)
 	s.Put("k", "warm")
 	if misses := c.Misses.Value(); misses != 0 {
@@ -204,7 +209,7 @@ func TestRegistryCounters(t *testing.T) {
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	s := New[int, int](8, NewCounters())
+	s := New[int, int](8, counters())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -56,13 +56,27 @@ func TestMapFirstErrorWinsAndDrains(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	_, err := Map(context.Background(), 4, items, func(_ context.Context, v int) (int, error) {
+	deadline, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	_, err := Map(context.Background(), 4, items, func(ctx context.Context, v int) (int, error) {
 		calls.Add(1)
-		if v == 10 {
+		switch {
+		case v == 10:
 			return 0, fmt.Errorf("item %d: %w", v, boom)
+		case v > 10:
+			// Hold every later item until the failure cancels the batch, so
+			// the other workers cannot run all 500 items while the one
+			// holding item 10 is descheduled.
+			select {
+			case <-ctx.Done():
+			case <-deadline.Done():
+			}
 		}
 		return v, nil
 	})
+	if deadline.Err() != nil {
+		t.Fatal("the failure did not cancel the batch within 10 s")
+	}
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}

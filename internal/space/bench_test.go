@@ -3,7 +3,7 @@ package space
 import "testing"
 
 // benchSpace mirrors the Table II grid plus the algorithm axis — the shape
-// the dse layer enumerates, samples, and encodes on every Phase-2 run.
+// the dse layer enumerates, samples, and indexes on every Phase-2 run.
 func benchSpace() Space {
 	return New(
 		CatAxis("algorithm", "dqn", "reinforce"),
@@ -35,17 +35,6 @@ func BenchmarkSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if pts := s.Sample(256, int64(i)+1); len(pts) != 256 {
 			b.Fatal("short sample")
-		}
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	s := benchSpace()
-	p := s.At(s.Size() / 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s.Encode(p) == "" {
-			b.Fatal("empty encoding")
 		}
 	}
 }

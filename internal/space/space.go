@@ -2,8 +2,7 @@
 // ordered list of named axes — integer-valued (layers, filters, PE array
 // shape, scratchpad sizes) or categorical (training algorithm) — with
 // deterministic enumeration order, an index↔point bijection, seeded
-// sampling, a stable content-addressed encoding for cache keys, and
-// per-axis vectorization hooks for the GP/BO layer.
+// sampling, and per-axis vectorization hooks for the GP/BO layer.
 //
 // The package generalizes the paper's fixed Table II grid (layers × filters
 // × PE array × scratchpads) so new search dimensions — the AutoSoC-style
@@ -15,11 +14,8 @@
 package space
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"autopilot/internal/tensor"
@@ -93,14 +89,6 @@ func (a Axis) Len() int {
 		return len(a.Cats)
 	}
 	return len(a.Ints)
-}
-
-// ValueString renders the i-th value.
-func (a Axis) ValueString(i int) string {
-	if a.Kind == KindCat {
-		return a.Cats[i]
-	}
-	return strconv.Itoa(a.Ints[i])
 }
 
 // bounds resolves the normalization bounds in transformed units.
@@ -399,14 +387,17 @@ func (s Space) corners() []Point {
 // Sample draws n distinct points uniformly from the space, always including
 // the corner points so downstream optimizers see the full dynamic range.
 // The draw sequence — one rng.Intn per axis in axis order per attempt, with
-// encoding-keyed dedup and a 200·n miss budget — reproduces the historical
-// dse sampling bit for bit on the legacy axis list.
+// dedup on the enumeration index and a 200·n miss budget — reproduces the
+// historical dse sampling bit for bit on the legacy axis list.
 func (s Space) Sample(n int, seed int64) []Point {
 	rng := tensor.NewRNG(seed)
-	seen := map[string]bool{}
+	seen := map[int64]bool{}
 	var out []Point
 	add := func(p Point) {
-		k := s.Encode(p)
+		k, err := s.Index(p)
+		if err != nil {
+			panic(err) // only an empty axis, which Validate rejects
+		}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, p)
@@ -433,22 +424,6 @@ func (s Space) Sample(n int, seed int64) []Point {
 	return out
 }
 
-// Encode renders a point as a stable, injective "name=value" string — the
-// canonical cache-key form. Two points encode equally iff they select the
-// same value on every axis.
-func (s Space) Encode(p Point) string {
-	var b strings.Builder
-	for i, a := range s.Axes {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(a.Name)
-		b.WriteByte('=')
-		b.WriteString(a.ValueString(p[i]))
-	}
-	return b.String()
-}
-
 // Vector encodes a point as the normalized feature vector the GP/BO layer
 // consumes: one dimension per axis, in axis order.
 func (s Space) Vector(p Point) []float64 {
@@ -457,21 +432,4 @@ func (s Space) Vector(p Point) []float64 {
 		out[i] = a.Feature(p[i])
 	}
 	return out
-}
-
-// Fingerprint returns the space's content address: the hex sha256 of the
-// canonical axis description (names, kinds, values, scales, bounds). Two
-// spaces fingerprint equally iff they define the same search problem.
-func (s Space) Fingerprint() string {
-	var b strings.Builder
-	for _, a := range s.Axes {
-		fmt.Fprintf(&b, "%s|%s|%d|%g|%g|", a.Name, a.Kind, int(a.Scale), a.Lo, a.Hi)
-		for i := 0; i < a.Len(); i++ {
-			b.WriteString(a.ValueString(i))
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
 }

@@ -113,20 +113,20 @@ func TestSampleReproducible(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical samples")
 	}
-	seen := map[string]bool{}
+	seen := map[int64]bool{}
 	for _, p := range a {
-		if !s.Contains(p) {
-			t.Fatalf("sampled point %v outside space", p)
+		k, err := s.Index(p)
+		if err != nil {
+			t.Fatalf("sampled point %v outside space: %v", p, err)
 		}
-		k := s.Encode(p)
 		if seen[k] {
-			t.Fatalf("duplicate sample %s", k)
+			t.Fatalf("duplicate sample %v", p)
 		}
 		seen[k] = true
 	}
 	// Per-algorithm corners: all-min and all-max for each categorical choice.
 	for _, want := range []Point{{0, 0, 0}, {0, 2, 3}, {1, 0, 0}, {1, 2, 3}} {
-		if !seen[s.Encode(want)] {
+		if k, _ := s.Index(want); !seen[k] {
 			t.Fatalf("corner %v missing from sample", want)
 		}
 	}
@@ -137,40 +137,6 @@ func TestSampleClampsToSize(t *testing.T) {
 	pts := s.Sample(100, 1)
 	if int64(len(pts)) != s.Size() {
 		t.Fatalf("sampled %d of %d points", len(pts), s.Size())
-	}
-}
-
-// TestEncodeInjective checks the cache-key encoding is injective across the
-// full grid and stable across calls.
-func TestEncodeInjective(t *testing.T) {
-	s := testSpace()
-	seen := map[string]int64{}
-	for i := int64(0); i < s.Size(); i++ {
-		k := s.Encode(s.At(i))
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("points %d and %d encode equally: %s", prev, i, k)
-		}
-		seen[k] = i
-	}
-	if got := s.Encode(Point{1, 2, 0}); got != "algorithm=reinforce;layers=7;pe=8" {
-		t.Fatalf("encoding = %q", got)
-	}
-}
-
-func TestFingerprint(t *testing.T) {
-	a, b := testSpace(), testSpace()
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("equal spaces fingerprint differently")
-	}
-	c := testSpace()
-	c.Axes[1].Ints = []int{2, 4, 8}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("different spaces share a fingerprint")
-	}
-	d := testSpace()
-	d.Axes[2].Scale = ScaleLinear
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Fatal("scale change did not change the fingerprint")
 	}
 }
 
