@@ -1,8 +1,10 @@
 // Package bayesopt implements the paper's Phase-2 optimizer: multi-objective
 // Bayesian optimization over a discrete design space with the
 // S-Metric-Selection Efficient Global Optimization (SMS-EGO) acquisition
-// function (§III-B). One Gaussian process is fit per objective; candidates
-// are scored by the hypervolume contribution of their lower-confidence-bound
+// function (§III-B). The objectives are modelled by Gaussian processes that
+// share one covariance factor, with one weight vector α per objective, so a
+// candidate costs one kernel vector and one forward solve; candidates are
+// scored by the hypervolume contribution of their lower-confidence-bound
 // estimate over the current Pareto front, with a penalty for
 // epsilon-dominated candidates.
 //
@@ -131,7 +133,7 @@ func (b *BO) Propose() ([]space.Point, error) {
 	if len(b.objs) == 0 {
 		return nil, fmt.Errorf("bayesopt: all %d initial samples failed to evaluate", b.nInit)
 	}
-	models, scales, err := fitModels(b.feats, b.objs, len(b.ref), b.kernel, b.cfg.Noise)
+	mod, err := fitModel(b.feats, b.objs, len(b.ref), b.kernel, b.cfg.Noise)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +151,9 @@ func (b *BO) Propose() ([]space.Point, error) {
 	for _, ci := range pool {
 		var score float64
 		if b.cfg.Acquisition == AcqScalarizedEI {
-			score = expectedImprovement(models, scales, b.cands[ci], weights, bestScalar, b.ref)
+			score = expectedImprovement(mod, b.cands[ci], weights, bestScalar, b.ref)
 		} else {
-			score = acquisition(models, scales, b.cands[ci], front, b.ref, b.cfg.Gain)
+			score = acquisition(mod, b.cands[ci], front, b.ref, b.cfg.Gain)
 		}
 		if score > bestScore {
 			best, bestScore = ci, score
@@ -188,10 +190,17 @@ func (b *BO) Observe(ys [][]float64) {
 	b.pending = nil
 }
 
-// fitModels fits one standardized-output GP per objective and returns the
-// models plus per-objective (mean, std) used to de-standardize predictions.
-func fitModels(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise float64) ([]*gp.GP, [][2]float64, error) {
-	models := make([]*gp.GP, m)
+// model is one iteration's posterior: a GP over the standardized
+// objectives, sharing one covariance factor, plus each objective's
+// (mean, std) used to de-standardize its predictions.
+type model struct {
+	gp     *gp.GP
+	scales [][2]float64
+}
+
+// fitModel standardizes each of the m objectives and fits them all at once.
+func fitModel(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise float64) (*model, error) {
+	ys := make([][]float64, m)
 	scales := make([][2]float64, m)
 	for j := 0; j < m; j++ {
 		y := make([]float64, len(objs))
@@ -211,14 +220,24 @@ func fitModels(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise f
 		for i := range y {
 			y[i] = (y[i] - mean) / sd
 		}
-		g, err := gp.Fit(feats, y, kernel, noise+1e-9)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[j] = g
+		ys[j] = y
 		scales[j] = [2]float64{mean, sd}
 	}
-	return models, scales, nil
+	g, err := gp.FitMulti(feats, ys, kernel, noise+1e-9)
+	if err != nil {
+		return nil, err
+	}
+	return &model{gp: g, scales: scales}, nil
+}
+
+// predict writes each objective's de-standardized posterior mean and
+// standard deviation at x into mu and sd.
+func (m *model) predict(x, mu, sd []float64) {
+	v := m.gp.PredictMulti(x, mu)
+	for j, s := range m.scales {
+		mu[j] = mu[j]*s[1] + s[0]
+		sd[j] = math.Sqrt(v) * s[1]
+	}
 }
 
 // screen returns up to n unevaluated candidate indices sampled without
@@ -253,13 +272,11 @@ func screen(rng *tensor.RNG, total int, evaluated map[int]bool, n int) []int {
 // acquisition is the SMS-EGO score of a candidate: the hypervolume
 // contribution of its LCB estimate, with a dominance penalty when the LCB
 // point is epsilon-dominated by the current front.
-func acquisition(models []*gp.GP, scales [][2]float64, x []float64, front [][]float64, ref []float64, gain float64) float64 {
-	lcb := make([]float64, len(models))
-	for j, g := range models {
-		mu, v := g.Predict(x)
-		mu = mu*scales[j][1] + scales[j][0]
-		sd := math.Sqrt(v) * scales[j][1]
-		lcb[j] = mu - gain*sd
+func acquisition(mod *model, x []float64, front [][]float64, ref []float64, gain float64) float64 {
+	lcb, sd := make([]float64, len(mod.scales)), make([]float64, len(mod.scales))
+	mod.predict(x, lcb, sd)
+	for j := range lcb {
+		lcb[j] -= gain * sd[j]
 	}
 	// dominance penalty: distance by which the closest front point beats lcb
 	penalty := 0.0
@@ -315,15 +332,14 @@ func scalarize(w, y, ref []float64) float64 {
 // expectedImprovement is the classic single-objective EI applied to the
 // weighted scalarization of the per-objective GP posteriors (independence
 // assumed across objectives).
-func expectedImprovement(models []*gp.GP, scales [][2]float64, x, w []float64, best float64, ref []float64) float64 {
+func expectedImprovement(mod *model, x, w []float64, best float64, ref []float64) float64 {
+	ms, sds := make([]float64, len(mod.scales)), make([]float64, len(mod.scales))
+	mod.predict(x, ms, sds)
 	mu, varSum := 0.0, 0.0
-	for j, g := range models {
-		m, v := g.Predict(x)
-		m = m*scales[j][1] + scales[j][0]
-		sd := math.Sqrt(v) * scales[j][1]
+	for j, m := range ms {
 		norm := math.Max(math.Abs(ref[j]), 1e-9)
 		mu += w[j] * m / norm
-		varSum += (w[j] * sd / norm) * (w[j] * sd / norm)
+		varSum += (w[j] * sds[j] / norm) * (w[j] * sds[j] / norm)
 	}
 	sd := math.Sqrt(varSum)
 	if sd < 1e-12 {

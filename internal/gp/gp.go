@@ -1,7 +1,8 @@
 // Package gp implements Gaussian-process regression with the squared
 // exponential kernel — the statistical model the paper's Bayesian optimizer
-// builds per objective (§III-B: "the widely-used squared exponential (SE)
-// kernel is used due to its simplicity").
+// builds of its objectives (§III-B: "the widely-used squared exponential (SE)
+// kernel is used due to its simplicity"). Objectives observed at the same
+// inputs share one covariance factor and one forward solve per prediction.
 package gp
 
 import (
@@ -34,13 +35,15 @@ func (k SE) Eval(a, b []float64) float64 {
 	return k.Variance * math.Exp(-0.5*s)
 }
 
-// GP is a fitted Gaussian-process posterior.
+// GP is a fitted Gaussian-process posterior over one or more objectives
+// observed at the same inputs. The objectives share the kernel and the noise,
+// so they share one covariance factor and differ only in their weights α.
 type GP struct {
 	kernel Kernel
 	noise  float64
 	x      [][]float64
 	l      [][]float64 // Cholesky factor of K + noise·I
-	alpha  []float64   // (K + noise·I)⁻¹ y
+	alpha  [][]float64 // (K + noise·I)⁻¹ yⱼ, one per objective
 }
 
 // jitterSchedule holds the escalating diagonal jitter magnitudes tried when
@@ -56,19 +59,31 @@ var jitterSchedule = []float64{1e-10, 1e-8, 1e-6, 1e-4}
 // numerically indefinite (near-duplicate inputs, extreme length scales), Fit
 // escalates through a small diagonal-jitter schedule before giving up.
 func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) {
+	return FitMulti(x, [][]float64{y}, kernel, noise)
+}
+
+// FitMulti conditions one GP per target vector ys[j] on the shared inputs X,
+// factoring the covariance once. Each objective's model is bitwise the one
+// Fit(x, ys[j], kernel, noise) returns: the factor and the jitter decision
+// depend only on X, the kernel and the noise.
+func FitMulti(x [][]float64, ys [][]float64, kernel Kernel, noise float64) (*GP, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, fmt.Errorf("gp: no training points")
 	}
-	if len(y) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
+	for _, y := range ys {
+		if len(y) != n {
+			return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
+		}
 	}
 	if noise <= 0 {
 		return nil, fmt.Errorf("gp: noise variance must be positive, got %g", noise)
 	}
-	for i, yi := range y {
-		if math.IsNaN(yi) || math.IsInf(yi, 0) {
-			return nil, fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
+	for _, y := range ys {
+		for i, yi := range y {
+			if math.IsNaN(yi) || math.IsInf(yi, 0) {
+				return nil, fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
+			}
 		}
 	}
 	k := make([][]float64, n)
@@ -98,7 +113,10 @@ func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) 
 	if err != nil {
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
-	alpha := SolveCholesky(l, y)
+	alpha := make([][]float64, len(ys))
+	for j, y := range ys {
+		alpha[j] = SolveCholesky(l, y)
+	}
 	xs := make([][]float64, n)
 	for i, xi := range x {
 		xs[i] = append([]float64(nil), xi...)
@@ -106,73 +124,41 @@ func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) 
 	return &GP{kernel: kernel, noise: noise, x: xs, l: l, alpha: alpha}, nil
 }
 
-// Predict returns the posterior mean and variance at a query point. The
-// variance is the latent-function variance (it excludes observation noise)
-// and is clamped at zero against round-off.
+// Predict returns the posterior mean of the first objective and the
+// posterior variance at a query point. The variance is the latent-function
+// variance (it excludes observation noise) and is clamped at zero against
+// round-off.
 func (g *GP) Predict(q []float64) (mean, variance float64) {
-	n := len(g.x)
-	ks := make([]float64, n)
+	var m [1]float64
+	variance = g.PredictMulti(q, m[:])
+	return m[0], variance
+}
+
+// PredictMulti writes objective j's posterior mean at q into means[j] and
+// returns the posterior variance, which all objectives share; means may be
+// shorter than the number of objectives, never longer. It costs one kernel
+// vector and one forward solve however many objectives it predicts.
+func (g *GP) PredictMulti(q []float64, means []float64) (variance float64) {
+	ks := make([]float64, len(g.x))
 	for i := range ks {
 		ks[i] = g.kernel.Eval(g.x[i], q)
 	}
-	for i := range ks {
-		mean += ks[i] * g.alpha[i]
+	for j := range means {
+		mean := 0.0
+		for i, a := range g.alpha[j] {
+			mean += ks[i] * a
+		}
+		means[j] = mean
 	}
-	v := forwardSolve(g.l, ks)
+	forwardSolve(g.l, ks, ks)
 	variance = g.kernel.Eval(q, q)
-	for _, vi := range v {
+	for _, vi := range ks {
 		variance -= vi * vi
 	}
 	if variance < 0 {
 		variance = 0
 	}
-	return mean, variance
-}
-
-// LogMarginalLikelihood returns the GP's log marginal likelihood
-// log p(y | X, θ) = -½ yᵀα - Σ log Lᵢᵢ - (n/2) log 2π, used to select
-// kernel hyper-parameters.
-func (g *GP) LogMarginalLikelihood(y []float64) float64 {
-	n := len(g.x)
-	if len(y) != n {
-		panic(fmt.Sprintf("gp: %d targets for %d training points", len(y), n))
-	}
-	ll := 0.0
-	for i := range y {
-		ll -= 0.5 * y[i] * g.alpha[i]
-	}
-	for i := 0; i < n; i++ {
-		ll -= math.Log(g.l[i][i])
-	}
-	ll -= float64(n) / 2 * math.Log(2*math.Pi)
-	return ll
-}
-
-// SelectLengthScale fits one GP per candidate length scale and returns the
-// scale maximizing the log marginal likelihood — the standard type-II
-// maximum-likelihood model selection, over a grid because the spaces here
-// are small.
-func SelectLengthScale(x [][]float64, y []float64, variance, noise float64, scales []float64) (float64, error) {
-	if len(scales) == 0 {
-		return 0, fmt.Errorf("gp: no candidate length scales")
-	}
-	best, bestLL := scales[0], math.Inf(-1)
-	for _, s := range scales {
-		if s <= 0 {
-			return 0, fmt.Errorf("gp: non-positive length scale %g", s)
-		}
-		m, err := Fit(x, y, SE{Variance: variance, LengthScale: s}, noise)
-		if err != nil {
-			continue // ill-conditioned at this scale; skip
-		}
-		if ll := m.LogMarginalLikelihood(y); ll > bestLL {
-			best, bestLL = s, ll
-		}
-	}
-	if math.IsInf(bestLL, -1) {
-		return 0, fmt.Errorf("gp: no length scale produced a valid fit")
-	}
-	return best, nil
+	return variance
 }
 
 // Cholesky returns the lower-triangular factor L with A = L·Lᵀ, or an error
@@ -204,21 +190,20 @@ func Cholesky(a [][]float64) ([][]float64, error) {
 
 // SolveCholesky solves (L·Lᵀ)·x = b given the Cholesky factor L.
 func SolveCholesky(l [][]float64, b []float64) []float64 {
-	y := forwardSolve(l, b)
+	y := make([]float64, len(b))
+	forwardSolve(l, b, y)
 	return backSolve(l, y)
 }
 
-func forwardSolve(l [][]float64, b []float64) []float64 {
-	n := len(b)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
+// forwardSolve writes the solution of L·y = b into y, which may alias b.
+func forwardSolve(l [][]float64, b, y []float64) {
+	for i := range b {
 		s := b[i]
 		for j := 0; j < i; j++ {
 			s -= l[i][j] * y[j]
 		}
 		y[i] = s / l[i][i]
 	}
-	return y
 }
 
 func backSolve(l [][]float64, y []float64) []float64 {
