@@ -1,0 +1,247 @@
+package pareto
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"autopilot/internal/tensor"
+)
+
+// bruteNonDominated is NonDominated by its definition: the points no other
+// point dominates, in input order.
+func bruteNonDominated(points [][]float64) []int {
+	var keep []int
+	for i, p := range points {
+		dominated := false
+		for j, q := range points {
+			if i != j && Dominates(q, p) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// inclusionExclusion is the hypervolume of the points strictly inside ref,
+// summed by inclusion–exclusion over every non-empty subset of them.
+func inclusionExclusion(points [][]float64, ref []float64) float64 {
+	var in [][]float64
+	for _, p := range points {
+		if inside(p, ref) {
+			in = append(in, p)
+		}
+	}
+	total := 0.0
+	corner := make([]float64, len(ref))
+	for mask := 1; mask < 1<<len(in); mask++ {
+		for i := range corner {
+			corner[i] = math.Inf(-1)
+		}
+		odd := false
+		for k, p := range in {
+			if mask&(1<<k) != 0 {
+				odd = !odd
+				for i := range corner {
+					corner[i] = max(corner[i], p[i])
+				}
+			}
+		}
+		if odd {
+			total += inclusive(corner, ref)
+		} else {
+			total -= inclusive(corner, ref)
+		}
+	}
+	return total
+}
+
+func inside(p, ref []float64) bool {
+	for i := range p {
+		if p[i] >= ref[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// box is a reference point with the ideal corner of the region test points
+// are drawn from; refs holds the unit cube and the two dse reference points.
+type box struct{ lo, ref []float64 }
+
+func (b box) volume() float64 { return inclusive(b.lo, b.ref) }
+
+var refs3 = []box{
+	{[]float64{0, 0, 0}, []float64{1, 1, 1}},
+	{[]float64{-1, 0, 0}, []float64{0, 30, 1}},    // legacy: -success, power W, runtime s
+	{[]float64{-1, 0, -12}, []float64{0, 600, 0}}, // vehicle: -success, weight g, -missions
+}
+
+// gridPoint draws a point on a coarse grid over the box, so that ties in
+// every coordinate are common; level 16 lies on the ref face and 17 beyond.
+func gridPoint(g *tensor.RNG, b box, levels int) []float64 {
+	p := make([]float64, len(b.ref))
+	for i := range p {
+		p[i] = b.lo[i] + float64(g.Intn(levels))/16*(b.ref[i]-b.lo[i])
+	}
+	return p
+}
+
+// uniformPoint draws a point uniformly from the box.
+func uniformPoint(g *tensor.RNG, b box) []float64 {
+	p := make([]float64, len(b.ref))
+	for i := range p {
+		p[i] = b.lo[i] + g.Float64()*(b.ref[i]-b.lo[i])
+	}
+	return p
+}
+
+// randomSet draws n points: on a coarse grid (ties, duplicates, points on
+// and beyond the ref faces) when coarse, else uniformly inside the box.
+func randomSet(g *tensor.RNG, b box, n int, coarse bool) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		if coarse {
+			pts[i] = gridPoint(g, b, 18)
+		} else {
+			pts[i] = uniformPoint(g, b)
+		}
+	}
+	return pts
+}
+
+func unitBox(d int) box {
+	b := box{make([]float64, d), make([]float64, d)}
+	for i := range b.ref {
+		b.ref[i] = 1
+	}
+	return b
+}
+
+func TestNonDominatedMatchesDefinition(t *testing.T) {
+	g := tensor.NewRNG(7)
+	for trial := 0; trial < 400; trial++ {
+		d := 1 + trial%4
+		n := g.Intn(41)
+		if trial < 8 {
+			n = trial % 2 // zero and one point in every dimension
+		}
+		b := unitBox(d)
+		var pts [][]float64
+		if trial%3 == 0 {
+			pts = randomSet(g, b, n, false)
+		} else {
+			pts = make([][]float64, n)
+			for i := range pts {
+				pts[i] = gridPoint(g, b, 4) // few levels: many ties and duplicates
+			}
+		}
+		if got, want := NonDominated(pts), bruteNonDominated(pts); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (d=%d, n=%d): NonDominated = %v, definition = %v\npoints %v", trial, d, n, got, want, pts)
+		}
+	}
+}
+
+func TestHypervolumeMatchesInclusionExclusion(t *testing.T) {
+	g := tensor.NewRNG(8)
+	for trial := 0; trial < 400; trial++ {
+		d := 1 + trial%4
+		b := unitBox(d)
+		if d == 3 {
+			b = refs3[trial%len(refs3)]
+		}
+		pts := randomSet(g, b, g.Intn(9), trial%2 == 0)
+		got, want := Hypervolume(pts, b.ref), inclusionExclusion(pts, b.ref)
+		if math.Abs(got-want) > 1e-9*b.volume() {
+			t.Fatalf("trial %d (d=%d): Hypervolume = %v, inclusion-exclusion = %v\npoints %v", trial, d, got, want, pts)
+		}
+	}
+}
+
+// distinct drops repeated points. They add no volume, but WFG keeps them and
+// its recursion doubles with every copy of a point.
+func distinct(points [][]float64) [][]float64 {
+	var out [][]float64
+	for _, p := range points {
+		if !slices.ContainsFunc(out, func(q []float64) bool { return slices.Equal(p, q) }) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// checkContribution asserts a three-objective contribution agrees with the
+// hypervolume difference within 1e-9 of the box volume, is finite and
+// non-negative, and is exactly 0 for a p outside the box or weakly
+// dominated by a point of the set.
+func checkContribution(t *testing.T, front [][]float64, p []float64, b box) {
+	t.Helper()
+	got := Contribution(front, p, b.ref)
+	with := distinct(append(append([][]float64{}, front...), p))
+	want := Hypervolume(with, b.ref) - Hypervolume(distinct(front), b.ref)
+	if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
+		t.Fatalf("Contribution = %v, want finite and >= 0\nfront %v\np %v ref %v", got, front, p, b.ref)
+	}
+	if math.Abs(got-want) > 1e-9*b.volume() {
+		t.Fatalf("Contribution = %v, hypervolume difference = %v\nfront %v\np %v ref %v", got, want, front, p, b.ref)
+	}
+	zero := !inside(p, b.ref)
+	for _, f := range front {
+		zero = zero || WeaklyDominates(f, p)
+	}
+	if zero && got != 0 {
+		t.Fatalf("Contribution = %v, want exactly 0\nfront %v\np %v ref %v", got, front, p, b.ref)
+	}
+}
+
+func TestContributionMatchesHypervolumeDifference(t *testing.T) {
+	g := tensor.NewRNG(9)
+	for trial := 0; trial < 1500; trial++ {
+		b := refs3[trial%len(refs3)]
+		coarse := trial%2 == 0
+		front := randomSet(g, b, g.Intn(25), coarse) // includes the empty front
+		var p []float64
+		switch {
+		case trial%5 == 0 && len(front) > 0: // a duplicate of a front point
+			p = slices.Clone(front[g.Intn(len(front))])
+		case trial%5 == 1 && len(front) > 0: // weakly dominated by a front point
+			p = slices.Clone(front[g.Intn(len(front))])
+			k := g.Intn(3)
+			p[k] += 0.5 * (b.ref[k] - b.lo[k])
+		case coarse:
+			p = gridPoint(g, b, 18)
+		default:
+			p = uniformPoint(g, b)
+		}
+		checkContribution(t, front, p, b)
+	}
+}
+
+// FuzzContribution decodes its input into a box, a candidate p and a front
+// of up to 16 points on a coarse grid (level%18 of 16 steps: ties,
+// duplicates, and points on and beyond the ref faces) and checks the sweep
+// against the hypervolume difference. The front stays small because WFG's
+// recursion can double with each point whose limited copies coincide.
+func FuzzContribution(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		b := refs3[int(data[0])%len(refs3)]
+		data = data[1:]
+		pts := make([][]float64, 0, 17)
+		for len(data) >= 3 && len(pts) < cap(pts) {
+			q := make([]float64, 3)
+			for i := range q {
+				q[i] = b.lo[i] + float64(data[i]%18)/16*(b.ref[i]-b.lo[i])
+			}
+			pts = append(pts, q)
+			data = data[3:]
+		}
+		checkContribution(t, pts[1:], pts[0], b)
+	})
+}
