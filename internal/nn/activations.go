@@ -8,7 +8,8 @@ import (
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	in *tensor.Tensor
+	in    *tensor.Tensor // input of the last Forward
+	y, dx *tensor.Tensor // output and input-gradient buffers
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -17,24 +18,32 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward applies max(0, x) element-wise.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.in = x
-	return tensor.Apply(x, func(v float64) float64 {
+	r.y = reuse(r.y, x.Shape()...)
+	relu(r.y.Data(), x.Data())
+	return r.y
+}
+
+func relu(dst, src []float64) {
+	for i, v := range src {
 		if v > 0 {
-			return v
+			dst[i] = v
+		} else {
+			dst[i] = 0
 		}
-		return 0
-	})
+	}
 }
 
 // Backward masks the incoming gradient by the activation pattern.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	od, id := out.Data(), r.in.Data()
-	for i := range od {
+	r.dx = reuse(r.dx, grad.Shape()...)
+	od, id := r.dx.Data(), r.in.Data()
+	for i, g := range grad.Data() {
 		if id[i] <= 0 {
-			od[i] = 0
+			g = 0
 		}
+		od[i] = g
 	}
-	return out
+	return r.dx
 }
 
 // Params returns no tensors: ReLU has no parameters.
@@ -45,7 +54,7 @@ func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	out *tensor.Tensor
+	out, dx *tensor.Tensor // output and input-gradient buffers
 }
 
 // NewTanh returns a Tanh activation layer.
@@ -53,18 +62,22 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	t.out = tensor.Apply(x, math.Tanh)
+	t.out = reuse(t.out, x.Shape()...)
+	yd := t.out.Data()
+	for i, v := range x.Data() {
+		yd[i] = math.Tanh(v)
+	}
 	return t.out
 }
 
 // Backward scales the gradient by 1 - tanh².
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	od, yd := out.Data(), t.out.Data()
-	for i := range od {
-		od[i] *= 1 - yd[i]*yd[i]
+	t.dx = reuse(t.dx, grad.Shape()...)
+	od, yd := t.dx.Data(), t.out.Data()
+	for i, g := range grad.Data() {
+		od[i] = g * (1 - yd[i]*yd[i])
 	}
-	return out
+	return t.dx
 }
 
 // Params returns no tensors: Tanh has no parameters.
@@ -74,9 +87,11 @@ func (t *Tanh) Params() []*tensor.Tensor { return nil }
 func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 
 // Flatten reshapes any input to rank 1, remembering the original shape so the
-// gradient can be restored on the way back.
+// gradient can be restored on the way back. Both directions return views of
+// the tensor passed in, not copies.
 type Flatten struct {
-	shape []int
+	shape    []int
+	fwd, bwd view
 }
 
 // NewFlatten returns a Flatten layer.
@@ -85,12 +100,12 @@ func NewFlatten() *Flatten { return &Flatten{} }
 // Forward flattens x to a vector.
 func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.shape = append(f.shape[:0], x.Shape()...)
-	return x.Reshape(x.Len())
+	return f.fwd.of(x, x.Len())
 }
 
 // Backward restores the cached input shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.shape...)
+	return f.bwd.of(grad, f.shape...)
 }
 
 // Params returns no tensors: Flatten has no parameters.

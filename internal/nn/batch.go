@@ -9,76 +9,53 @@ import (
 
 // BatchLayer is implemented by layers that can evaluate a whole batch of
 // inputs in one inference-only pass. ForwardBatch must be pure — it reads
-// parameters but writes none of the caches Backward depends on — so a frozen
-// network can be evaluated concurrently from many rollout workers, and each
-// output must be bitwise identical to calling Forward on that input alone.
-// Backward after ForwardBatch is undefined; it exists for evaluation, not
-// training.
+// parameters but writes none of the layer's caches or buffers, and returns
+// fresh tensors — so a frozen network can be evaluated concurrently from
+// many rollout workers, and each output must be bitwise identical to calling
+// Forward on that input alone. Backward after ForwardBatch is undefined; it
+// exists for evaluation, not training.
 type BatchLayer interface {
 	ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor
 }
 
 // ForwardBatch computes W·x + b for every input with the exact per-sample
-// accumulation order of Forward, without touching the input cache.
+// accumulation order of Forward, without touching the layer's buffers.
 func (d *Dense) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
-	in, out := d.W.Dim(1), d.W.Dim(0)
-	wd, bd := d.W.Data(), d.B.Data()
 	ys := make([]*tensor.Tensor, len(xs))
-	for bi, x := range xs {
-		if x.Len() != in {
-			panic(fmt.Sprintf("nn: Dense batch input len %d, want %d", x.Len(), in))
-		}
-		xd := x.Data()
-		y := tensor.New(out)
-		yd := y.Data()
-		for o := 0; o < out; o++ {
-			s := bd[o]
-			row := wd[o*in : (o+1)*in]
-			for i, xv := range xd {
-				s += row[i] * xv
-			}
-			yd[o] = s
-		}
-		ys[bi] = y
+	for i, x := range xs {
+		d.checkInput(x)
+		ys[i] = tensor.New(d.W.Dim(0))
+		d.affine(ys[i].Data(), x.Data())
 	}
 	return ys
 }
 
-// ForwardBatch convolves every input in one GEMM: the per-sample im2col
-// matrices are concatenated column-wise and multiplied against the filter
-// bank together, so each sample's output columns see exactly the arithmetic
-// Forward performs on them alone. The im2col cache is left untouched.
+// ForwardBatch convolves every input in one GEMM: each sample's im2col
+// matrix is unrolled straight into its own column block of one batch
+// matrix, which is multiplied against the filter bank once, so each
+// sample's output columns see exactly the arithmetic Forward performs on
+// them alone. The layer's buffers are left untouched.
 func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	if len(xs) == 0 {
 		return nil
 	}
-	oh, ow := c.Dims.OutH(), c.Dims.OutW()
+	d := c.Dims
+	oh, ow := d.OutH(), d.OutW()
 	hw := oh * ow
-	cols := make([]*tensor.Tensor, len(xs))
+	cols := tensor.New(d.InC*d.K*d.K, len(xs)*hw)
 	widths := make([]int, len(xs))
 	for i, x := range xs {
-		cols[i] = tensor.Im2col(x, c.Dims)
+		tensor.Im2colInto(cols, i*hw, x, d)
 		widths[i] = hw
 	}
-	y := tensor.MatMul(c.W, tensor.ConcatCols(cols...)) // (OutC, B*hw)
-	yd := y.Data()
-	total := len(xs) * hw
-	for oc := 0; oc < c.Dims.OutC; oc++ {
-		b := c.B.At(oc)
-		if b == 0 {
-			continue
-		}
-		row := yd[oc*total : (oc+1)*total]
-		for i := range row {
-			row[i] += b
-		}
-	}
+	y := tensor.New(d.OutC, len(xs)*hw)
+	tensor.MatMulInto(y, c.W, cols)
+	c.addBias(y)
 	blocks := tensor.SplitCols(y, widths...)
-	ys := make([]*tensor.Tensor, len(xs))
 	for i, blk := range blocks {
-		ys[i] = blk.Reshape(c.Dims.OutC, oh, ow)
+		blocks[i] = blk.Reshape(d.OutC, oh, ow)
 	}
-	return ys
+	return blocks
 }
 
 // ForwardBatch applies max(0, x) to every input without caching the
@@ -86,12 +63,8 @@ func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 func (r *ReLU) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
 	for i, x := range xs {
-		ys[i] = tensor.Apply(x, func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
+		ys[i] = tensor.New(x.Shape()...)
+		relu(ys[i].Data(), x.Data())
 	}
 	return ys
 }
@@ -116,9 +89,10 @@ func (f *Flatten) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 
 // ForwardBatch runs a whole batch through every layer, using the cache-free
 // batched path where a layer provides one and falling back to per-sample
-// Forward otherwise. With the stock layers (Dense, Conv2D, ReLU, Tanh,
-// Flatten) the whole pass is pure: safe for concurrent use on a frozen
-// network and bitwise identical to per-sample Forward.
+// Forward, with its result cloned out of the layer's buffer, otherwise. With
+// the stock layers (Dense, Conv2D, ReLU, Tanh, Flatten) the whole pass is
+// pure: safe for concurrent use on a frozen network and bitwise identical to
+// per-sample Forward.
 func (s *Sequential) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	xs = append([]*tensor.Tensor(nil), xs...)
 	for _, l := range s.Layers {
@@ -127,7 +101,7 @@ func (s *Sequential) ForwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 			continue
 		}
 		for i, x := range xs {
-			xs[i] = l.Forward(x)
+			xs[i] = l.Forward(x).Clone()
 		}
 	}
 	return xs

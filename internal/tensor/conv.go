@@ -35,70 +35,103 @@ func (d ConvDims) MACs() int64 {
 	return int64(d.OutC) * int64(d.OutH()) * int64(d.OutW()) * int64(d.InC) * int64(d.K) * int64(d.K)
 }
 
-// Im2col unrolls input (InC×InH×InW, flattened row-major) into a matrix of
-// shape (InC*K*K) × (OutH*OutW) so convolution becomes a matrix product
-// weights(OutC × InC*K*K) · cols.
-func Im2col(in *Tensor, d ConvDims) *Tensor {
+// Im2colInto unrolls input (InC×InH×InW, flattened row-major) into columns
+// [col, col+OutH*OutW) of dst, a matrix with InC*K*K rows, so convolution
+// becomes the matrix product weights(OutC × InC*K*K) · cols. Every entry of
+// that column block is written, padding positions with 0, so dst may hold
+// stale values; the other columns are left untouched. A batch of inputs
+// unrolled side by side multiplies against the weights in one product.
+func Im2colInto(dst *Tensor, col int, in *Tensor, d ConvDims) {
 	if in.Len() != d.InC*d.InH*d.InW {
 		panic(fmt.Sprintf("tensor: Im2col input len %d, want %d", in.Len(), d.InC*d.InH*d.InW))
 	}
 	oh, ow := d.OutH(), d.OutW()
 	rows := d.InC * d.K * d.K
-	cols := oh * ow
-	out := New(rows, cols)
+	if dst.Rank() != 2 || dst.shape[0] != rows || col < 0 || col+oh*ow > dst.shape[1] {
+		panic(fmt.Sprintf("tensor: Im2col dst %v cannot hold %d rows at columns [%d, %d)", dst.shape, rows, col, col+oh*ow))
+	}
+	ld := dst.shape[1]
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
 				row := (c*d.K+ky)*d.K + kx
+				block := dst.data[row*ld+col:][:oh*ow]
+				lo, hi := d.inside(kx, d.InW, ow)
 				for oy := 0; oy < oh; oy++ {
+					out := block[oy*ow:][:ow]
 					iy := oy*d.Stride + ky - d.Pad
 					if iy < 0 || iy >= d.InH {
+						clear(out)
 						continue
 					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix < 0 || ix >= d.InW {
-							continue
-						}
-						out.data[row*cols+oy*ow+ox] = in.data[(c*d.InH+iy)*d.InW+ix]
+					inRow := in.data[(c*d.InH+iy)*d.InW:][:d.InW]
+					for ox := lo; ox < hi; ox++ {
+						out[ox] = inRow[ox*d.Stride+kx-d.Pad]
 					}
+					zeroOutside(out, lo, hi)
 				}
 			}
 		}
 	}
-	return out
 }
 
-// Col2im scatters a (InC*K*K) × (OutH*OutW) gradient matrix back onto the
-// input layout, accumulating overlapping contributions. It is the adjoint of
-// Im2col and is used by the convolution backward pass.
-func Col2im(cols *Tensor, d ConvDims) *Tensor {
+// zeroOutside zeroes out[:lo] and out[hi:]. Rows are a few elements wide,
+// where a loop beats a call to clear.
+func zeroOutside(out []float64, lo, hi int) {
+	for i := 0; i < lo; i++ {
+		out[i] = 0
+	}
+	for i := hi; i < len(out); i++ {
+		out[i] = 0
+	}
+}
+
+// inside returns the output positions [lo, hi), out of n, whose input
+// position pos*Stride + k - Pad along an axis of the given size lies inside
+// the input, so the loops over them need no bounds test.
+func (d ConvDims) inside(k, size, n int) (lo, hi int) {
+	for lo < n && lo*d.Stride+k-d.Pad < 0 {
+		lo++
+	}
+	hi = n
+	for hi > lo && (hi-1)*d.Stride+k-d.Pad >= size {
+		hi--
+	}
+	return lo, hi
+}
+
+// Col2imInto sets dst (InC×InH×InW elements) to the scatter of a
+// (InC*K*K) × (OutH*OutW) gradient matrix back onto the input layout,
+// accumulating overlapping contributions. It is the adjoint of Im2colInto
+// and is used by the convolution backward pass.
+func Col2imInto(dst, cols *Tensor, d ConvDims) {
 	oh, ow := d.OutH(), d.OutW()
 	rows := d.InC * d.K * d.K
 	ncols := oh * ow
 	if cols.Len() != rows*ncols {
 		panic(fmt.Sprintf("tensor: Col2im input len %d, want %d", cols.Len(), rows*ncols))
 	}
-	out := New(d.InC, d.InH, d.InW)
+	if dst.Len() != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: Col2im dst len %d, want %d", dst.Len(), d.InC*d.InH*d.InW))
+	}
+	clear(dst.data)
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
 				row := (c*d.K+ky)*d.K + kx
+				lo, hi := d.inside(kx, d.InW, ow)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*d.Stride + ky - d.Pad
 					if iy < 0 || iy >= d.InH {
 						continue
 					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*d.Stride + kx - d.Pad
-						if ix < 0 || ix >= d.InW {
-							continue
-						}
-						out.data[(c*d.InH+iy)*d.InW+ix] += cols.data[row*ncols+oy*ow+ox]
+					out := dst.data[(c*d.InH+iy)*d.InW:][:d.InW]
+					src := cols.data[row*ncols+oy*ow:][:ow]
+					for ox := lo; ox < hi; ox++ {
+						out[ox*d.Stride+kx-d.Pad] += src[ox]
 					}
 				}
 			}
 		}
 	}
-	return out
 }
