@@ -21,7 +21,6 @@ type DQNConfig struct {
 	LearnStart    int     // env steps before updates begin
 	UpdateEvery   int     // env steps between gradient updates
 	MaxGradNorm   float64 // gradient clipping threshold
-	Double        bool    // Double DQN: online net selects, target net evaluates
 }
 
 // DefaultDQNConfig returns settings tuned for the grid-world navigation task.
@@ -51,6 +50,7 @@ type DQN struct {
 	buffer *ReplayBuffer
 	rng    *tensor.RNG
 	steps  int
+	grad   *tensor.Tensor // dLoss/dQ of one transition, reused across updates
 }
 
 // NewDQN wraps an online/target network pair. The target is immediately
@@ -114,30 +114,27 @@ func (d *DQN) Observe(t Transition) {
 // EndEpisode is a no-op: DQN updates on its per-step schedule.
 func (d *DQN) EndEpisode(airlearning.EpisodeResult) {}
 
-// update performs one minibatch Q-learning step.
+// update performs one minibatch Q-learning step. The networks' Forward and
+// Backward reuse their layer buffers, so the per-transition work allocates
+// nothing.
 func (d *DQN) update() {
 	batch := d.buffer.Sample(d.rng, d.cfg.BatchSize)
 	d.Online.ZeroGrads()
 	for _, t := range batch {
 		target := t.Reward
 		if !t.Done {
-			tq := d.Target.Forward(t.Next.Image, t.Next.State)
-			if d.cfg.Double {
-				// Double DQN: decouple action selection (online) from value
-				// estimation (target) to curb maximization bias.
-				a := d.Online.Forward(t.Next.Image, t.Next.State).ArgMax()
-				target += d.cfg.Gamma * tq.Data()[a]
-			} else {
-				best, _ := tq.Max()
-				target += d.cfg.Gamma * best
-			}
+			best, _ := d.Target.Forward(t.Next.Image, t.Next.State).Max()
+			target += d.cfg.Gamma * best
 		}
 		q := d.Online.Forward(t.Obs.Image, t.Obs.State)
 		// gradient only on the taken action, Huber-style
-		grad := tensor.New(q.Len())
+		if d.grad == nil {
+			d.grad = tensor.New(q.Len())
+		}
+		d.grad.Zero()
 		diff := q.Data()[t.Action] - target
-		grad.Data()[t.Action] = clamp(diff, -1, 1) / float64(len(batch))
-		d.Online.Backward(grad)
+		d.grad.Data()[t.Action] = clamp(diff, -1, 1) / float64(len(batch))
+		d.Online.Backward(d.grad)
 	}
 	nn.ClipGrads(d.Online.Grads(), d.cfg.MaxGradNorm)
 	d.opt.Step(d.Online.Params(), d.Online.Grads())

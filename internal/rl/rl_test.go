@@ -228,29 +228,23 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 }
 
-func TestDoubleDQNTrainsAndDiffersFromVanilla(t *testing.T) {
-	run := func(double bool) float64 {
-		g := tensor.NewRNG(21)
-		h := policy.Hyper{Layers: 2, Filters: 32}
+// TestDQNUpdateAllocationsIndependentOfBatch pins that a steady-state update
+// allocates nothing per transition: the same count at batch 4 and batch 16.
+func TestDQNUpdateAllocationsIndependentOfBatch(t *testing.T) {
+	allocs := func(batch int) float64 {
+		g := tensor.NewRNG(24)
+		h := policy.Hyper{Layers: 3, Filters: 48}
 		online, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
 		target, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
 		cfg := DefaultDQNConfig()
-		cfg.Double = double
-		cfg.BatchSize, cfg.UpdateEvery = 4, 2
-		cfg.LearnStart = 4
-		cfg.TargetSync = 20
-		agent := NewDQN(online, target, cfg, 21)
-		env := airlearning.NewEnv(airlearning.LowObstacle, 21)
-		agent.Train(env, 20)
-		// fingerprint the resulting parameters
-		sum := 0.0
-		for _, p := range agent.Online.Params() {
-			sum += p.Sum()
-		}
-		return sum
+		cfg.BatchSize = batch
+		d := NewDQN(online, target, cfg, 24)
+		d.Train(airlearning.NewEnv(airlearning.LowObstacle, 24), 2) // fills the replay buffer
+		d.update()                                                  // sizes every buffer
+		return testing.AllocsPerRun(10, d.update)
 	}
-	vanilla, double := run(false), run(true)
-	if vanilla == double {
-		t.Fatal("Double DQN must produce different updates than vanilla DQN")
+	small, large := allocs(4), allocs(16)
+	if small != large {
+		t.Fatalf("update allocates %.1f times at batch 4 and %.1f at batch 16; want no per-transition allocation", small, large)
 	}
 }
