@@ -2,7 +2,9 @@
 // exponential kernel — the statistical model the paper's Bayesian optimizer
 // builds of its objectives (§III-B: "the widely-used squared exponential (SE)
 // kernel is used due to its simplicity"). Objectives observed at the same
-// inputs share one covariance factor and one forward solve per prediction.
+// inputs share one covariance factor and one forward solve per prediction,
+// and PredictBlock makes up to BlockSize predictions with one pass of the
+// forward solve over the factor.
 package gp
 
 import (
@@ -138,6 +140,9 @@ func (g *GP) Predict(q []float64) (mean, variance float64) {
 // returns the posterior variance, which all objectives share; means may be
 // shorter than the number of objectives, never longer. It costs one kernel
 // vector and one forward solve however many objectives it predicts.
+//
+// PredictMulti is the reference for PredictBlock, which must agree with it
+// bit for bit.
 func (g *GP) PredictMulti(q []float64, means []float64) (variance float64) {
 	ks := make([]float64, len(g.x))
 	for i := range ks {
@@ -159,6 +164,80 @@ func (g *GP) PredictMulti(q []float64, means []float64) (variance float64) {
 		variance = 0
 	}
 	return variance
+}
+
+// BlockSize is the number of queries PredictBlock carries through one pass
+// over the Cholesky factor.
+const BlockSize = 4
+
+// PredictBlock predicts 1 to BlockSize queries together. It writes objective
+// j's posterior mean at qs[c] into means[c][j], for every j below
+// len(means[c]), which must be the same for every c, and the shared
+// posterior variance into variances[c]. Each value is bitwise the one
+// PredictMulti(qs[c], means[c]) gives: every query keeps its own
+// accumulators, summed in PredictMulti's order. What the block buys is one
+// forward solve that walks L once for all the queries, so their dependency
+// chains overlap instead of running one after another. scratch must hold a
+// row per training point; it is overwritten, and PredictBlock allocates
+// nothing.
+func (g *GP) PredictBlock(qs, means [][]float64, variances []float64, scratch [][BlockSize]float64) {
+	if len(qs) == 0 || len(qs) > BlockSize {
+		panic(fmt.Sprintf("gp: block of %d queries, want 1 to %d", len(qs), BlockSize))
+	}
+	// A partial block repeats its last query and drops the repeats' results.
+	var q [BlockSize][]float64
+	for c := range q {
+		q[c] = qs[min(c, len(qs)-1)]
+	}
+	ks := scratch[:len(g.x)] // ks[i][c] = k(xᵢ, q[c]), then L⁻¹ of it
+	for i, xi := range g.x {
+		for c := range q {
+			ks[i][c] = g.kernel.Eval(xi, q[c])
+		}
+	}
+	for j := range means[0] {
+		m0, m1, m2, m3 := 0.0, 0.0, 0.0, 0.0
+		alpha := g.alpha[j]
+		for i, k := range ks[:len(alpha)] {
+			a := alpha[i]
+			m0 += k[0] * a
+			m1 += k[1] * a
+			m2 += k[2] * a
+			m3 += k[3] * a
+		}
+		m := [BlockSize]float64{m0, m1, m2, m3}
+		for c := range qs {
+			means[c][j] = m[c]
+		}
+	}
+	for i, li := range g.l {
+		y := &ks[i]
+		s0, s1, s2, s3 := y[0], y[1], y[2], y[3]
+		prev := ks[:i]
+		for j, lij := range li[:len(prev)] {
+			yj := &prev[j]
+			s0 -= lij * yj[0]
+			s1 -= lij * yj[1]
+			s2 -= lij * yj[2]
+			s3 -= lij * yj[3]
+		}
+		d := li[i]
+		y[0], y[1], y[2], y[3] = s0/d, s1/d, s2/d, s3/d
+	}
+	v0, v1, v2, v3 := g.kernel.Eval(q[0], q[0]), g.kernel.Eval(q[1], q[1]), g.kernel.Eval(q[2], q[2]), g.kernel.Eval(q[3], q[3])
+	for _, y := range ks {
+		v0 -= y[0] * y[0]
+		v1 -= y[1] * y[1]
+		v2 -= y[2] * y[2]
+		v3 -= y[3] * y[3]
+	}
+	v := [BlockSize]float64{v0, v1, v2, v3}
+	for c := range qs {
+		variances[c] = v[c]
+		if v[c] < 0 {
+			variances[c] = 0
+		}
+	}
 }
 
 // Cholesky returns the lower-triangular factor L with A = L·Lᵀ, or an error
