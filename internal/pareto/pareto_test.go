@@ -248,7 +248,8 @@ func TestContributionDoesNotMutateInput(t *testing.T) {
 }
 
 // TestContributionAllocsConstant pins that a three-objective contribution
-// allocates a constant number of times, whatever the front's size.
+// allocates a constant number of times, whatever the front's size, and that
+// a query against a prepared Front allocates nothing.
 func TestContributionAllocsConstant(t *testing.T) {
 	g := tensor.NewRNG(5)
 	ref := []float64{1, 1, 1}
@@ -260,6 +261,11 @@ func TestContributionAllocsConstant(t *testing.T) {
 		p := []float64{0.1, 0.1, 0.1}
 		if a := testing.AllocsPerRun(20, func() { Contribution(front, p, ref) }); a > 2 {
 			t.Errorf("front of %d: %v allocations per call, want <= 2", n, a)
+		}
+		var prepared Front
+		prepared.Prepare(front, ref)
+		if a := testing.AllocsPerRun(20, func() { prepared.Contribution(p) }); a != 0 {
+			t.Errorf("prepared front of %d: %v allocations per query, want 0", n, a)
 		}
 	}
 }
