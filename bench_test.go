@@ -13,6 +13,7 @@ package autopilot
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"autopilot/internal/airlearning"
@@ -26,6 +27,7 @@ import (
 	"autopilot/internal/power"
 	"autopilot/internal/rl"
 	"autopilot/internal/spa"
+	"autopilot/internal/space"
 	"autopilot/internal/systolic"
 	"autopilot/internal/tensor"
 	"autopilot/internal/train"
@@ -309,6 +311,56 @@ func BenchmarkGPFitPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Predict(q)
+	}
+}
+
+// BenchmarkAcquisitionScreen times one SMS-EGO proposal at the size of the
+// default budget's last iteration: 96 observations of three objectives, and
+// 1024 of 2048 candidates screened. The objectives are DTLZ2 over six
+// features, whose random samples leave a front of a few dozen points.
+func BenchmarkAcquisitionScreen(b *testing.B) {
+	const pool, observed = 2048, 96
+	g := tensor.NewRNG(8)
+	points := make([]space.Point, pool)
+	feats := make([][]float64, pool)
+	for i := range points {
+		points[i] = space.Point{i}
+		feats[i] = make([]float64, 6)
+		for j := range feats[i] {
+			feats[i][j] = g.Float64()
+		}
+	}
+	dtlz2 := func(x []float64) []float64 {
+		r := 1.0
+		for _, v := range x[2:] {
+			r += (v - 0.5) * (v - 0.5)
+		}
+		a, c := x[0]*math.Pi/2, x[1]*math.Pi/2
+		return []float64{r * math.Cos(a) * math.Cos(c), r * math.Cos(a) * math.Sin(c), r * math.Sin(a)}
+	}
+	cfg := bayesopt.DefaultConfig()
+	cfg.Iterations = observed - cfg.InitSamples
+	opt, err := bayesopt.New(points, feats, []float64{2.5, 2.5, 2.5}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 0; n < observed; {
+		pts, err := opt.Propose()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ys := make([][]float64, len(pts))
+		for j, pt := range pts {
+			ys[j] = dtlz2(feats[pt[0]])
+		}
+		opt.Observe(ys)
+		n += len(ys)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.Propose(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,11 +2,16 @@
 // Bayesian optimization over a discrete design space with the
 // S-Metric-Selection Efficient Global Optimization (SMS-EGO) acquisition
 // function (§III-B). The objectives are modelled by Gaussian processes that
-// share one covariance factor, with one weight vector α per objective, so a
-// candidate costs one kernel vector and one forward solve; candidates are
-// scored by the hypervolume contribution of their lower-confidence-bound
-// estimate over the current Pareto front, with a penalty for
-// epsilon-dominated candidates.
+// share one covariance factor, with one weight vector α per objective.
+// Candidates are scored by the hypervolume contribution of their
+// lower-confidence-bound estimate over the current Pareto front, with a
+// penalty for epsilon-dominated candidates.
+//
+// One screening loop serves both acquisitions. It predicts the screened
+// candidates in blocks of gp.BlockSize, one forward solve per block, and
+// scores them against a front sorted once per iteration, all over scratch
+// made once per iteration, so scoring a candidate allocates nothing. Every
+// score is bitwise what scoring the candidate alone gives.
 //
 // The optimizer is an ask/tell proposer (BO): it proposes candidates and is
 // told their objectives, and leaves evaluation, caching, budgets and failure
@@ -144,19 +149,30 @@ func (b *BO) Propose() ([]space.Point, error) {
 	}
 	var weights []float64
 	var bestScalar float64
+	var prepared pareto.Front
 	if b.cfg.Acquisition == AcqScalarizedEI {
 		weights, bestScalar = eiSetup(b.rng, b.objs, b.ref, len(b.ref))
+	} else {
+		prepared.Prepare(front, b.ref)
 	}
+	blk := newBlock(len(b.ref), len(b.feats))
 	best, bestScore := -1, math.Inf(-1)
-	for _, ci := range pool {
-		var score float64
-		if b.cfg.Acquisition == AcqScalarizedEI {
-			score = expectedImprovement(mod, b.cands[ci], weights, bestScalar, b.ref)
-		} else {
-			score = acquisition(mod, b.cands[ci], front, b.ref, b.cfg.Gain)
+	for start := 0; start < len(pool); start += gp.BlockSize {
+		cands := pool[start:min(start+gp.BlockSize, len(pool))]
+		for c, ci := range cands {
+			blk.x[c] = b.cands[ci]
 		}
-		if score > bestScore {
-			best, bestScore = ci, score
+		mod.predict(blk, len(cands))
+		for c, ci := range cands {
+			var score float64
+			if b.cfg.Acquisition == AcqScalarizedEI {
+				score = expectedImprovement(blk.mu[c], blk.sd[c], weights, bestScalar, b.ref)
+			} else {
+				score = smsEGO(blk.mu[c], blk.sd[c], front, &prepared, b.ref, b.cfg.Gain)
+			}
+			if score > bestScore {
+				best, bestScore = ci, score
+			}
 		}
 	}
 	return b.propose(best), nil
@@ -230,13 +246,35 @@ func fitModel(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise fl
 	return &model{gp: g, scales: scales}, nil
 }
 
+// block is the scratch of one iteration's screen: a block of candidates,
+// their posterior predictions and the GP's work space. It is made once per
+// iteration, so scoring a candidate allocates nothing.
+type block struct {
+	x        [gp.BlockSize][]float64 // the candidates' features
+	mu, sd   [gp.BlockSize][]float64 // per objective, de-standardized
+	variance [gp.BlockSize]float64
+	scratch  [][gp.BlockSize]float64
+}
+
+// newBlock sizes a block for m objectives and n observations.
+func newBlock(m, n int) *block {
+	b := &block{scratch: make([][gp.BlockSize]float64, n)}
+	for c := range b.mu {
+		b.mu[c], b.sd[c] = make([]float64, m), make([]float64, m)
+	}
+	return b
+}
+
 // predict writes each objective's de-standardized posterior mean and
-// standard deviation at x into mu and sd.
-func (m *model) predict(x, mu, sd []float64) {
-	v := m.gp.PredictMulti(x, mu)
-	for j, s := range m.scales {
-		mu[j] = mu[j]*s[1] + s[0]
-		sd[j] = math.Sqrt(v) * s[1]
+// standard deviation at the block's first n candidates into b.mu and b.sd.
+func (m *model) predict(b *block, n int) {
+	m.gp.PredictBlock(b.x[:n], b.mu[:n], b.variance[:n], b.scratch)
+	for c := range n {
+		mu, sd := b.mu[c], b.sd[c]
+		for j, s := range m.scales {
+			mu[j] = mu[j]*s[1] + s[0]
+			sd[j] = math.Sqrt(b.variance[c]) * s[1]
+		}
 	}
 }
 
@@ -257,7 +295,7 @@ func screen(rng *tensor.RNG, total int, evaluated map[int]bool, n int) []int {
 		return out
 	}
 	out := make([]int, 0, n)
-	seen := map[int]bool{}
+	seen := make([]bool, total) // one allocation, whatever n is
 	for len(out) < n {
 		i := rng.Intn(total)
 		if evaluated[i] || seen[i] {
@@ -269,12 +307,15 @@ func screen(rng *tensor.RNG, total int, evaluated map[int]bool, n int) []int {
 	return out
 }
 
-// acquisition is the SMS-EGO score of a candidate: the hypervolume
-// contribution of its LCB estimate, with a dominance penalty when the LCB
-// point is epsilon-dominated by the current front.
-func acquisition(mod *model, x []float64, front [][]float64, ref []float64, gain float64) float64 {
-	lcb, sd := make([]float64, len(mod.scales)), make([]float64, len(mod.scales))
-	mod.predict(x, lcb, sd)
+// smsEGO is the SMS-EGO score of a candidate with posterior mean mu and
+// standard deviation sd: the hypervolume contribution of its LCB estimate,
+// with a dominance penalty when the LCB point is epsilon-dominated by the
+// current front. It overwrites mu with the LCB. The penalty reads the front
+// in observation order, because its "no penalty yet" test, penalty == 0,
+// also matches a zero slack, which makes it order-dependent; the
+// contribution reads prepared, the same front sorted once per iteration.
+func smsEGO(mu, sd []float64, front [][]float64, prepared *pareto.Front, ref []float64, gain float64) float64 {
+	lcb := mu
 	for j := range lcb {
 		lcb[j] -= gain * sd[j]
 	}
@@ -297,7 +338,7 @@ func acquisition(mod *model, x []float64, front [][]float64, ref []float64, gain
 	if penalty > 0 {
 		return -penalty
 	}
-	return pareto.Contribution(front, lcb, ref)
+	return prepared.Contribution(lcb)
 }
 
 // eiSetup draws a random scalarization weight vector (normalized by the
@@ -330,11 +371,9 @@ func scalarize(w, y, ref []float64) float64 {
 }
 
 // expectedImprovement is the classic single-objective EI applied to the
-// weighted scalarization of the per-objective GP posteriors (independence
-// assumed across objectives).
-func expectedImprovement(mod *model, x, w []float64, best float64, ref []float64) float64 {
-	ms, sds := make([]float64, len(mod.scales)), make([]float64, len(mod.scales))
-	mod.predict(x, ms, sds)
+// weighted scalarization of the per-objective GP posteriors, with means ms
+// and standard deviations sds (independence assumed across objectives).
+func expectedImprovement(ms, sds, w []float64, best float64, ref []float64) float64 {
 	mu, varSum := 0.0, 0.0
 	for j, m := range ms {
 		norm := math.Max(math.Abs(ref[j]), 1e-9)

@@ -334,3 +334,45 @@ func TestStdNormalHelpers(t *testing.T) {
 		t.Fatalf("phi(0) = %g", stdNormalPDF(0))
 	}
 }
+
+// TestProposeAllocationsIndependentOfScreen pins that scoring a screened
+// candidate allocates nothing: a model-guided Propose makes as many
+// allocations when it screens 1024 candidates as when it screens 64, for
+// both acquisitions, on a three-objective problem.
+func TestProposeAllocationsIndependentOfScreen(t *testing.T) {
+	p := zdt1Grid(64) // 4096 candidates
+	p.ref = []float64{2, 3, 3}
+	two := p.eval
+	p.eval = func(i int) []float64 {
+		f := two(i)
+		return append(f, (1-f[0])*(1-f[0])+f[1]*f[1])
+	}
+	for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
+		allocs := map[int]float64{}
+		for _, screen := range []int{64, 1024} {
+			cfg := DefaultConfig()
+			cfg.InitSamples, cfg.ScreenSize, cfg.Acquisition = 24, screen, acq
+			bo, err := New(p.points, p.feats, p.ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := bo.Propose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys := make([][]float64, len(pts))
+			for j, pt := range pts {
+				ys[j] = p.eval(pt[0]*64 + pt[1])
+			}
+			bo.Observe(ys)
+			allocs[screen] = testing.AllocsPerRun(5, func() {
+				if _, err := bo.Propose(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[64] != allocs[1024] {
+			t.Errorf("%v: %v allocations per Propose screening 64 candidates, %v screening 1024", acq, allocs[64], allocs[1024])
+		}
+	}
+}
