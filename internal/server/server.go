@@ -353,6 +353,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		state:     api.JobQueued,
 		submitted: time.Now(),
 	}
+	// Logged before the send: a worker may log "running" as soon as it
+	// takes the job off the queue.
+	jb.events.add(obs.Event{Cat: "job", Name: "queued"})
 	select {
 	case s.queue <- jb:
 	default:
@@ -367,7 +370,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.cSubmitted.Inc()
-	jb.events.add(obs.Event{Cat: "job", Name: "queued"})
 	writeJSON(w, http.StatusAccepted, jb.snapshot())
 }
 

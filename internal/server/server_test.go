@@ -362,6 +362,44 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestQueuedLoggedBeforeDequeue pins the lifecycle order at its source: a
+// job taken straight off the queue has already logged "queued", so a
+// worker's "running" cannot come first. The only worker is parked in a
+// blocking job, which leaves the test as the queue's one reader.
+func TestQueuedLoggedBeforeDequeue(t *testing.T) {
+	started := make(chan string, 1)
+	svc, ts := newTestServer(t, Config{Queue: 1, JobWorkers: 1, TenantQuota: 100, Pipeline: blockingPipeline(started)})
+	if _, code := submit(t, ts, tinyRequest(), ""); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	<-started
+	for seed := int64(2); seed <= 9; seed++ {
+		taken := make(chan []string, 1)
+		go func() {
+			jb, ok := <-svc.queue
+			if !ok { // closed by the cleanup of a failed test
+				taken <- nil
+				return
+			}
+			jb.events.mu.Lock()
+			defer jb.events.mu.Unlock()
+			var names []string
+			for _, ev := range jb.events.events {
+				names = append(names, ev.Name)
+			}
+			taken <- names
+		}()
+		req := tinyRequest()
+		req.Seed = seed
+		if _, code := submit(t, ts, req, ""); code != http.StatusAccepted {
+			t.Fatalf("submit seed %d: status %d", seed, code)
+		}
+		if names := <-taken; len(names) != 1 || names[0] != "queued" {
+			t.Fatalf("seed %d: events when dequeued %v, want [queued]", seed, names)
+		}
+	}
+}
+
 // TestStatePersistence pins -state-dir: results computed by one server
 // instance are warm-loaded by the next, which answers without recomputing.
 func TestStatePersistence(t *testing.T) {
