@@ -131,7 +131,7 @@ func mustRL(t *testing.T, dims []int, cfg RLConfig) *RL {
 
 // TestProblemValidate: every constructor rejects an empty genome, a
 // zero-cardinality dimension and, where the optimizer uses one, an empty
-// reference point.
+// reference point; RL also rejects more objectives than its reward takes.
 func TestProblemValidate(t *testing.T) {
 	for _, dims := range [][]int{nil, {0}, {3, 0}} {
 		if _, err := NewGA(dims, DefaultGAConfig()); err == nil {
@@ -149,6 +149,9 @@ func TestProblemValidate(t *testing.T) {
 	}
 	if _, err := NewRL([]int{3}, nil, DefaultRLConfig()); err == nil {
 		t.Error("RL accepted an empty reference point")
+	}
+	if _, err := NewRL([]int{3}, make([]float64, 4), DefaultRLConfig()); err == nil {
+		t.Error("RL accepted four objectives, beyond its hypervolume reward")
 	}
 	if _, err := NewGA([]int{5, 5}, DefaultGAConfig()); err != nil {
 		t.Errorf("GA rejected a good problem: %v", err)

@@ -3,7 +3,6 @@ package moea
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"autopilot/internal/pareto"
 	"autopilot/internal/space"
@@ -28,8 +27,9 @@ func DefaultRLConfig() RLConfig {
 // alternative (§III-B, citing Sutton & Barto): a factored categorical policy
 // over the choice dimensions proposes a batch of genomes per call and is
 // updated with REINFORCE once the batch is observed, Updates times. A
-// genome's reward is the hypervolume its objectives add to the front
-// observed so far, so a revisit, a repeat and a genome told nil earn zero.
+// genome's reward is its objectives' hypervolume contribution to those
+// observed so far (pareto.Contribution), so a revisit, a repeat and a genome
+// told nil earn zero.
 type RL struct {
 	cfg  RLConfig
 	dims []int
@@ -41,8 +41,7 @@ type RL struct {
 	batch   []space.Point
 	updates int
 
-	objs [][]float64 // distinct objective vectors observed
-	hv   float64     // their hypervolume
+	objs [][]float64 // objective vectors observed
 }
 
 // NewRL builds the policy-gradient searcher over genomes with the given
@@ -51,6 +50,9 @@ type RL struct {
 func NewRL(dims []int, ref []float64, cfg RLConfig) (*RL, error) {
 	if err := checkProblem(dims, ref, true); err != nil {
 		return nil, err
+	}
+	if len(ref) > 3 {
+		return nil, fmt.Errorf("moea: RL rewards hypervolume in 1 to 3 objectives, not %d", len(ref))
 	}
 	if cfg.BatchSize < 2 || cfg.Updates < 1 {
 		return nil, fmt.Errorf("moea: bad RL budget %+v", cfg)
@@ -93,11 +95,9 @@ func (r *RL) Observe(ys [][]float64) {
 	rewards := make([]float64, len(ys))
 	mean := 0.0
 	for j, y := range ys {
-		if y != nil && !slices.ContainsFunc(r.objs, func(v []float64) bool { return slices.Equal(v, y) }) {
+		if y != nil {
+			rewards[j] = pareto.Contribution(r.objs, y, r.ref)
 			r.objs = append(r.objs, y)
-			hv := pareto.Hypervolume(r.objs, r.ref)
-			rewards[j] = hv - r.hv
-			r.hv = hv
 		}
 		mean += rewards[j]
 	}

@@ -1,9 +1,11 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"autopilot/internal/tensor"
 )
@@ -60,13 +62,58 @@ func inclusionExclusion(points [][]float64, ref []float64) float64 {
 	return total
 }
 
+// sliceVolume is the hypervolume of the points strictly inside ref by its
+// definition, the volume of the union of their boxes [p, ref], computed by
+// slicing: between consecutive values of the last coordinate, the union's
+// cross-section is the union of the boxes of the points at or below the
+// slice, one dimension down, and in one dimension the union is the segment
+// from the least point to ref. Points may be longer than ref; only ref's
+// coordinates count. It takes O(n^d) time.
+func sliceVolume(points [][]float64, ref []float64) float64 {
+	var in [][]float64
+	for _, p := range points {
+		if inside(p, ref) {
+			in = append(in, p)
+		}
+	}
+	d := len(ref)
+	if d == 1 {
+		lo := ref[0]
+		for _, p := range in {
+			lo = min(lo, p[0])
+		}
+		return ref[0] - lo
+	}
+	slices.SortFunc(in, func(a, b []float64) int { return cmp.Compare(a[d-1], b[d-1]) })
+	vol := 0.0
+	for i, p := range in {
+		top := ref[d-1]
+		if i+1 < len(in) {
+			top = in[i+1][d-1]
+		}
+		vol += (top - p[d-1]) * sliceVolume(in[:i+1], ref[:d-1])
+	}
+	return vol
+}
+
+// inside reports whether p is strictly inside ref in each of ref's
+// coordinates.
 func inside(p, ref []float64) bool {
-	for i := range p {
+	for i := range ref {
 		if p[i] >= ref[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// inclusive returns the volume of the box between p and ref.
+func inclusive(p, ref []float64) float64 {
+	v := 1.0
+	for i := range ref {
+		v *= ref[i] - p[i]
+	}
+	return v
 }
 
 // box is a reference point with the ideal corner of the region test points
@@ -114,6 +161,28 @@ func randomSet(g *tensor.RNG, b box, n int, coarse bool) [][]float64 {
 	return pts
 }
 
+// planarSet draws n points on the plane where a point's coordinates, as
+// fractions of the box, sum to k/(k+1), on a grid of k+1 steps: no point
+// dominates another, and with few steps points repeat and their limited
+// copies coincide.
+func planarSet(g *tensor.RNG, b box, n, k int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		p := make([]float64, len(b.ref))
+		left := k
+		for j := range p {
+			lvl := left
+			if j < len(p)-1 {
+				lvl = g.Intn(left + 1)
+			}
+			left -= lvl
+			p[j] = b.lo[j] + float64(lvl)/float64(k+1)*(b.ref[j]-b.lo[j])
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
 func unitBox(d int) box {
 	b := box{make([]float64, d), make([]float64, d)}
 	for i := range b.ref {
@@ -149,7 +218,7 @@ func TestNonDominatedMatchesDefinition(t *testing.T) {
 func TestHypervolumeMatchesInclusionExclusion(t *testing.T) {
 	g := tensor.NewRNG(8)
 	for trial := 0; trial < 400; trial++ {
-		d := 1 + trial%4
+		d := 1 + trial%3
 		b := unitBox(d)
 		if d == 3 {
 			b = refs3[trial%len(refs3)]
@@ -162,20 +231,79 @@ func TestHypervolumeMatchesInclusionExclusion(t *testing.T) {
 	}
 }
 
-// distinct drops repeated points. They add no volume, but WFG keeps them and
-// its recursion doubles with every copy of a point.
-func distinct(points [][]float64) [][]float64 {
-	var out [][]float64
-	for _, p := range points {
-		if !slices.ContainsFunc(out, func(q []float64) bool { return slices.Equal(p, q) }) {
-			out = append(out, p)
+// TestHypervolumeMatchesSlicing checks the sweep's hypervolume against the
+// sliced volume on fronts of up to 40 points in one to three objectives:
+// on a coarse grid (ties, duplicates, and points on and beyond the ref
+// faces), uniform, and planar, each with some points repeated.
+func TestHypervolumeMatchesSlicing(t *testing.T) {
+	g := tensor.NewRNG(10)
+	for trial := 0; trial < 600; trial++ {
+		d := 1 + trial%3
+		b := unitBox(d)
+		if d == 3 {
+			b = refs3[trial/3%len(refs3)]
+		}
+		n := g.Intn(41)
+		var pts [][]float64
+		switch trial / 3 % 4 {
+		case 0, 1:
+			pts = randomSet(g, b, n, trial/3%4 == 0)
+		default:
+			pts = planarSet(g, b, n, 2+g.Intn(8))
+		}
+		for k := 0; k < len(pts)/4; k++ {
+			pts[g.Intn(len(pts))] = slices.Clone(pts[g.Intn(len(pts))])
+		}
+		got, want := Hypervolume(pts, b.ref), sliceVolume(pts, b.ref)
+		if math.Abs(got-want) > 1e-9*b.volume() {
+			t.Fatalf("trial %d (d=%d, n=%d): Hypervolume = %v, sliced = %v\npoints %v", trial, d, n, got, want, pts)
 		}
 	}
-	return out
+}
+
+// TestHypervolumeRepeatsAndPlanesFast pins two inputs whose WFG recursion
+// doubled with every point, to the sliced volume within a deadline: 64
+// copies of one point, and a 22-point front on a plane in the legacy
+// (0, 30, 1) box. Limited to the plane's one point with a low last
+// objective, the other 21, which lie on a line, all coincide.
+func TestHypervolumeRepeatsAndPlanesFast(t *testing.T) {
+	copies := make([][]float64, 64)
+	for i := range copies {
+		copies[i] = []float64{0.25, 0.5, 0.75}
+	}
+	legacy := refs3[1]
+	at := func(lvl ...int) []float64 { // a point on a grid of 64 steps
+		p := make([]float64, 3)
+		for i := range p {
+			p[i] = legacy.lo[i] + float64(lvl[i])/64*(legacy.ref[i]-legacy.lo[i])
+		}
+		return p
+	}
+	planar := [][]float64{at(32, 32, 4)} // level sum 68, as on the line
+	for i := 0; i < 21; i++ {
+		planar = append(planar, at(i, 20-i, 48))
+	}
+	for _, c := range []struct {
+		name string
+		pts  [][]float64
+		b    box
+	}{{"64 copies", copies, unitBox(3)}, {"22-point plane", planar, legacy}} {
+		want := sliceVolume(c.pts, c.b.ref)
+		done := make(chan float64, 1)
+		go func() { done <- Hypervolume(c.pts, c.b.ref) }()
+		select {
+		case got := <-done:
+			if math.Abs(got-want) > 1e-9*c.b.volume() {
+				t.Errorf("%s: Hypervolume = %v, sliced = %v", c.name, got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: Hypervolume took over 2 s", c.name)
+		}
+	}
 }
 
 // checkContribution asserts a three-objective contribution agrees with the
-// hypervolume difference within 1e-9 of the box volume, is finite and
+// sliced hypervolume difference within 1e-9 of the box volume, is finite and
 // non-negative, and is exactly 0 for a p outside the box or weakly
 // dominated by a point of the set. It also asserts that a Front prepared
 // from the set in reverse order, so that tied points meet the sweep in
@@ -190,13 +318,12 @@ func checkContribution(t *testing.T, front [][]float64, p []float64, b box) {
 	if pg := prepared.Contribution(p); math.Float64bits(pg) != math.Float64bits(got) {
 		t.Fatalf("prepared Contribution = %v, one-shot = %v\nfront %v\np %v ref %v", pg, got, front, p, b.ref)
 	}
-	with := distinct(append(append([][]float64{}, front...), p))
-	want := Hypervolume(with, b.ref) - Hypervolume(distinct(front), b.ref)
+	want := sliceVolume(append(slices.Clip(front), p), b.ref) - sliceVolume(front, b.ref)
 	if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
 		t.Fatalf("Contribution = %v, want finite and >= 0\nfront %v\np %v ref %v", got, front, p, b.ref)
 	}
 	if math.Abs(got-want) > 1e-9*b.volume() {
-		t.Fatalf("Contribution = %v, hypervolume difference = %v\nfront %v\np %v ref %v", got, want, front, p, b.ref)
+		t.Fatalf("Contribution = %v, sliced volume difference = %v\nfront %v\np %v ref %v", got, want, front, p, b.ref)
 	}
 	zero := !inside(p, b.ref)
 	for _, f := range front {
@@ -276,10 +403,9 @@ func TestFrontMatchesContribution(t *testing.T) {
 }
 
 // FuzzContribution decodes its input into a box, a candidate p and a front
-// of up to 16 points on a coarse grid (level%18 of 16 steps: ties,
+// of up to 32 points on a coarse grid (level%18 of 16 steps: ties,
 // duplicates, and points on and beyond the ref faces) and checks the sweep
-// against the hypervolume difference. The front stays small because WFG's
-// recursion can double with each point whose limited copies coincide.
+// against the sliced volume difference.
 func FuzzContribution(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -287,7 +413,7 @@ func FuzzContribution(f *testing.F) {
 		}
 		b := refs3[int(data[0])%len(refs3)]
 		data = data[1:]
-		pts := make([][]float64, 0, 17)
+		pts := make([][]float64, 0, 33)
 		for len(data) >= 3 && len(pts) < cap(pts) {
 			q := make([]float64, 3)
 			for i := range q {

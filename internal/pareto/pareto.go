@@ -1,10 +1,10 @@
 // Package pareto provides multi-objective dominance utilities and exact
-// hypervolume computation: a sort-based non-dominated filter, the WFG
-// hypervolume algorithm, and hypervolume contributions — the quantity the
-// SMS-EGO acquisition function in the Bayesian optimizer maximizes — by a
-// slab sweep for three objectives. All objectives are minimized; callers
-// negate objectives they want to maximize (e.g. task success rate). Inputs
-// must be finite.
+// hypervolume computation in one to three objectives: a sort-based
+// non-dominated filter, and one slab sweep that computes both hypervolume
+// contributions — the quantity the SMS-EGO acquisition function in the
+// Bayesian optimizer maximizes — and hypervolumes. All objectives are
+// minimized; callers negate objectives they want to maximize (e.g. task
+// success rate). Inputs must be finite.
 package pareto
 
 import (
@@ -87,116 +87,74 @@ func Filter(points [][]float64) [][]float64 {
 }
 
 // Hypervolume returns the volume of objective space dominated by the point
-// set and bounded by the reference point. Points with any coordinate at or
-// beyond ref are ignored; fully dominated points contribute nothing extra.
+// set and bounded by the reference point, for one to three objectives; it
+// panics on any other count. Points with any coordinate at or beyond ref are
+// ignored; dominated and repeated points contribute nothing extra.
+//
+// It is the volume of the box between the set's ideal point and ref, less
+// the part of that box the set leaves undominated: the ideal point's
+// contribution, by the same sweep that answers Contribution.
 func Hypervolume(points [][]float64, ref []float64) float64 {
-	var clipped [][]float64
-	for _, p := range points {
-		if len(p) != len(ref) {
-			panic(fmt.Sprintf("pareto: point dim %d vs ref dim %d", len(p), len(ref)))
-		}
-		inside := true
-		for i := range p {
-			if p[i] >= ref[i] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			clipped = append(clipped, p)
+	var f Front
+	f.Prepare(points, ref)
+	ideal, box := f.ref, 1.0 // with no point inside ref, both terms are 0
+	for _, q := range f.sorted {
+		for i := range ideal {
+			ideal[i] = min(ideal[i], q[i])
 		}
 	}
-	front := Filter(clipped)
-	return wfg(front, ref)
-}
-
-// wfg implements the WFG exact hypervolume recursion.
-func wfg(front [][]float64, ref []float64) float64 {
-	total := 0.0
-	for i, p := range front {
-		total += exclusive(p, front[i+1:], ref)
+	for i := range ref {
+		box *= ref[i] - ideal[i]
 	}
-	return total
-}
-
-// exclusive returns the volume dominated by p and by none of rest.
-func exclusive(p []float64, rest [][]float64, ref []float64) float64 {
-	return inclusive(p, ref) - wfg(Filter(limitSet(rest, p)), ref)
-}
-
-// inclusive returns the box volume between p and ref.
-func inclusive(p []float64, ref []float64) float64 {
-	v := 1.0
-	for i := range p {
-		v *= ref[i] - p[i]
-	}
-	return v
-}
-
-// limitSet projects every point of s onto the region dominated by p.
-func limitSet(s [][]float64, p []float64) [][]float64 {
-	out := make([][]float64, len(s))
-	for i, q := range s {
-		m := make([]float64, len(q))
-		for j := range q {
-			if q[j] > p[j] {
-				m[j] = q[j]
-			} else {
-				m[j] = p[j]
-			}
-		}
-		out[i] = m
-	}
-	return out
+	return box - f.Contribution(ideal[:len(ref)])
 }
 
 // Contribution returns the increase in hypervolume from adding point p to
 // the set — the quantity SMS-EGO maximizes. Like Hypervolume it ignores
 // points with any coordinate at or beyond ref, so a p outside the reference
-// box contributes 0, as does a p that some point weakly dominates.
-//
-// For three objectives it prepares a Front and runs its slab sweep, which
-// allocates twice whatever the set's size; otherwise it subtracts the set's
-// hypervolume from the hypervolume with p added.
+// box contributes 0, as does a p that some point weakly dominates. It
+// prepares a Front and queries it once, which allocates twice whatever the
+// set's size.
 func Contribution(points [][]float64, p []float64, ref []float64) float64 {
-	if len(ref) == 3 {
-		var f Front
-		f.Prepare(points, ref)
-		return f.Contribution(p)
-	}
-	base := Hypervolume(points, ref)
-	with := Hypervolume(append(append([][]float64{}, points...), p), ref)
-	return with - base
+	var f Front
+	f.Prepare(points, ref)
+	return f.Contribution(p)
 }
 
 // Front is a point set prepared for many Contribution queries against one
-// reference point, as SMS-EGO makes one per screened candidate. For three
-// objectives Prepare copies the points that lie strictly inside the
-// reference box, sorts the copy once by the last objective and reserves the
-// sweep's scratch, so a query allocates nothing. For other dimensions a
-// query is the one-shot Contribution. Prepare reuses a Front's storage. A
-// Front is not safe for concurrent use.
+// reference point, as SMS-EGO makes one per screened candidate. Prepare
+// copies the points that lie strictly inside the reference box, sorts the
+// copy once by the last objective and reserves the sweep's scratch, so a
+// query allocates nothing. Prepare reuses a Front's storage. A Front is not
+// safe for concurrent use.
+//
+// The sweep works in three objectives. Prepare pads fewer with coordinate 0
+// against reference 1, which scales no volume, and a query is padded the
+// same way.
 type Front struct {
-	points [][]float64 // as prepared, for dimensions other than three
-	ref    []float64
-	sorted [][3]float64 // the points strictly inside ref, by last coordinate
+	dim    int          // the objective count of the last Prepare
+	ref    [3]float64   // its reference point, padded
+	sorted [][3]float64 // the points strictly inside ref, padded, by last coordinate
 	active [][2]float64 // sweep scratch: the staircase, by first coordinate
 }
 
-// Prepare readies f for queries against points and ref. f keeps both
-// slices, which must not change until the next Prepare.
+// Prepare readies f for queries against points and ref, which must have one
+// to three objectives; it panics on any other count. f keeps neither slice.
 func (f *Front) Prepare(points [][]float64, ref []float64) {
-	f.points, f.ref = points, ref
-	if len(ref) != 3 {
-		return
+	if len(ref) < 1 || len(ref) > 3 {
+		panic(fmt.Sprintf("pareto: %d objectives; hypervolume takes 1 to 3", len(ref)))
 	}
+	f.dim, f.ref = len(ref), [3]float64{1, 1, 1}
+	copy(f.ref[:], ref)
 	f.sorted = reserve(f.sorted, len(points))
 	for _, q := range points {
 		if len(q) != len(ref) {
 			panic(fmt.Sprintf("pareto: point dim %d vs ref dim %d", len(q), len(ref)))
 		}
-		if q[0] < ref[0] && q[1] < ref[1] && q[2] < ref[2] {
-			f.sorted = append(f.sorted, [3]float64{q[0], q[1], q[2]})
+		var s [3]float64
+		copy(s[:], q)
+		if s[0] < f.ref[0] && s[1] < f.ref[1] && s[2] < f.ref[2] {
+			f.sorted = append(f.sorted, s)
 		}
 	}
 	slices.SortFunc(f.sorted, func(a, b [3]float64) int { return cmp.Compare(a[2], b[2]) })
@@ -215,24 +173,26 @@ func reserve[T any](s []T, n int) []T {
 // Contribution returns Contribution(points, p, ref) for the points and ref
 // of the last Prepare, bit for bit.
 //
-// For three objectives it returns the volume of the box between p and ref
-// that no point of the set dominates. Each prepared point f is limited to
-// q = max(f, p), the part of its box inside p's, and the q are swept in
-// order of their last coordinate, which is the prepared order. Between
-// consecutive last-coordinate values the covered part of p's 2-D face is
-// the union of the active q's boxes, so each slab adds its height times the
-// face area left uncovered, read off the staircase of the active q sorted
-// by their first coordinate. Every term is non-negative. Points that tie in
-// a coordinate may meet the sweep in any order without changing a bit of
-// the result, which is why sorting once serves every query.
+// It returns the volume of the box between p and ref that no point of the
+// set dominates. Each prepared point f is limited to q = max(f, p), the
+// part of its box inside p's, and the q are swept in order of their last
+// coordinate, which is the prepared order. Between consecutive
+// last-coordinate values the covered part of p's 2-D face is the union of
+// the active q's boxes, so each slab adds its height times the face area
+// left uncovered, read off the staircase of the active q sorted by their
+// first coordinate. Every term is non-negative. Points that tie in a
+// coordinate may meet the sweep in any order without changing a bit of the
+// result, which is why sorting once serves every query.
 func (f *Front) Contribution(p []float64) float64 {
-	ref := f.ref
-	if len(ref) != 3 {
-		return Contribution(f.points, p, ref)
+	if len(p) != f.dim {
+		panic(fmt.Sprintf("pareto: point dim %d vs ref dim %d", len(p), f.dim))
 	}
-	if len(p) != len(ref) {
-		panic(fmt.Sprintf("pareto: point dim %d vs ref dim %d", len(p), len(ref)))
+	if len(p) < 3 {
+		var padded [3]float64
+		copy(padded[:], p)
+		p = padded[:]
 	}
+	ref := &f.ref
 	for i := range p {
 		if p[i] >= ref[i] {
 			return 0

@@ -3,6 +3,7 @@ package pareto
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +268,36 @@ func TestContributionAllocsConstant(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { prepared.Contribution(p) }); a != 0 {
 			t.Errorf("prepared front of %d: %v allocations per query, want 0", n, a)
 		}
+	}
+}
+
+// TestObjectiveCountPanics pins that the sweep refuses zero and four
+// objectives with a message naming the count, and that a prepared Front
+// refuses a query of another length.
+func TestObjectiveCountPanics(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: panic %v, want one containing %q", name, r, want)
+			}
+		}()
+		f()
+	}
+	for _, d := range []int{0, 4} {
+		ref, pts := make([]float64, d), [][]float64{make([]float64, d)}
+		want := fmt.Sprintf("%d objectives", d)
+		mustPanic("Hypervolume", want, func() { Hypervolume(pts, ref) })
+		mustPanic("Contribution", want, func() { Contribution(pts, pts[0], ref) })
+		var f Front
+		mustPanic("Prepare", want, func() { f.Prepare(pts, ref) })
+	}
+	var f Front
+	for _, d := range []int{2, 3} {
+		f.Prepare([][]float64{make([]float64, d)}, []float64{1, 1, 1}[:d])
+		q := make([]float64, 5-d)
+		want := fmt.Sprintf("point dim %d vs ref dim %d", len(q), d)
+		mustPanic("query of a prepared Front", want, func() { f.Contribution(q) })
 	}
 }
 
