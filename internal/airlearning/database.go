@@ -16,7 +16,8 @@ import (
 
 // Record is one validated policy entry in the Air Learning database
 // (paper §III-B): an identifier, the hyper-parameters used for training, and
-// the success rate measured during validation.
+// the success rate measured during validation. The identifier is always
+// Key(Hyper, Scenario): Put sets it, whatever a checkpoint says.
 type Record struct {
 	ID          string       `json:"id"`
 	Hyper       policy.Hyper `json:"hyper"`
@@ -43,11 +44,10 @@ func Key(h policy.Hyper, s Scenario) string {
 	return fmt.Sprintf("%s/%s", s, h)
 }
 
-// Put inserts or replaces a record, deriving its ID if empty.
+// Put inserts or replaces the record for (r.Hyper, r.Scenario), setting
+// its ID to their Key, so Get and Has find every record Put.
 func (d *Database) Put(r Record) {
-	if r.ID == "" {
-		r.ID = Key(r.Hyper, r.Scenario)
-	}
+	r.ID = Key(r.Hyper, r.Scenario)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.records[r.ID] = r

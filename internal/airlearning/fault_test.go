@@ -13,8 +13,8 @@ import (
 
 func checkpointDB() *Database {
 	db := NewDatabase()
-	db.Put(Record{ID: "a", Hyper: policy.Hyper{Layers: 2, Filters: 32}, Scenario: LowObstacle, SuccessRate: 0.5, Params: 100, TrainSteps: 10})
-	db.Put(Record{ID: "b", Hyper: policy.Hyper{Layers: 4, Filters: 48}, Scenario: DenseObstacle, SuccessRate: 0.75, Params: 200, TrainSteps: 20})
+	db.Put(Record{Hyper: policy.Hyper{Layers: 2, Filters: 32}, Scenario: LowObstacle, SuccessRate: 0.5, Params: 100, TrainSteps: 10})
+	db.Put(Record{Hyper: policy.Hyper{Layers: 4, Filters: 48}, Scenario: DenseObstacle, SuccessRate: 0.75, Params: 200, TrainSteps: 20})
 	return db
 }
 
