@@ -7,6 +7,17 @@
 // lower-confidence-bound estimate over the current Pareto front, with a
 // penalty for epsilon-dominated candidates.
 //
+// The optimizer keeps one posterior for the whole run. Each proposal
+// standardizes the objectives again, appends a factor row for every design
+// observed since the last proposal and solves the weights for the new
+// targets; it refits from scratch only for the first posterior and when an
+// append is refused, which the jitter schedule alone causes. The kernel
+// values between the observations and the screened candidates live in a
+// cache that computes each value once, when its candidate is screened, and
+// grows with the observations and the candidates screened, never with the
+// candidate pool. Every posterior and every kernel value is bitwise what a
+// refit from scratch computes.
+//
 // One screening loop serves both acquisitions. It predicts the screened
 // candidates in blocks of gp.BlockSize, one forward solve per block, and
 // scores them against a front sorted once per iteration, all over scratch
@@ -91,6 +102,8 @@ type BO struct {
 	ref    []float64
 	rng    *tensor.RNG
 	kernel gp.SE
+	mod    model       // the posterior, extended as observations arrive
+	cache  kernelCache // k(observation, screened candidate)
 
 	started bool
 	nInit   int
@@ -117,10 +130,12 @@ func New(points []space.Point, feats [][]float64, ref []float64, cfg Config) (*B
 	if cfg.InitSamples <= 0 || cfg.Iterations < 0 {
 		return nil, fmt.Errorf("bayesopt: bad budget %+v", cfg)
 	}
+	kernel := gp.SE{Variance: 1, LengthScale: cfg.LengthScale}
 	return &BO{
 		cfg: cfg, points: points, cands: feats, ref: ref,
 		rng:    tensor.NewRNG(cfg.Seed),
-		kernel: gp.SE{Variance: 1, LengthScale: cfg.LengthScale},
+		kernel: kernel,
+		cache:  newKernelCache(kernel, feats, cfg.ScreenSize, cfg.Iterations),
 		told:   map[int]bool{},
 	}, nil
 }
@@ -138,8 +153,7 @@ func (b *BO) Propose() ([]space.Point, error) {
 	if len(b.objs) == 0 {
 		return nil, fmt.Errorf("bayesopt: all %d initial samples failed to evaluate", b.nInit)
 	}
-	mod, err := fitModel(b.feats, b.objs, len(b.ref), b.kernel, b.cfg.Noise)
-	if err != nil {
+	if err := b.mod.update(b.feats, b.objs, len(b.ref), b.kernel, b.cfg.Noise+1e-9); err != nil {
 		return nil, err
 	}
 	front := pareto.Filter(b.objs)
@@ -161,8 +175,9 @@ func (b *BO) Propose() ([]space.Point, error) {
 		cands := pool[start:min(start+gp.BlockSize, len(pool))]
 		for c, ci := range cands {
 			blk.x[c] = b.cands[ci]
+			b.cache.column(b.feats, ci, blk.scratch, c)
 		}
-		mod.predict(blk, len(cands))
+		b.mod.predict(blk, len(cands))
 		for c, ci := range cands {
 			var score float64
 			if b.cfg.Acquisition == AcqScalarizedEI {
@@ -206,18 +221,23 @@ func (b *BO) Observe(ys [][]float64) {
 	b.pending = nil
 }
 
-// model is one iteration's posterior: a GP over the standardized
-// objectives, sharing one covariance factor, plus each objective's
-// (mean, std) used to de-standardize its predictions.
+// model is the posterior the acquisition scores with: one GP over the
+// standardized objectives, sharing one covariance factor and kept for the
+// whole run, plus each objective's (mean, std) of this iteration, used to
+// de-standardize its predictions.
 type model struct {
 	gp     *gp.GP
 	scales [][2]float64
 }
 
-// fitModel standardizes each of the m objectives and fits them all at once.
-func fitModel(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise float64) (*model, error) {
+// update standardizes each of the m objectives and brings the posterior up
+// to the observations: it appends the inputs observed since the last update
+// and solves the weights for the new targets. With no posterior yet, or when
+// Append refuses, it fits all the inputs with gp.FitMulti instead. Either
+// way the posterior is bitwise the one FitMulti fits.
+func (mod *model) update(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise float64) error {
 	ys := make([][]float64, m)
-	scales := make([][2]float64, m)
+	mod.scales = make([][2]float64, m)
 	for j := 0; j < m; j++ {
 		y := make([]float64, len(objs))
 		mean, sd := 0.0, 0.0
@@ -237,23 +257,97 @@ func fitModel(feats [][]float64, objs [][]float64, m int, kernel gp.SE, noise fl
 			y[i] = (y[i] - mean) / sd
 		}
 		ys[j] = y
-		scales[j] = [2]float64{mean, sd}
+		mod.scales[j] = [2]float64{mean, sd}
 	}
-	g, err := gp.FitMulti(feats, ys, kernel, noise+1e-9)
+	extended := mod.gp != nil
+	for extended && mod.gp.Len() < len(feats) {
+		extended = mod.gp.Append(feats[mod.gp.Len()])
+	}
+	if extended {
+		return mod.gp.SetTargets(ys)
+	}
+	g, err := gp.FitMulti(feats, ys, kernel, noise)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &model{gp: g, scales: scales}, nil
+	mod.gp = g
+	return nil
+}
+
+// kernelCache holds the kernel values k(feats[i], cands[c]) between the
+// observations and the candidates the run has screened, and computes each of
+// them once, when its candidate is screened. Row i belongs to observation i
+// and holds one value per slot; a candidate takes the next slot the first
+// time it is screened, and a slot is filled up to the latest observation
+// whenever its candidate is screened. So the values grow with the
+// observations and the candidates screened, never with the pool, which only
+// the slot index spans: the rows start with room for every candidate a run
+// can screen when none of its designs fail, and double when failed or
+// skipped designs add rounds.
+type kernelCache struct {
+	kernel gp.Kernel
+	cands  [][]float64
+	slot   []int32     // candidate c's slot plus one, 0 until c is screened
+	filled []int32     // the observations whose values each slot holds
+	used   int         // slots taken
+	rows   [][]float64 // rows[i][s] = k(feats[i], the candidate in slot s)
+}
+
+// newKernelCache makes a cache over the candidates cands whose rows have
+// room for screen candidates in each of iterations+1 rounds, or for every
+// candidate, whichever is fewer.
+func newKernelCache(kernel gp.Kernel, cands [][]float64, screen, iterations int) kernelCache {
+	width := len(cands)
+	if screen > 0 && iterations < width/screen {
+		width = screen * (iterations + 1)
+	}
+	return kernelCache{kernel: kernel, cands: cands, slot: make([]int32, len(cands)), filled: make([]int32, width)}
+}
+
+// column writes k(feats[i], cands[ci]) into ks[i][c] for every observation
+// i, computing only the values the cache does not hold yet.
+func (kc *kernelCache) column(feats [][]float64, ci int, ks [][gp.BlockSize]float64, c int) {
+	s := kc.slotOf(ci)
+	for len(kc.rows) < len(feats) {
+		kc.rows = append(kc.rows, make([]float64, len(kc.filled)))
+	}
+	x := kc.cands[ci]
+	for i := int(kc.filled[s]); i < len(feats); i++ {
+		kc.rows[i][s] = kc.kernel.Eval(feats[i], x)
+	}
+	kc.filled[s] = int32(len(feats))
+	for i, row := range kc.rows[:len(feats)] {
+		ks[i][c] = row[s]
+	}
+}
+
+// slotOf returns candidate ci's slot, giving it the next one on its first
+// screening and doubling every row when the slots run out.
+func (kc *kernelCache) slotOf(ci int) int {
+	if s := kc.slot[ci]; s > 0 {
+		return int(s) - 1
+	}
+	if kc.used == len(kc.filled) {
+		grow := min(len(kc.cands), max(2*kc.used, 1)) - kc.used
+		kc.filled = append(kc.filled, make([]int32, grow)...)
+		for i, row := range kc.rows {
+			kc.rows[i] = append(row, make([]float64, grow)...)
+		}
+	}
+	s := kc.used
+	kc.used++
+	kc.slot[ci] = int32(s + 1)
+	return s
 }
 
 // block is the scratch of one iteration's screen: a block of candidates,
-// their posterior predictions and the GP's work space. It is made once per
-// iteration, so scoring a candidate allocates nothing.
+// their kernel values, their posterior predictions and the GP's work space.
+// It is made once per iteration, so scoring a candidate allocates nothing.
 type block struct {
 	x        [gp.BlockSize][]float64 // the candidates' features
 	mu, sd   [gp.BlockSize][]float64 // per objective, de-standardized
 	variance [gp.BlockSize]float64
-	scratch  [][gp.BlockSize]float64
+	scratch  [][gp.BlockSize]float64 // k(observation i, candidate c), then the solve
 }
 
 // newBlock sizes a block for m objectives and n observations.
@@ -266,7 +360,8 @@ func newBlock(m, n int) *block {
 }
 
 // predict writes each objective's de-standardized posterior mean and
-// standard deviation at the block's first n candidates into b.mu and b.sd.
+// standard deviation at the block's first n candidates, whose kernel values
+// b.scratch holds, into b.mu and b.sd.
 func (m *model) predict(b *block, n int) {
 	m.gp.PredictBlock(b.x[:n], b.mu[:n], b.variance[:n], b.scratch)
 	for c := range n {

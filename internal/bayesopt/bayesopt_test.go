@@ -3,8 +3,10 @@ package bayesopt
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"autopilot/internal/gp"
 	"autopilot/internal/pareto"
 	"autopilot/internal/space"
 	"autopilot/internal/tensor"
@@ -332,6 +334,245 @@ func TestStdNormalHelpers(t *testing.T) {
 	}
 	if math.Abs(stdNormalPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-12 {
 		t.Fatalf("phi(0) = %g", stdNormalPDF(0))
+	}
+}
+
+// threeObjective is zdt1Grid(n) with a third objective that conflicts with
+// the first two.
+func threeObjective(n int) problem {
+	p := zdt1Grid(n)
+	p.ref = []float64{2, 3, 3}
+	two := p.eval
+	p.eval = func(i int) []float64 {
+		f := two(i)
+		return append(f, (1-f[0])*(1-f[0])+f[1]*f[1])
+	}
+	return p
+}
+
+// posterior reads a GP's factor rows, each cut to its lower triangle, and
+// its weights, which gp keeps unexported, so that two posteriors can be
+// compared bit for bit.
+func posterior(g *gp.GP) (rows, weights [][]float64) {
+	read := func(name string, triangle bool) [][]float64 {
+		f := reflect.ValueOf(g).Elem().FieldByName(name)
+		out := make([][]float64, f.Len())
+		for i := range out {
+			r := f.Index(i)
+			n := r.Len()
+			if triangle {
+				n = i + 1
+			}
+			out[i] = make([]float64, n)
+			for j := range out[i] {
+				out[i][j] = r.Index(j).Float()
+			}
+		}
+		return out
+	}
+	return read("l", true), read("alpha", false)
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// lockstep drives two optimizers with one configuration over p, as drive
+// does, to a budget of designs that returned objectives. The reference drops
+// its posterior and its kernel cache before every proposal, so it refits
+// from scratch and computes every kernel value anew, as the optimizer did
+// before it kept them. Every proposal, and every posterior's factor rows and
+// weights, must match bit for bit. check, if not nil, sees the cached
+// optimizer after each of its proposals. lockstep returns the posteriors the
+// cached optimizer scored with, in order, one per model-guided proposal.
+func lockstep(t *testing.T, p problem, cfg Config, budget int, check func(*BO)) []*gp.GP {
+	t.Helper()
+	cached, err := New(p.points, p.feats, p.ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(p.points, p.feats, p.ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := map[string]int{}
+	for i, pt := range p.points {
+		index[fmt.Sprint(pt)] = i
+	}
+	var models []*gp.GP
+	for scored := 0; scored < budget; {
+		ref.mod, ref.cache = model{}, newKernelCache(ref.kernel, ref.cands, cfg.ScreenSize, cfg.Iterations)
+		got, err := cached.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: cached optimizer proposed %v, refitting one %v", len(models), got, want)
+		}
+		if check != nil {
+			check(cached)
+		}
+		if len(got) == 0 {
+			break
+		}
+		if cached.mod.gp != nil {
+			gotRows, gotWeights := posterior(cached.mod.gp)
+			wantRows, wantWeights := posterior(ref.mod.gp)
+			if !sameBits(gotRows, wantRows) || !sameBits(gotWeights, wantWeights) {
+				t.Fatalf("round %d: the posterior's factor or weights differ from a refit's", len(models))
+			}
+			models = append(models, cached.mod.gp)
+		}
+		ys := make([][]float64, len(got))
+		for j, pt := range got {
+			if ys[j] = p.eval(index[fmt.Sprint(pt)]); ys[j] != nil {
+				scored++
+			}
+		}
+		cached.Observe(ys)
+		ref.Observe(ys)
+	}
+	return models
+}
+
+// TestCachedPosteriorMatchesRefit pins the kept posterior and the kernel
+// cache over a whole default-budget run on a three-objective problem, for
+// both acquisitions: every proposal, factor row and weight is bitwise a
+// refit's, and the run fits its posterior once and extends it after that.
+func TestCachedPosteriorMatchesRefit(t *testing.T) {
+	p := threeObjective(64) // 4096 candidates
+	for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
+		t.Run(acq.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Acquisition = acq
+			models := lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, nil)
+			if len(models) != cfg.Iterations {
+				t.Fatalf("%d model-guided proposals, want %d", len(models), cfg.Iterations)
+			}
+			for i, m := range models {
+				if m != models[0] {
+					t.Fatalf("proposal %d refitted the posterior; Append should have extended it", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCachedPosteriorFallsBackToJitter runs at a length scale so long, and
+// an observation noise so far below float64 resolution, that the kernel
+// matrix turns numerically singular partway through the run: the posterior
+// must be extended at first, then refitted with the jitter schedule once
+// Append refuses, and stay bitwise a refit's throughout. It fails if no
+// refit happened after the first posterior, or if that one was refitted
+// before it was ever extended.
+func TestCachedPosteriorFallsBackToJitter(t *testing.T) {
+	p := threeObjective(16)
+	cfg := DefaultConfig()
+	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 40, 64
+	cfg.LengthScale, cfg.Noise = 3, 1e-20-1e-9
+	models := lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, nil)
+	extended, refits := 0, 0
+	for i := 1; i < len(models); i++ {
+		if models[i] != models[i-1] {
+			refits++
+		} else if refits == 0 {
+			extended++
+		}
+	}
+	t.Logf("%d proposals: the first posterior was extended %d times, then %d refits", len(models), extended, refits)
+	if extended == 0 || refits == 0 {
+		t.Fatalf("the first posterior was extended %d times and the run refitted %d times; want both > 0", extended, refits)
+	}
+}
+
+// countingKernel counts its evaluations.
+type countingKernel struct {
+	gp.Kernel
+	n *int
+}
+
+func (k countingKernel) Eval(a, b []float64) float64 {
+	*k.n++
+	return k.Kernel.Eval(a, b)
+}
+
+// TestKernelCacheGrowsWithScreening runs on a pool far larger than the
+// cache's first width, ScreenSize × (Iterations+1), with half the
+// candidates failing, so that the run takes more model-guided rounds than
+// Iterations and screens more candidates than the rows first have room for.
+// The slots must grow, the run must match a refit's bit for bit, and the
+// cache must compute each value it holds once, only for screened
+// candidates and observations, with rows no wider than twice the candidates
+// screened.
+func TestKernelCacheGrowsWithScreening(t *testing.T) {
+	p := threeObjective(40) // 1600 candidates
+	inner := p.eval
+	p.eval = func(i int) []float64 {
+		if i%2 == 0 {
+			return nil
+		}
+		return inner(i)
+	}
+	cfg := DefaultConfig()
+	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 32
+	width := cfg.ScreenSize * (cfg.Iterations + 1)
+	evals, rounds, grown := 0, 0, 0
+	lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, func(b *BO) {
+		kc := &b.cache
+		if rounds == 0 {
+			if len(kc.filled) != width {
+				t.Fatalf("rows start %d wide, want ScreenSize × (Iterations+1) = %d", len(kc.filled), width)
+			}
+			kc.kernel = countingKernel{kc.kernel, &evals}
+		}
+		rounds++
+		held := 0
+		for _, f := range kc.filled[:kc.used] {
+			held += int(f)
+		}
+		if held != evals {
+			t.Fatalf("round %d: the cache holds %d values but computed %d", rounds, held, evals)
+		}
+		if screened := cfg.ScreenSize * (rounds - 1); kc.used > screened {
+			t.Fatalf("round %d: %d slots taken after screening at most %d candidates", rounds, kc.used, screened)
+		}
+		if held > kc.used*len(b.feats) || len(kc.rows) > len(b.feats) {
+			t.Fatalf("round %d: %d values in %d rows for %d screened candidates and %d observations", rounds, held, len(kc.rows), kc.used, len(b.feats))
+		}
+		for i, row := range kc.rows {
+			if len(row) != len(kc.filled) {
+				t.Fatalf("round %d: row %d holds %d slots, the cache %d", rounds, i, len(row), len(kc.filled))
+			}
+		}
+		if len(kc.filled) > max(width, 2*kc.used) {
+			t.Fatalf("round %d: rows are %d wide for %d slots taken", rounds, len(kc.filled), kc.used)
+		}
+		grown = len(kc.filled)
+	})
+	if rounds-1 <= cfg.Iterations {
+		t.Fatalf("%d model-guided rounds; failures should have added rounds past %d", rounds-1, cfg.Iterations)
+	}
+	t.Logf("%d model-guided rounds; rows grew from %d to %d slots", rounds-1, width, grown)
+	if grown <= width {
+		t.Fatalf("rows are %d wide; the slots never grew past %d", grown, width)
 	}
 }
 

@@ -2,9 +2,15 @@
 // exponential kernel — the statistical model the paper's Bayesian optimizer
 // builds of its objectives (§III-B: "the widely-used squared exponential (SE)
 // kernel is used due to its simplicity"). Objectives observed at the same
-// inputs share one covariance factor and one forward solve per prediction,
-// and PredictBlock makes up to BlockSize predictions with one pass of the
-// forward solve over the factor.
+// inputs share one covariance factor and one forward solve per prediction.
+//
+// A posterior grows with its observations: Append adds one input's row to
+// the factor, bitwise the row FitMulti would compute, and SetTargets solves
+// the weights again for new targets, so a caller that observes one input at
+// a time never refits. PredictBlock makes up to BlockSize predictions with
+// one pass of the forward solve over the factor, from kernel values its
+// caller supplies, so a caller can compute each k(input, query) once and
+// keep it.
 package gp
 
 import (
@@ -41,11 +47,12 @@ func (k SE) Eval(a, b []float64) float64 {
 // observed at the same inputs. The objectives share the kernel and the noise,
 // so they share one covariance factor and differ only in their weights α.
 type GP struct {
-	kernel Kernel
-	noise  float64
-	x      [][]float64
-	l      [][]float64 // Cholesky factor of K + noise·I
-	alpha  [][]float64 // (K + noise·I)⁻¹ yⱼ, one per objective
+	kernel   Kernel
+	noise    float64
+	x        [][]float64
+	l        [][]float64 // Cholesky factor of K + noise·I; row i holds at least i+1 entries
+	alpha    [][]float64 // (K + noise·I)⁻¹ yⱼ, one per objective
+	jittered bool        // the factor needed the jitter schedule
 }
 
 // jitterSchedule holds the escalating diagonal jitter magnitudes tried when
@@ -73,20 +80,11 @@ func FitMulti(x [][]float64, ys [][]float64, kernel Kernel, noise float64) (*GP,
 	if n == 0 {
 		return nil, fmt.Errorf("gp: no training points")
 	}
-	for _, y := range ys {
-		if len(y) != n {
-			return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
-		}
-	}
 	if noise <= 0 {
 		return nil, fmt.Errorf("gp: noise variance must be positive, got %g", noise)
 	}
-	for _, y := range ys {
-		for i, yi := range y {
-			if math.IsNaN(yi) || math.IsInf(yi, 0) {
-				return nil, fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
-			}
-		}
+	if err := checkTargets(n, ys); err != nil {
+		return nil, err
 	}
 	k := make([][]float64, n)
 	meanDiag := 0.0
@@ -102,6 +100,7 @@ func FitMulti(x [][]float64, ys [][]float64, kernel Kernel, noise float64) (*GP,
 	}
 	meanDiag /= float64(n)
 	l, err := Cholesky(k)
+	jittered := err != nil
 	for _, jitter := range jitterSchedule {
 		if err == nil {
 			break
@@ -115,15 +114,90 @@ func FitMulti(x [][]float64, ys [][]float64, kernel Kernel, noise float64) (*GP,
 	if err != nil {
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
-	alpha := make([][]float64, len(ys))
-	for j, y := range ys {
-		alpha[j] = SolveCholesky(l, y)
-	}
 	xs := make([][]float64, n)
 	for i, xi := range x {
 		xs[i] = append([]float64(nil), xi...)
 	}
-	return &GP{kernel: kernel, noise: noise, x: xs, l: l, alpha: alpha}, nil
+	g := &GP{kernel: kernel, noise: noise, x: xs, l: l, jittered: jittered}
+	g.solve(ys)
+	return g, nil
+}
+
+// checkTargets reports the first target vector that does not hold n finite
+// values.
+func checkTargets(n int, ys [][]float64) error {
+	for _, y := range ys {
+		if len(y) != n {
+			return fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
+		}
+		for i, yi := range y {
+			if math.IsNaN(yi) || math.IsInf(yi, 0) {
+				return fmt.Errorf("gp: target %d is non-finite (%g)", i, yi)
+			}
+		}
+	}
+	return nil
+}
+
+// solve sets the weights α to one solve per target vector.
+func (g *GP) solve(ys [][]float64) {
+	g.alpha = make([][]float64, len(ys))
+	for j, y := range ys {
+		g.alpha[j] = SolveCholesky(g.l, y)
+	}
+}
+
+// Len returns the number of training inputs.
+func (g *GP) Len() int { return len(g.x) }
+
+// Append adds input x to the posterior by adding row n of the Cholesky
+// factor. It runs Cholesky's loop in Cholesky's order over the kernel values
+// FitMulti fills K with, Eval(x, xⱼ) and Eval(x, x) + noise, and row n
+// depends only on rows 0..n of K, so the extended factor is bitwise the one
+// FitMulti factors for all n+1 inputs. Append refuses, returning false and
+// leaving g unchanged, when g's factor needed the jitter schedule or the new
+// pivot is not positive; the caller then refits with FitMulti, which jitters
+// exactly as it always has. A jittered set stays on that path, because its
+// leading block fails at the same pivot. Append drops the weights, so
+// SetTargets must solve them for n+1 targets before the next prediction.
+func (g *GP) Append(x []float64) bool {
+	if g.jittered {
+		return false
+	}
+	n := len(g.x)
+	row := make([]float64, n+1)
+	for j, xj := range g.x {
+		sum := g.kernel.Eval(x, xj)
+		lj := g.l[j]
+		for p := 0; p < j; p++ {
+			sum -= row[p] * lj[p]
+		}
+		row[j] = sum / lj[j]
+	}
+	sum := g.kernel.Eval(x, x) + g.noise
+	for p := 0; p < n; p++ {
+		sum -= row[p] * row[p]
+	}
+	if sum <= 0 {
+		return false
+	}
+	row[n] = math.Sqrt(sum)
+	g.x = append(g.x, append([]float64(nil), x...))
+	g.l = append(g.l, row)
+	g.alpha = nil
+	return true
+}
+
+// SetTargets solves each objective's weights again for targets ys, one
+// vector per objective with one value per input, bitwise as FitMulti solves
+// them. It returns FitMulti's error, leaving g unchanged, when a vector's
+// length is not the number of inputs or a target is not finite.
+func (g *GP) SetTargets(ys [][]float64) error {
+	if err := checkTargets(len(g.x), ys); err != nil {
+		return err
+	}
+	g.solve(ys)
+	return nil
 }
 
 // Predict returns the posterior mean of the first objective and the
@@ -170,29 +244,33 @@ func (g *GP) PredictMulti(q []float64, means []float64) (variance float64) {
 // over the Cholesky factor.
 const BlockSize = 4
 
-// PredictBlock predicts 1 to BlockSize queries together. It writes objective
-// j's posterior mean at qs[c] into means[c][j], for every j below
-// len(means[c]), which must be the same for every c, and the shared
-// posterior variance into variances[c]. Each value is bitwise the one
-// PredictMulti(qs[c], means[c]) gives: every query keeps its own
-// accumulators, summed in PredictMulti's order. What the block buys is one
-// forward solve that walks L once for all the queries, so their dependency
-// chains overlap instead of running one after another. scratch must hold a
-// row per training point; it is overwritten, and PredictBlock allocates
-// nothing.
+// PredictBlock predicts 1 to BlockSize queries together from kernel values
+// its caller supplies: scratch[i][c] must hold k(xᵢ, qs[c]), evaluated as
+// Eval(xᵢ, qs[c]), for every training input xᵢ. It writes objective j's
+// posterior mean at qs[c] into means[c][j], for every j below len(means[c]),
+// which must be the same for every c, and the shared posterior variance into
+// variances[c]. Each value is bitwise the one PredictMulti(qs[c], means[c])
+// gives: every query keeps its own accumulators, summed in PredictMulti's
+// order. What the block buys is one forward solve that walks L once for all
+// the queries, so their dependency chains overlap instead of running one
+// after another. PredictBlock evaluates the kernel only for k(q, q); it
+// overwrites scratch and allocates nothing.
 func (g *GP) PredictBlock(qs, means [][]float64, variances []float64, scratch [][BlockSize]float64) {
 	if len(qs) == 0 || len(qs) > BlockSize {
 		panic(fmt.Sprintf("gp: block of %d queries, want 1 to %d", len(qs), BlockSize))
 	}
+	ks := scratch[:len(g.x)] // ks[i][c] = k(xᵢ, q[c]), then L⁻¹ of it
 	// A partial block repeats its last query and drops the repeats' results.
+	last := len(qs) - 1
 	var q [BlockSize][]float64
 	for c := range q {
-		q[c] = qs[min(c, len(qs)-1)]
+		q[c] = qs[min(c, last)]
 	}
-	ks := scratch[:len(g.x)] // ks[i][c] = k(xᵢ, q[c]), then L⁻¹ of it
-	for i, xi := range g.x {
-		for c := range q {
-			ks[i][c] = g.kernel.Eval(xi, q[c])
+	if last < BlockSize-1 {
+		for i := range ks {
+			for c := last + 1; c < BlockSize; c++ {
+				ks[i][c] = ks[i][last]
+			}
 		}
 	}
 	for j := range means[0] {

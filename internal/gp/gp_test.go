@@ -307,9 +307,10 @@ func TestFitMultiErrors(t *testing.T) {
 // PredictMulti gives, for blocks filled with 1 to BlockSize queries and a
 // trailing partial block, at training sizes from 1 to the default budget's
 // 96, on a fit that only the jitter schedule rescues, and on one whose
-// variance at a training input rounds below zero and is clamped. The
-// scratch starts as NaN and is shared by every call, so a stale entry would
-// show.
+// variance at a training input rounds below zero and is clamped. The test
+// fills each block's kernel values, as a caller does, only for the block's
+// queries; the scratch starts as NaN and is shared by every call, so a
+// stale entry would show.
 func TestPredictBlockMatchesPredictMulti(t *testing.T) {
 	g := tensor.NewRNG(11)
 	k := SE{Variance: 1, LengthScale: 0.35}
@@ -378,6 +379,11 @@ func TestPredictBlockMatchesPredictMulti(t *testing.T) {
 						means[q] = make([]float64, len(ys))
 					}
 					variances := make([]float64, len(qs))
+					for i, xi := range c.x {
+						for q, x := range qs {
+							scratch[i][q] = k.Eval(xi, x)
+						}
+					}
 					model.PredictBlock(qs, means, variances, scratch)
 					want := make([]float64, len(ys))
 					for q, x := range qs {
@@ -400,5 +406,156 @@ func TestPredictBlockMatchesPredictMulti(t *testing.T) {
 				t.Fatal("no variance reached the clamp at zero; the clamp path is not exercised")
 			}
 		})
+	}
+}
+
+// randomTargets returns m vectors of n standard-normal targets.
+func randomTargets(g *tensor.RNG, m, n int) [][]float64 {
+	ys := make([][]float64, m)
+	for j := range ys {
+		ys[j] = make([]float64, n)
+		for i := range ys[j] {
+			ys[j][i] = g.NormFloat64()
+		}
+	}
+	return ys
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendMatchesFitMulti pins the growing factor: a posterior fitted to
+// one input and extended by Append, one input at a time up to the default
+// budget's 96, has after every step the factor rows FitMulti computes for
+// the same inputs, bit for bit, and SetTargets then solves the weights
+// FitMulti solves, bit for bit. New targets are drawn at every step, as the
+// optimizer standardizes its objectives again.
+func TestAppendMatchesFitMulti(t *testing.T) {
+	g := tensor.NewRNG(17)
+	k := SE{Variance: 1, LengthScale: 0.35}
+	const noise = 1e-6 + 1e-9
+	x := make([][]float64, 96)
+	for i := range x {
+		x[i] = []float64{g.Float64(), g.Float64(), g.Float64()}
+	}
+	grown, err := FitMulti(x[:1], randomTargets(g, 3, 1), k, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= len(x); n++ {
+		if n > 1 && !grown.Append(x[n-1]) {
+			t.Fatalf("n=%d: Append refused a well-conditioned input", n)
+		}
+		ys := randomTargets(g, 3, n)
+		if err := grown.SetTargets(ys); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want, err := FitMulti(x[:n], ys, k, noise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.jittered {
+			t.Fatalf("n=%d: the reference fit needed jitter; the append path is not exercised", n)
+		}
+		if grown.Len() != n {
+			t.Fatalf("n=%d: Len() = %d", n, grown.Len())
+		}
+		for i := range want.l {
+			if !sameBits(grown.l[i][:i+1], want.l[i][:i+1]) {
+				t.Fatalf("n=%d: factor row %d is %v, FitMulti's %v", n, i, grown.l[i][:i+1], want.l[i][:i+1])
+			}
+			if !sameBits(grown.x[i], want.x[i]) {
+				t.Fatalf("n=%d: input %d is %v, FitMulti's %v", n, i, grown.x[i], want.x[i])
+			}
+		}
+		for j := range want.alpha {
+			if !sameBits(grown.alpha[j], want.alpha[j]) {
+				t.Fatalf("n=%d: objective %d's weights differ from FitMulti's", n, j)
+			}
+		}
+	}
+}
+
+// TestAppendRefuses pins the two cases in which Append leaves the posterior
+// unchanged for a refit: a fit that needed the jitter schedule, and an
+// input whose pivot is not positive (a duplicate input at a noise far below
+// float64 resolution). Each case fails rather than skips if it does not
+// reach its path, and FitMulti then fits the extended inputs with jitter.
+func TestAppendRefuses(t *testing.T) {
+	k := SE{Variance: 1, LengthScale: 1}
+	const noise = 1e-18
+	dup := []float64{1, 0, 0}
+	cases := []struct {
+		name     string
+		x        [][]float64
+		jittered bool
+	}{
+		{"jittered fit", [][]float64{dup, dup, dup, dup, dup}, true},
+		{"failing pivot", [][]float64{{0, 0, 0}, dup}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ys := randomTargets(tensor.NewRNG(3), 2, len(c.x))
+			g, err := FitMulti(c.x, ys, k, noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.jittered != c.jittered {
+				t.Fatalf("fit jittered = %v, want %v; the refusal path is not exercised", g.jittered, c.jittered)
+			}
+			rows := make([][]float64, len(g.l))
+			for i, r := range g.l {
+				rows[i] = append([]float64(nil), r...)
+			}
+			alpha := g.alpha
+			if g.Append(dup) {
+				t.Fatal("Append accepted the input")
+			}
+			if g.Len() != len(c.x) || len(g.l) != len(rows) || &g.alpha[0][0] != &alpha[0][0] {
+				t.Fatal("a refused Append changed the posterior's size or weights")
+			}
+			for i := range rows {
+				if !sameBits(g.l[i], rows[i]) {
+					t.Fatalf("a refused Append changed factor row %d", i)
+				}
+			}
+			grown := append(append([][]float64{}, c.x...), dup)
+			refit, err := FitMulti(grown, randomTargets(tensor.NewRNG(4), 2, len(grown)), k, noise)
+			if err != nil {
+				t.Fatalf("refit after the refusal: %v", err)
+			}
+			if !refit.jittered {
+				t.Fatal("the refit factored without jitter, so Append need not have refused")
+			}
+		})
+	}
+}
+
+// TestSetTargetsErrors checks that SetTargets keeps FitMulti's checks on
+// the targets and leaves the weights as they were when one fails.
+func TestSetTargetsErrors(t *testing.T) {
+	k := SE{Variance: 1, LengthScale: 1}
+	g, err := FitMulti([][]float64{{0}, {1}}, [][]float64{{0, 1}}, k, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := g.alpha
+	for _, ys := range [][][]float64{{{0, 1}, {0}}, {{0, 1}, {0, math.Inf(1)}}, {{math.NaN(), 0}}} {
+		if err := g.SetTargets(ys); err == nil {
+			t.Fatalf("SetTargets(%v) accepted bad targets", ys)
+		}
+		if len(g.alpha) != 1 || &g.alpha[0] != &alpha[0] {
+			t.Fatalf("a failed SetTargets(%v) changed the weights", ys)
+		}
 	}
 }
