@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -117,8 +118,8 @@ func (d *Database) Save(path string) error { return d.Snapshot(path) }
 const checkpointMagic = "#autopilot-db v2 crc32="
 
 // CorruptError reports a checkpoint that failed integrity validation —
-// truncated JSON, a checksum mismatch from a bit flip, or unparseable
-// records. Quarantined holds the path the damaged file was renamed to (empty
+// truncated JSON, a checksum mismatch from a bit flip, unparseable records,
+// or a record no trained policy can have. Quarantined holds the path the damaged file was renamed to (empty
 // if the rename itself failed).
 type CorruptError struct {
 	Path        string
@@ -147,8 +148,8 @@ func encodeCheckpoint(recs []Record) ([]byte, error) {
 }
 
 // decodeCheckpoint parses either format: v2 (header + payload, checksum
-// verified) or legacy plain JSON. The returned error describes the first
-// integrity violation found.
+// verified) or legacy plain JSON, and validates every record. The returned
+// error describes the first integrity violation found.
 func decodeCheckpoint(data []byte) ([]Record, error) {
 	if bytes.HasPrefix(data, []byte(checkpointMagic)) {
 		nl := bytes.IndexByte(data, '\n')
@@ -169,7 +170,31 @@ func decodeCheckpoint(data []byte) ([]Record, error) {
 	if err := json.Unmarshal(data, &recs); err != nil {
 		return nil, fmt.Errorf("parse records: %w", err)
 	}
+	for i, r := range recs {
+		if err := r.validate(); err != nil {
+			return nil, fmt.Errorf("record %d (%s): %w", i, Key(r.Hyper, r.Scenario), err)
+		}
+	}
 	return recs, nil
+}
+
+// validate reports why r cannot be a trained policy's record: its
+// hyper-parameters lie outside the model space, its scenario is not one of
+// Scenarios, or its success rate is not a fraction in [0, 1]. A checkpoint
+// is written only from such records, so a record that fails was edited by
+// hand or damaged, and loading it would let Best hand Phase 3 a policy that
+// was never trained.
+func (r Record) validate() error {
+	if err := r.Hyper.Validate(); err != nil {
+		return err
+	}
+	if !slices.Contains(Scenarios, r.Scenario) {
+		return fmt.Errorf("unknown scenario %d", int(r.Scenario))
+	}
+	if !(r.SuccessRate >= 0 && r.SuccessRate <= 1) {
+		return fmt.Errorf("success rate %g outside [0, 1]", r.SuccessRate)
+	}
+	return nil
 }
 
 // Snapshot atomically writes the database as a checksummed v2 checkpoint:
@@ -207,7 +232,7 @@ func (d *Database) Snapshot(path string) error {
 // Load reads a database previously written by Save/Snapshot, accepting both
 // the checksummed v2 format and legacy plain-JSON checkpoints. A checkpoint
 // that fails integrity validation (truncation, bit flip, unparseable
-// records) is quarantined — renamed to path+".corrupt" so the damage is
+// records, or a record that fails validate) is quarantined — renamed to path+".corrupt" so the damage is
 // preserved for inspection but never re-read — and Load returns a
 // *CorruptError; callers resume from an empty database.
 func Load(path string) (*Database, error) {

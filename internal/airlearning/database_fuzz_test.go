@@ -3,6 +3,7 @@ package airlearning
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,8 +14,9 @@ import (
 // must return a database or a *CorruptError, never panic; a corrupt file
 // must be quarantined with its bytes intact; every loaded record must be
 // reachable by Get, the lookup a resumed Phase-1 sweep skips trained
-// records by; and a loaded database must survive Snapshot and Load
-// unchanged.
+// records by, and must be one a trained policy can have — hyper-parameters
+// in the model space, one of the three scenarios, a success rate in
+// [0, 1]; and a loaded database must survive Snapshot and Load unchanged.
 func FuzzDatabaseLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "db.json")
@@ -42,6 +44,15 @@ func FuzzDatabaseLoad(f *testing.F) {
 		for _, r := range recs {
 			if got, ok := db.Get(r.Hyper, r.Scenario); !ok || got != r {
 				t.Fatalf("record %q unreachable: Get(%v, %v) = %+v, %v", r.ID, r.Hyper, r.Scenario, got, ok)
+			}
+			if err := r.Hyper.Validate(); err != nil {
+				t.Fatalf("record %q loaded with invalid hyper-parameters: %v", r.ID, err)
+			}
+			if r.Scenario != LowObstacle && r.Scenario != MediumObstacle && r.Scenario != DenseObstacle {
+				t.Fatalf("record %q loaded with scenario %d", r.ID, int(r.Scenario))
+			}
+			if math.IsNaN(r.SuccessRate) || r.SuccessRate < 0 || r.SuccessRate > 1 {
+				t.Fatalf("record %q loaded with success rate %g", r.ID, r.SuccessRate)
 			}
 		}
 		if err := db.Snapshot(path); err != nil {

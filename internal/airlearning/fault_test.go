@@ -123,6 +123,61 @@ func TestCheckpointCorruptionQuarantined(t *testing.T) {
 	}
 }
 
+// TestCheckpointInvalidRecordQuarantined loads checkpoints that parse but
+// hold a record no trained policy can have. Each must fail as a
+// *CorruptError naming the record and be quarantined, in the legacy format
+// and, with a valid checksum, in v2. The first file is a legacy checkpoint
+// whose L-3F7 record at 5.0, if loaded, is what Best(DenseObstacle) returns
+// over the valid L4F48 at 0.8.
+func TestCheckpointInvalidRecordQuarantined(t *testing.T) {
+	valid := Record{Hyper: policy.Hyper{Layers: 4, Filters: 48}, Scenario: DenseObstacle, SuccessRate: 0.8}
+	cases := []struct {
+		name, record string
+		bad          Record
+	}{
+		{"hyper and success rate", "record 0 (dense-obstacle/L-3F7)", Record{Hyper: policy.Hyper{Layers: -3, Filters: 7}, Scenario: DenseObstacle, SuccessRate: 5}},
+		{"filters", "record 0 (dense-obstacle/L4F40)", Record{Hyper: policy.Hyper{Layers: 4, Filters: 40}, Scenario: DenseObstacle, SuccessRate: 0.5}},
+		{"scenario", "record 0 (Scenario(99)/L4F48)", Record{Hyper: valid.Hyper, Scenario: 99, SuccessRate: 0.5}},
+		{"negative success rate", "record 0 (low-obstacle/L2F32)", Record{Hyper: policy.Hyper{Layers: 2, Filters: 32}, Scenario: LowObstacle, SuccessRate: -0.25}},
+	}
+	for _, c := range cases {
+		for _, legacy := range []bool{true, false} {
+			name := c.name + "/v2"
+			if legacy {
+				name = c.name + "/legacy"
+			}
+			t.Run(name, func(t *testing.T) {
+				data, err := encodeCheckpoint([]Record{c.bad, valid})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if legacy {
+					data = data[strings.IndexByte(string(data), '\n')+1:]
+				}
+				path := filepath.Join(t.TempDir(), "db.json")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				db, err := Load(path)
+				var ce *CorruptError
+				if !errors.As(err, &ce) {
+					best, _ := db.Best(DenseObstacle)
+					t.Fatalf("Load = %v, want *CorruptError; Best(DenseObstacle) is %+v", err, best)
+				}
+				if !strings.Contains(err.Error(), c.record) {
+					t.Fatalf("error %q does not name %s", err, c.record)
+				}
+				if ce.Quarantined != path+".corrupt" {
+					t.Fatalf("Quarantined = %q, want %q", ce.Quarantined, path+".corrupt")
+				}
+				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("invalid checkpoint still at its path (stat err %v)", err)
+				}
+			})
+		}
+	}
+}
+
 // TestTryResetUnsolvableLayout drives layout generation into a configuration
 // with (effectively) no solvable episodes: giant random obstacles that bury
 // the arena every draw. TryReset must stop after its bounded budget with a
