@@ -16,16 +16,23 @@ import (
 // DQN run for the three trainable trunk widths (4, 6 and 8 channels). The
 // Phase-1 golden database pins only success rates, and a rate of 0 pins
 // nothing; this digest moves if any forward, backward or optimizer step
-// changes a single rounding.
+// changes a single rounding. The last case shrinks the replay ring to 64
+// slots and syncs the target every 50 steps, so within 40 episodes the ring
+// wraps and the target syncs several times: a bootstrap value kept past
+// either event would move its digest.
 func TestDQNTrainingDigestGolden(t *testing.T) {
+	churn := DefaultDQNConfig()
+	churn.BufferSize, churn.TargetSync = 64, 50
 	cases := []struct {
 		h      policy.Hyper
+		cfg    DQNConfig
 		steps  int
 		digest string
 	}{
-		{policy.Hyper{Layers: 2, Filters: 32}, 399, "f07acaa877219fc2"},
-		{policy.Hyper{Layers: 3, Filters: 48}, 386, "e0cbe247fd96352a"},
-		{policy.Hyper{Layers: 3, Filters: 64}, 392, "14ddeffa8f411cd9"},
+		{policy.Hyper{Layers: 2, Filters: 32}, DefaultDQNConfig(), 399, "f07acaa877219fc2"},
+		{policy.Hyper{Layers: 3, Filters: 48}, DefaultDQNConfig(), 386, "e0cbe247fd96352a"},
+		{policy.Hyper{Layers: 3, Filters: 64}, DefaultDQNConfig(), 392, "14ddeffa8f411cd9"},
+		{policy.Hyper{Layers: 2, Filters: 32}, churn, 382, "625a654cddbc256d"},
 	}
 	for _, c := range cases {
 		g := tensor.NewRNG(7)
@@ -37,7 +44,7 @@ func TestDQNTrainingDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent := NewDQN(online, target, DefaultDQNConfig(), 7)
+		agent := NewDQN(online, target, c.cfg, 7)
 		stats := agent.Train(airlearning.NewEnv(airlearning.DenseObstacle, 7), 40)
 
 		sum := sha256.New()
@@ -50,8 +57,8 @@ func TestDQNTrainingDigestGolden(t *testing.T) {
 		}
 		got := hex.EncodeToString(sum.Sum(nil)[:8])
 		if stats.Steps != c.steps || got != c.digest {
-			t.Errorf("%s: %d steps, digest %s; want %d steps, digest %s",
-				c.h, stats.Steps, got, c.steps, c.digest)
+			t.Errorf("%s (buffer %d, sync %d): %d steps, digest %s; want %d steps, digest %s",
+				c.h, c.cfg.BufferSize, c.cfg.TargetSync, stats.Steps, got, c.steps, c.digest)
 		}
 	}
 }
