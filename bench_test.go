@@ -434,7 +434,7 @@ func BenchmarkTrainRolloutEpisode(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainCollector measures the batched evaluation collector's
+// BenchmarkTrainCollector measures the evaluation collector's
 // throughput at several worker counts; the determinism tests guarantee the
 // per-episode results are identical, so only runtime should move.
 func BenchmarkTrainCollector(b *testing.B) {

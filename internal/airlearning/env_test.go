@@ -1,6 +1,8 @@
 package airlearning
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -202,6 +204,35 @@ func TestRunEpisodeResultConsistency(t *testing.T) {
 	}
 	if res.Outcome == Running {
 		t.Fatal("RunEpisode returned while still running")
+	}
+}
+
+// TestRunEpisodeContextStopsWhenCancelled: a context cancelled during an
+// episode stops it before the next step, with the steps taken so far, while
+// an uncancelled one reproduces RunEpisode.
+func TestRunEpisodeContextStopsWhenCancelled(t *testing.T) {
+	env := NewEnv(MediumObstacle, 17)
+	want := RunEpisode(env, ExpertPolicy{Env: env})
+	if want.Steps <= 3 {
+		t.Fatalf("reference episode took %d steps; the test needs more than 3", want.Steps)
+	}
+	env = NewEnv(MediumObstacle, 17)
+	if got, err := RunEpisodeContext(context.Background(), env, ExpertPolicy{Env: env}); err != nil || got != want {
+		t.Fatalf("uncancelled RunEpisodeContext = %+v, %v; RunEpisode = %+v", got, err, want)
+	}
+	env = NewEnv(MediumObstacle, 17)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	acts := 0
+	stopAfter3 := PolicyFunc(func(o Observation) int {
+		if acts++; acts == 3 {
+			cancel()
+		}
+		return ExpertPolicy{Env: env}.Act(o)
+	})
+	res, err := RunEpisodeContext(ctx, env, stopAfter3)
+	if !errors.Is(err, context.Canceled) || res.Steps != 3 || res.Outcome != Running {
+		t.Fatalf("cancelled at step 3: %+v, %v; want 3 steps, Running, context.Canceled", res, err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package airlearning
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // Policy selects a discrete action from an observation.
 type Policy interface {
@@ -13,16 +16,6 @@ type PolicyFunc func(Observation) int
 // Act calls f.
 func (f PolicyFunc) Act(obs Observation) int { return f(obs) }
 
-// BatchPolicy is implemented by policies that can act on many observations
-// at once — one batched network forward instead of len(obs) single ones.
-// Implementations must be pure (safe for concurrent use from parallel
-// rollout workers) and must return exactly the action Act would pick for
-// each observation alone, so batched and sequential rollouts are bitwise
-// identical.
-type BatchPolicy interface {
-	ActBatch(obs []Observation) []int
-}
-
 // EpisodeResult summarizes one rollout.
 type EpisodeResult struct {
 	Outcome Outcome
@@ -32,15 +25,25 @@ type EpisodeResult struct {
 
 // RunEpisode rolls the policy out in the environment until termination.
 func RunEpisode(env *Env, p Policy) EpisodeResult {
+	res, _ := RunEpisodeContext(context.Background(), env, p)
+	return res
+}
+
+// RunEpisodeContext is RunEpisode checking ctx before every step: once ctx
+// is done it stops and returns ctx.Err() with the steps taken so far.
+func RunEpisodeContext(ctx context.Context, env *Env, p Policy) (EpisodeResult, error) {
 	obs := env.Reset()
 	var res EpisodeResult
 	for {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
 		next, reward, done := env.Step(p.Act(obs))
 		res.Return += reward
 		res.Steps++
 		if done {
 			res.Outcome = env.OutcomeNow()
-			return res
+			return res, nil
 		}
 		obs = next
 	}

@@ -52,6 +52,9 @@ func (r *ReLU) Params() []*tensor.Tensor { return nil }
 // Grads returns no tensors: ReLU has no parameters.
 func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 
+// Replica returns a ReLU with its own buffers.
+func (r *ReLU) Replica() Layer { return NewReLU() }
+
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	out, dx *tensor.Tensor // output and input-gradient buffers
@@ -86,6 +89,9 @@ func (t *Tanh) Params() []*tensor.Tensor { return nil }
 // Grads returns no tensors: Tanh has no parameters.
 func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 
+// Replica returns a Tanh with its own buffers.
+func (t *Tanh) Replica() Layer { return NewTanh() }
+
 // Flatten reshapes any input to rank 1, remembering the original shape so the
 // gradient can be restored on the way back. Both directions return views of
 // the tensor passed in, not copies.
@@ -113,6 +119,9 @@ func (f *Flatten) Params() []*tensor.Tensor { return nil }
 
 // Grads returns no tensors: Flatten has no parameters.
 func (f *Flatten) Grads() []*tensor.Tensor { return nil }
+
+// Replica returns a Flatten with its own views.
+func (f *Flatten) Replica() Layer { return NewFlatten() }
 
 // Softmax returns the softmax of a vector, computed stably.
 func Softmax(x *tensor.Tensor) *tensor.Tensor {

@@ -86,7 +86,7 @@ func TestConv2DBackwardMatchesTransposeOracle(t *testing.T) {
 			grad := maskedGrad(g, d.OutC, d.OutH(), d.OutW())
 
 			cols := tensor.New(d.InC*d.K*d.K, hw)
-			tensor.Im2colInto(cols, 0, x, d)
+			tensor.Im2colInto(cols, x, d)
 			g2 := grad.Reshape(d.OutC, hw)
 			wantDW := layer.gw.Clone()
 			wantDW.AddInPlace(refMatMul(g2, refTranspose(cols)))
@@ -125,8 +125,8 @@ func TestDenseBlockedRowsMatchOneRowLoop(t *testing.T) {
 		if got := d.Forward(x); !sameBits(got, want) {
 			t.Fatalf("out=%d: Forward = %v, want %v", out, got.Data(), want.Data())
 		}
-		if got := d.ForwardBatch([]*tensor.Tensor{x})[0]; !sameBits(got, want) {
-			t.Fatalf("out=%d: ForwardBatch = %v, want %v", out, got.Data(), want.Data())
+		if got := d.Replica().Forward(x); !sameBits(got, want) {
+			t.Fatalf("out=%d: replica Forward = %v, want %v", out, got.Data(), want.Data())
 		}
 	}
 }

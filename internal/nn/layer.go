@@ -6,9 +6,9 @@
 // Training runs one sample at a time through Forward and Backward. Each
 // layer owns its output, input-gradient and scratch buffers, sizes them on
 // first use and reuses them on every later call, so a steady-state training
-// step allocates nothing. Inference over many samples goes through
-// ForwardBatch, which is pure: it writes no layer state and returns fresh
-// tensors, so one frozen network can serve concurrent rollout workers.
+// step allocates nothing. Because Forward writes those buffers, a network
+// serves one goroutine at a time; concurrent rollout workers each evaluate
+// a frozen network through their own Replica, which shares its parameters.
 package nn
 
 import (
@@ -28,11 +28,17 @@ import (
 // A caller that keeps a result across calls must Clone it. Forward may keep
 // a reference to its input for Backward, so the input must not change
 // between the two calls.
+//
+// Replica returns a layer that shares this one's parameters and owns fresh
+// buffers, so a frozen layer can run Forward on several goroutines, one
+// replica each, with the arithmetic of the original. A replica has no
+// gradients and is for Forward only.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*tensor.Tensor
 	Grads() []*tensor.Tensor
+	Replica() Layer
 }
 
 // Dense is a fully connected layer: y = W·x + b.
@@ -65,17 +71,13 @@ func (d *Dense) OutDim() int { return d.W.Dim(0) }
 
 // Forward computes W·x + b for a flattened input.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	d.checkInput(x)
+	if in := d.W.Dim(1); x.Len() != in {
+		panic(fmt.Sprintf("nn: Dense input len %d, want %d", x.Len(), in))
+	}
 	d.x = x
 	d.y = reuse(d.y, d.W.Dim(0))
 	d.affine(d.y.Data(), x.Data())
 	return d.y
-}
-
-func (d *Dense) checkInput(x *tensor.Tensor) {
-	if in := d.W.Dim(1); x.Len() != in {
-		panic(fmt.Sprintf("nn: Dense input len %d, want %d", x.Len(), in))
-	}
 }
 
 // affine sets y = W·x + b, four output rows per pass over x. Each row keeps
@@ -144,6 +146,9 @@ func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 // Grads returns the accumulated gradients, parallel to Params.
 func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.gw, d.gb} }
 
+// Replica returns a Dense layer over the same W and B with its own buffers.
+func (d *Dense) Replica() Layer { return &Dense{W: d.W, B: d.B} }
+
 // Conv2D is a 2-D convolution over a CHW input, implemented via im2col.
 type Conv2D struct {
 	Dims   tensor.ConvDims
@@ -192,16 +197,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		c.y = tensor.New(d.OutC, hw)
 		c.out = c.y.Reshape(d.OutC, d.OutH(), d.OutW())
 	}
-	tensor.Im2colInto(c.cols, 0, x, d)
+	tensor.Im2colInto(c.cols, x, d)
 	tensor.MatMulInto(c.y, c.W, c.cols)
-	c.addBias(c.y)
+	c.addBias()
 	return c.out
 }
 
-// addBias adds each filter's bias to its row of y, a (OutC, n) matrix.
-func (c *Conv2D) addBias(y *tensor.Tensor) {
-	yd := y.Data()
-	n := y.Dim(1)
+// addBias adds each filter's bias to its row of the output.
+func (c *Conv2D) addBias() {
+	yd := c.y.Data()
+	n := c.y.Dim(1)
 	for oc, b := range c.B.Data() {
 		if b == 0 {
 			continue
@@ -254,6 +259,9 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 
 // Grads returns the accumulated gradients, parallel to Params.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gw, c.gb} }
+
+// Replica returns a Conv2D layer over the same W and B with its own buffers.
+func (c *Conv2D) Replica() Layer { return &Conv2D{Dims: c.Dims, W: c.W, B: c.B} }
 
 func sqrtf(x float64) float64 { return math.Sqrt(x) }
 

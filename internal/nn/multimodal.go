@@ -37,6 +37,14 @@ func (m *MultiModal) Forward(img, state *tensor.Tensor) *tensor.Tensor {
 	return m.Head.Forward(m.joint)
 }
 
+// Replica returns a network that shares m's parameters and owns its forward
+// buffers, so a frozen network can be evaluated on several goroutines at
+// once, one replica each. Its Forward is m's Forward, bit for bit. A replica
+// has no gradients: it is for Forward only.
+func (m *MultiModal) Replica() *MultiModal {
+	return NewMultiModal(m.Vision.Replica(), m.State.Replica(), m.Head.Replica())
+}
+
 // Backward propagates the output gradient through the head and splits it
 // across the two branches. Forward must have been called first.
 func (m *MultiModal) Backward(grad *tensor.Tensor) {

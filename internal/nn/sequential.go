@@ -29,6 +29,16 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// Replica returns a network of the layers' replicas: the same parameters,
+// fresh buffers, Forward only.
+func (s *Sequential) Replica() *Sequential {
+	layers := make([]Layer, len(s.Layers))
+	for i, l := range s.Layers {
+		layers[i] = l.Replica()
+	}
+	return NewSequential(layers...)
+}
+
 // Params returns all trainable tensors in layer order.
 func (s *Sequential) Params() []*tensor.Tensor {
 	var ps []*tensor.Tensor

@@ -6,9 +6,9 @@
 // bayesopt, core) threads through:
 //
 //   - a metrics Registry of named atomic counters, gauges, and fixed-bucket
-//     histograms (rollout episodes, batched network forwards, hw-backend
-//     estimate latency, cache hits/misses/dedups, retries, panics,
-//     injections, worker busy/idle time);
+//     histograms (rollout episodes and env steps, hw-backend estimate
+//     latency, cache hits/misses/dedups, retries, panics, injections,
+//     worker busy/idle time);
 //   - lightweight span tracing: a Tracer records monotonic begin/end spans
 //     with parent/child nesting and exports them as a Chrome
 //     `trace_event`-format JSON file (chrome://tracing, Perfetto);

@@ -50,11 +50,14 @@ type DQN struct {
 	buffer *ReplayBuffer
 	rng    *tensor.RNG
 	steps  int
+	epoch  int            // target syncs so far, counting the one in NewDQN
 	grad   *tensor.Tensor // dLoss/dQ of one transition, reused across updates
 }
 
 // NewDQN wraps an online/target network pair. The target is immediately
-// synchronized to the online network.
+// synchronized to the online network. From then on the DQN alone changes
+// the target's parameters, at its syncs: the replay buffer caches target
+// values until the next one.
 func NewDQN(online, target *nn.MultiModal, cfg DQNConfig, seed int64) *DQN {
 	target.CopyParamsFrom(online)
 	return &DQN{
@@ -64,6 +67,7 @@ func NewDQN(online, target *nn.MultiModal, cfg DQNConfig, seed int64) *DQN {
 		opt:    nn.NewAdam(cfg.LR),
 		buffer: NewReplayBuffer(cfg.BufferSize),
 		rng:    tensor.NewRNG(seed),
+		epoch:  1,
 	}
 }
 
@@ -92,8 +96,7 @@ func (d *DQN) Greedy(obs airlearning.Observation) int {
 // Name identifies the algorithm for the training engine's progress reports.
 func (d *DQN) Name() string { return AlgDQN.String() }
 
-// Policy returns the frozen greedy deployment policy, safe for concurrent
-// batched evaluation rollouts.
+// Policy returns the greedy deployment policy over the online network.
 func (d *DQN) Policy() airlearning.Policy {
 	return GreedyPolicy{Net: d.Online}
 }
@@ -108,23 +111,24 @@ func (d *DQN) Observe(t Transition) {
 	}
 	if d.steps%d.cfg.TargetSync == 0 {
 		d.Target.CopyParamsFrom(d.Online)
+		d.epoch++
 	}
 }
 
 // EndEpisode is a no-op: DQN updates on its per-step schedule.
 func (d *DQN) EndEpisode(airlearning.EpisodeResult) {}
 
-// update performs one minibatch Q-learning step. The networks' Forward and
-// Backward reuse their layer buffers, so the per-transition work allocates
-// nothing.
+// update performs one minibatch Q-learning step over BatchSize slots drawn
+// uniformly with replacement. The networks' Forward and Backward reuse
+// their layer buffers, so the per-transition work allocates nothing.
 func (d *DQN) update() {
-	batch := d.buffer.Sample(d.rng, d.cfg.BatchSize)
 	d.Online.ZeroGrads()
-	for _, t := range batch {
+	for i := 0; i < d.cfg.BatchSize; i++ {
+		s := d.buffer.draw(d.rng)
+		t := &s.t
 		target := t.Reward
 		if !t.Done {
-			best, _ := d.Target.Forward(t.Next.Image, t.Next.State).Max()
-			target += d.cfg.Gamma * best
+			target += d.cfg.Gamma * d.bootstrap(s)
 		}
 		q := d.Online.Forward(t.Obs.Image, t.Obs.State)
 		// gradient only on the taken action, Huber-style
@@ -133,11 +137,22 @@ func (d *DQN) update() {
 		}
 		d.grad.Zero()
 		diff := q.Data()[t.Action] - target
-		d.grad.Data()[t.Action] = clamp(diff, -1, 1) / float64(len(batch))
+		d.grad.Data()[t.Action] = clamp(diff, -1, 1) / float64(d.cfg.BatchSize)
 		d.Online.Backward(d.grad)
 	}
 	nn.ClipGrads(d.Online.Grads(), d.cfg.MaxGradNorm)
 	d.opt.Step(d.Online.Params(), d.Online.Grads())
+}
+
+// bootstrap returns max_a Q_target(s′) for the slot's transition. The target
+// is frozen between syncs, so a value computed since the last sync is
+// reused, and only a slot without one runs the target network.
+func (d *DQN) bootstrap(s *slot) float64 {
+	if s.epoch != d.epoch {
+		s.next, _ = d.Target.Forward(s.t.Next.Image, s.t.Next.State).Max()
+		s.epoch = d.epoch
+	}
+	return s.next
 }
 
 // TrainStats summarizes a training run.

@@ -3,36 +3,23 @@ package rl
 import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/nn"
-	"autopilot/internal/tensor"
 )
 
 // GreedyPolicy is the frozen-network deployment policy: the argmax action
-// under the network's values/logits, evaluated through the cache-free
-// batched forward. One instance is safe for concurrent rollout workers, and
-// it implements airlearning.BatchPolicy so the training engine's collector
-// prices a whole lockstep batch of action selections in a single pass.
+// under the network's values/logits. Act runs the network's Forward, which
+// writes the layers' buffers, so one instance serves one goroutine; Replica
+// gives each further goroutine an instance of its own.
 type GreedyPolicy struct {
 	Net *nn.MultiModal
 }
 
 // Act returns the argmax action for one observation.
 func (g GreedyPolicy) Act(obs airlearning.Observation) int {
-	return g.Net.ForwardBatch(
-		[]*tensor.Tensor{obs.Image}, []*tensor.Tensor{obs.State})[0].ArgMax()
+	return g.Net.Forward(obs.Image, obs.State).ArgMax()
 }
 
-// ActBatch returns the argmax action for every observation via one batched
-// forward.
-func (g GreedyPolicy) ActBatch(obs []airlearning.Observation) []int {
-	imgs := make([]*tensor.Tensor, len(obs))
-	states := make([]*tensor.Tensor, len(obs))
-	for i, o := range obs {
-		imgs[i], states[i] = o.Image, o.State
-	}
-	outs := g.Net.ForwardBatch(imgs, states)
-	acts := make([]int, len(outs))
-	for i, q := range outs {
-		acts[i] = q.ArgMax()
-	}
-	return acts
+// Replica returns the same policy over a replica of the network: the same
+// parameters and actions, and forward buffers of its own.
+func (g GreedyPolicy) Replica() airlearning.Policy {
+	return GreedyPolicy{Net: g.Net.Replica()}
 }

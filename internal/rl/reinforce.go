@@ -112,8 +112,7 @@ func (r *Reinforce) SamplingPolicy() airlearning.Policy {
 	return airlearning.PolicyFunc(func(obs airlearning.Observation) int { return r.sampleAction(obs) })
 }
 
-// Policy returns the frozen greedy (argmax) deployment policy, safe for
-// concurrent batched evaluation rollouts.
+// Policy returns the greedy (argmax) deployment policy over the model.
 func (r *Reinforce) Policy() airlearning.Policy {
 	return GreedyPolicy{Net: r.Model}
 }

@@ -15,11 +15,23 @@ import (
 // environment-level airlearning.Transition the training engine streams.
 type Transition = airlearning.Transition
 
-// ReplayBuffer is a fixed-capacity ring buffer of transitions.
+// ReplayBuffer is a fixed-capacity ring buffer of transitions. Each slot
+// also keeps its transition's bootstrap value, max_a Q_target(s′), for the
+// target-network epoch that computed it.
 type ReplayBuffer struct {
-	data []Transition
-	idx  int
-	n    int
+	slots []slot
+	idx   int
+	n     int
+}
+
+// slot is one stored transition and its cached bootstrap value.
+type slot struct {
+	t Transition
+	// next is max_a Q_target(t.Next), valid while epoch equals the DQN's
+	// target epoch. Epochs start at 1, so the zero slot Add writes holds
+	// no value.
+	next  float64
+	epoch int
 }
 
 // NewReplayBuffer returns a buffer holding at most capacity transitions.
@@ -27,14 +39,15 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity <= 0 {
 		panic("rl: replay buffer capacity must be positive")
 	}
-	return &ReplayBuffer{data: make([]Transition, capacity)}
+	return &ReplayBuffer{slots: make([]slot, capacity)}
 }
 
-// Add appends a transition, evicting the oldest once full.
+// Add appends a transition, evicting the oldest once full. The overwritten
+// slot's cached bootstrap value goes with it.
 func (b *ReplayBuffer) Add(t Transition) {
-	b.data[b.idx] = t
-	b.idx = (b.idx + 1) % len(b.data)
-	if b.n < len(b.data) {
+	b.slots[b.idx] = slot{t: t}
+	b.idx = (b.idx + 1) % len(b.slots)
+	if b.n < len(b.slots) {
 		b.n++
 	}
 }
@@ -42,14 +55,11 @@ func (b *ReplayBuffer) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return b.n }
 
-// Sample draws n transitions uniformly with replacement.
-func (b *ReplayBuffer) Sample(g *tensor.RNG, n int) []Transition {
+// draw returns a stored slot drawn uniformly, or nil when the buffer is
+// empty.
+func (b *ReplayBuffer) draw(g *tensor.RNG) *slot {
 	if b.n == 0 {
 		return nil
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.data[g.Intn(b.n)]
-	}
-	return out
+	return &b.slots[g.Intn(b.n)]
 }

@@ -25,20 +25,55 @@ func TestReplayBufferBasics(t *testing.T) {
 	// after wrap, actions 2,3,4 remain
 	g := tensor.NewRNG(1)
 	seen := map[int]bool{}
-	for _, tr := range b.Sample(g, 100) {
-		seen[tr.Action] = true
+	for i := 0; i < 100; i++ {
+		seen[b.draw(g).t.Action] = true
 	}
 	for a := range seen {
 		if a < 2 {
 			t.Fatalf("evicted transition %d still sampled", a)
 		}
 	}
+	if len(seen) != 3 {
+		t.Fatalf("100 draws saw actions %v, want all of 2, 3 and 4", seen)
+	}
 }
 
 func TestReplayBufferEmptySample(t *testing.T) {
 	b := NewReplayBuffer(2)
-	if got := b.Sample(tensor.NewRNG(1), 4); got != nil {
-		t.Fatalf("Sample on empty = %v, want nil", got)
+	if got := b.draw(tensor.NewRNG(1)); got != nil {
+		t.Fatalf("draw on empty = %+v, want nil", got)
+	}
+}
+
+// TestDQNCachedTargetsMatchTarget checks the bootstrap cache against the
+// target network it stands in for: after training through several ring
+// wraps and target syncs, every slot holding a value for the current epoch
+// holds what the target network computes for its next state now.
+func TestDQNCachedTargetsMatchTarget(t *testing.T) {
+	g := tensor.NewRNG(25)
+	h := policy.Hyper{Layers: 2, Filters: 32}
+	online, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
+	target, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
+	cfg := DefaultDQNConfig()
+	cfg.BufferSize, cfg.TargetSync, cfg.LearnStart = 48, 30, 20
+	d := NewDQN(online, target, cfg, 25)
+	d.Train(airlearning.NewEnv(airlearning.LowObstacle, 25), 40)
+	if d.steps < 2*cfg.BufferSize || d.epoch < 3 {
+		t.Fatalf("%d steps and %d target epochs: the ring never wrapped twice or the target never synced twice", d.steps, d.epoch)
+	}
+	cached := 0
+	for i := range d.buffer.slots[:d.buffer.Len()] {
+		s := &d.buffer.slots[i]
+		if s.epoch != d.epoch {
+			continue
+		}
+		cached++
+		if want, _ := d.Target.Forward(s.t.Next.Image, s.t.Next.State).Max(); s.next != want {
+			t.Fatalf("slot %d caches %v, target network gives %v", i, s.next, want)
+		}
+	}
+	if cached == 0 {
+		t.Fatal("no slot caches a value for the current target epoch")
 	}
 }
 

@@ -35,27 +35,24 @@ func (d ConvDims) MACs() int64 {
 	return int64(d.OutC) * int64(d.OutH()) * int64(d.OutW()) * int64(d.InC) * int64(d.K) * int64(d.K)
 }
 
-// Im2colInto unrolls input (InC×InH×InW, flattened row-major) into columns
-// [col, col+OutH*OutW) of dst, a matrix with InC*K*K rows, so convolution
-// becomes the matrix product weights(OutC × InC*K*K) · cols. Every entry of
-// that column block is written, padding positions with 0, so dst may hold
-// stale values; the other columns are left untouched. A batch of inputs
-// unrolled side by side multiplies against the weights in one product.
-func Im2colInto(dst *Tensor, col int, in *Tensor, d ConvDims) {
+// Im2colInto unrolls input (InC×InH×InW, flattened row-major) into dst, an
+// (InC*K*K) × (OutH*OutW) matrix, so convolution becomes the matrix product
+// weights(OutC × InC*K*K) · cols. Every entry of dst is written, padding
+// positions with 0, so dst may hold stale values.
+func Im2colInto(dst, in *Tensor, d ConvDims) {
 	if in.Len() != d.InC*d.InH*d.InW {
 		panic(fmt.Sprintf("tensor: Im2col input len %d, want %d", in.Len(), d.InC*d.InH*d.InW))
 	}
 	oh, ow := d.OutH(), d.OutW()
 	rows := d.InC * d.K * d.K
-	if dst.Rank() != 2 || dst.shape[0] != rows || col < 0 || col+oh*ow > dst.shape[1] {
-		panic(fmt.Sprintf("tensor: Im2col dst %v cannot hold %d rows at columns [%d, %d)", dst.shape, rows, col, col+oh*ow))
+	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != oh*ow {
+		panic(fmt.Sprintf("tensor: Im2col dst %v, want [%d %d]", dst.shape, rows, oh*ow))
 	}
-	ld := dst.shape[1]
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
 				row := (c*d.K+ky)*d.K + kx
-				block := dst.data[row*ld+col:][:oh*ow]
+				block := dst.data[row*oh*ow:][:oh*ow]
 				lo, hi := d.inside(kx, d.InW, ow)
 				for oy := 0; oy < oh; oy++ {
 					out := block[oy*ow:][:ow]

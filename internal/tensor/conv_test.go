@@ -82,7 +82,7 @@ func TestIm2colMatchesDirectConv(t *testing.T) {
 		w := g.Randn(1, d.OutC, d.InC, d.K, d.K)
 		cols := New(d.InC*d.K*d.K, d.OutH()*d.OutW())
 		cols.Fill(1e6) // stale contents must all be overwritten
-		Im2colInto(cols, 0, in, d)
+		Im2colInto(cols, in, d)
 		wm := w.Reshape(d.OutC, d.InC*d.K*d.K)
 		got := matMul(wm, cols).Reshape(d.OutC, d.OutH(), d.OutW())
 		want := convDirect(in, w, d)
@@ -106,7 +106,7 @@ func TestCol2imAdjointProperty(t *testing.T) {
 		x := g.Randn(1, d.InC, d.InH, d.InW)
 		y := g.Randn(1, d.InC*d.K*d.K, d.OutH()*d.OutW())
 		cols := New(d.InC*d.K*d.K, d.OutH()*d.OutW())
-		Im2colInto(cols, 0, x, d)
+		Im2colInto(cols, x, d)
 		back := New(d.InC, d.InH, d.InW)
 		back.Fill(1e6) // Col2imInto must overwrite, not accumulate into, dst
 		Col2imInto(back, y, d)
@@ -133,42 +133,7 @@ func TestIm2colWrongLenPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Im2colInto(New(9, 4), 0, New(5), d)
-}
-
-// TestIm2colIntoColumnBlock checks that unrolling into a column block of a
-// wider matrix writes exactly that block, with the values a standalone
-// unrolling gives, and leaves the other columns alone.
-func TestIm2colIntoColumnBlock(t *testing.T) {
-	g := NewRNG(14)
-	d := ConvDims{InC: 2, InH: 5, InW: 5, OutC: 3, K: 3, Stride: 2, Pad: 1}
-	rows, hw := d.InC*d.K*d.K, d.OutH()*d.OutW()
-	xs := []*Tensor{g.Randn(1, d.InC, d.InH, d.InW), g.Randn(1, d.InC, d.InH, d.InW)}
-	wide := New(rows, 3*hw)
-	wide.Fill(7)
-	for i, x := range xs {
-		Im2colInto(wide, (i+1)*hw, x, d)
-	}
-	for i, x := range xs {
-		alone := New(rows, hw)
-		Im2colInto(alone, 0, x, d)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < hw; c++ {
-				if wide.At(r, (i+1)*hw+c) != alone.At(r, c) {
-					t.Fatalf("sample %d: block entry (%d, %d) differs", i, r, c)
-				}
-				if wide.At(r, c) != 7 {
-					t.Fatalf("column %d outside every block was overwritten", c)
-				}
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a block past the last column")
-		}
-	}()
-	Im2colInto(wide, 2*hw+1, xs[0], d)
+	Im2colInto(New(9, 4), New(5), d)
 }
 
 func TestCol2imWrongLenPanics(t *testing.T) {

@@ -285,33 +285,6 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 }
 
-// SplitCols slices a rank-2 tensor into column blocks of the given widths
-// (which must sum to the column count). Each block is a fresh tensor.
-func SplitCols(t *Tensor, widths ...int) []*Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SplitCols requires a rank-2 tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if total != cols {
-		panic(fmt.Sprintf("tensor: SplitCols widths sum to %d, want %d", total, cols))
-	}
-	out := make([]*Tensor, len(widths))
-	off := 0
-	for i, w := range widths {
-		b := New(rows, w)
-		for r := 0; r < rows; r++ {
-			copy(b.data[r*w:(r+1)*w], t.data[r*cols+off:r*cols+off+w])
-		}
-		out[i] = b
-		off += w
-	}
-	return out
-}
-
 // TransposeInto writes the transpose of the m×n matrix a into dst (n×m).
 // dst must not share storage with a.
 func TransposeInto(dst, a *Tensor) {

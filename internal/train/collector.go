@@ -32,138 +32,85 @@ func RunTrainingEpisode(env *airlearning.Env, alg Algorithm) airlearning.Episode
 	return res
 }
 
-// DefaultEvalBatch is the number of evaluation episodes a worker steps in
-// lockstep through the batched network forward.
-const DefaultEvalBatch = 8
-
-// Collector runs frozen-policy validation rollouts: episodes fan out over a
-// bounded worker pool in batches, and within a batch the live environments
-// are stepped in lockstep so a BatchPolicy prices every action selection in
-// one batched forward. Episode i always runs on its own environment seeded
-// Seed+i, so results are bitwise identical whatever the worker count or
-// batch size — and independent of every other episode.
+// Collector runs frozen-policy validation rollouts. The episodes are split
+// into one contiguous chunk per pool worker, and a chunk runs its episodes
+// one after another, each to completion on its own environment: episode i
+// always uses an environment seeded Seed+i, so results are bitwise
+// identical whatever the worker count, and independent of every other
+// episode. A policy that offers replicas is evaluated through one replica
+// per chunk; any other policy must be safe for concurrent use.
 type Collector struct {
 	Scenario airlearning.Scenario
 	// Seed is the base evaluation seed; episode i uses Seed+int64(i).
 	Seed int64
 	// Workers bounds the rollout pool; <= 0 selects runtime.NumCPU().
 	Workers int
-	// Batch is the lockstep width; <= 0 selects DefaultEvalBatch.
-	Batch int
-	// Obs, when non-nil, counts evaluation episodes, env steps, and batched
-	// network forwards on its registry. Nil collects with zero overhead.
+	// Obs, when non-nil, counts evaluation episodes and env steps on its
+	// registry. Nil collects with zero overhead.
 	Obs *obs.Observer
 }
 
+// replicator is a policy whose instance serves one goroutine at a time (a
+// network's Forward writes its buffers) and which can make more instances
+// that act identically, one for each rollout worker.
+type replicator interface {
+	Replica() airlearning.Policy
+}
+
 // collectMetrics are the collector's instruments, resolved once per Collect
-// so the lockstep loop touches no registry maps. All nil when Obs is nil.
+// so the rollouts touch no registry maps. All nil when Obs is nil.
 type collectMetrics struct {
 	episodes *obs.Counter // train.eval.episodes: validation episodes finished
-	steps    *obs.Counter // train.eval.env_steps: validation env steps
-	forwards *obs.Counter // nn.forward_batch.calls: batched network forwards
-	inputs   *obs.Counter // nn.forward_batch.inputs: observations per forward, summed
+	steps    *obs.Counter // train.eval.env_steps: env steps of finished episodes
 }
 
 // Collect rolls the policy through n domain-randomized episodes and returns
 // the per-episode results in episode order. Cancellation is honored between
-// lockstep steps; the returned error wraps ctx.Err().
+// env steps; the returned error wraps ctx.Err().
 func (c Collector) Collect(ctx context.Context, p airlearning.Policy, n int) ([]airlearning.EpisodeResult, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	batch := c.Batch
-	if batch <= 0 {
-		batch = DefaultEvalBatch
-	}
-	type chunk struct{ start, n int }
-	var chunks []chunk
-	for s := 0; s < n; s += batch {
-		size := batch
-		if s+size > n {
-			size = n - s
-		}
-		chunks = append(chunks, chunk{start: s, n: size})
+	type chunk struct{ start, end int }
+	chunks := make([]chunk, min(pool.Workers(c.Workers), n))
+	for w := range chunks {
+		chunks[w] = chunk{start: w * n / len(chunks), end: (w + 1) * n / len(chunks)}
 	}
 	var m collectMetrics
 	if c.Obs != nil {
 		m = collectMetrics{
 			episodes: c.Obs.Counter("train.eval.episodes"),
 			steps:    c.Obs.Counter("train.eval.env_steps"),
-			forwards: c.Obs.Counter("nn.forward_batch.calls"),
-			inputs:   c.Obs.Counter("nn.forward_batch.inputs"),
 		}
 	}
 	ctx = obs.NewContext(ctx, c.Obs)
-	outs, err := pool.Map(ctx, c.Workers, chunks, func(ctx context.Context, ch chunk) ([]airlearning.EpisodeResult, error) {
-		return c.runChunk(ctx, p, m, ch.start, ch.n)
+	results := make([]airlearning.EpisodeResult, n)
+	err := pool.ForEach(ctx, len(chunks), chunks, func(ctx context.Context, ch chunk) error {
+		pol := p
+		if r, ok := p.(replicator); ok {
+			pol = r.Replica()
+		}
+		for i := ch.start; i < ch.end; i++ {
+			env := airlearning.NewEnv(c.Scenario, c.Seed+int64(i))
+			res, err := airlearning.RunEpisodeContext(ctx, env, pol)
+			if err != nil {
+				return fmt.Errorf("train: evaluation cancelled: %w", err)
+			}
+			m.episodes.Inc()
+			m.steps.Add(int64(res.Steps))
+			results[i] = res // each chunk writes its own range
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	results := make([]airlearning.EpisodeResult, 0, n)
-	for _, out := range outs {
-		results = append(results, out...)
-	}
-	return results, nil
-}
-
-// runChunk rolls episodes [start, start+n) in lockstep. Environments that
-// terminate drop out of the batch; the rest keep stepping until all are done.
-func (c Collector) runChunk(ctx context.Context, p airlearning.Policy, m collectMetrics, start, n int) ([]airlearning.EpisodeResult, error) {
-	envs := make([]*airlearning.Env, n)
-	obs := make([]airlearning.Observation, n)
-	results := make([]airlearning.EpisodeResult, n)
-	for i := range envs {
-		envs[i] = airlearning.NewEnv(c.Scenario, c.Seed+int64(start+i))
-		obs[i] = envs[i].Reset()
-	}
-	bp, batched := p.(airlearning.BatchPolicy)
-	live := make([]int, n)
-	for i := range live {
-		live[i] = i
-	}
-	liveObs := make([]airlearning.Observation, 0, n)
-	for len(live) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("train: evaluation cancelled: %w", err)
-		}
-		var acts []int
-		if batched {
-			liveObs = liveObs[:0]
-			for _, i := range live {
-				liveObs = append(liveObs, obs[i])
-			}
-			acts = bp.ActBatch(liveObs)
-			m.forwards.Inc()
-			m.inputs.Add(int64(len(liveObs)))
-		} else {
-			acts = make([]int, len(live))
-			for k, i := range live {
-				acts[k] = p.Act(obs[i])
-			}
-		}
-		m.steps.Add(int64(len(live)))
-		next := live[:0]
-		for k, i := range live {
-			o, reward, done := envs[i].Step(acts[k])
-			results[i].Return += reward
-			results[i].Steps++
-			obs[i] = o
-			if done {
-				results[i].Outcome = envs[i].OutcomeNow()
-				m.episodes.Inc()
-				continue
-			}
-			next = append(next, i)
-		}
-		live = next
 	}
 	return results, nil
 }
 
 // SuccessRate validates a policy over n domain-randomized episodes and
 // returns the fraction that reach the goal — the metric Phase 1 stores in
-// the Air Learning database. It is the batched, cancellable counterpart of
+// the Air Learning database. It is the parallel, cancellable counterpart of
 // airlearning.SuccessRate.
 func (c Collector) SuccessRate(ctx context.Context, p airlearning.Policy, n int) (float64, error) {
 	if n <= 0 {

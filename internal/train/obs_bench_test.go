@@ -9,18 +9,15 @@ import (
 	"autopilot/internal/train"
 )
 
-// benchPolicy is a cheap batched policy so the benchmark measures the
-// rollout loop (and its instrumentation), not network arithmetic.
+// benchPolicy is a cheap policy, safe for concurrent use, so the benchmark
+// measures the rollout loop (and its instrumentation), not network
+// arithmetic.
 type benchPolicy struct{}
 
 func (benchPolicy) Act(o airlearning.Observation) int { return 0 }
 
-func (benchPolicy) ActBatch(os []airlearning.Observation) []int {
-	return make([]int, len(os))
-}
-
-// benchCollect drives the Collector's lockstep rollout path — the hot path
-// every instrument in this package rides on.
+// benchCollect drives the Collector's rollout path — the hot path every
+// instrument in this package rides on.
 func benchCollect(b *testing.B, o *obs.Observer) {
 	c := train.Collector{
 		Scenario: airlearning.LowObstacle,

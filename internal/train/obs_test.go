@@ -87,8 +87,9 @@ func TestObsSweepTelemetry(t *testing.T) {
 	if r.Counter("train.episodes").Value() == 0 || r.Counter("train.eval.episodes").Value() == 0 {
 		t.Error("episode counters not incremented")
 	}
-	if r.Counter("nn.forward_batch.calls").Value() == 0 {
-		t.Error("nn.forward_batch.calls not incremented")
+	if r.Counter("train.eval.env_steps").Value() < r.Counter("train.eval.episodes").Value() {
+		t.Errorf("train.eval.env_steps = %d, want at least one per evaluation episode (%d)",
+			r.Counter("train.eval.env_steps").Value(), r.Counter("train.eval.episodes").Value())
 	}
 	if got := len(o.Trace.Durations("train")); got < len(recs) {
 		t.Errorf("completed %d train-category spans, want >= %d (one job span per run)", got, len(recs))

@@ -2,19 +2,20 @@
 // AutoPilot's orchestrator and the reinforcement-learning algorithms that
 // populate the Air Learning policy database (paper §III-A — the multi-day RL
 // sweep over the E2E template family). It mirrors the shape of internal/hw:
-// an Algorithm interface consumes Transitions from a Collector that runs
-// batched, worker-pooled rollouts, and an Engine drives the whole sweep.
+// an Algorithm interface consumes Transitions from the training episode
+// loop, a Collector validates the trained policy with worker-pooled
+// rollouts, and an Engine drives the whole sweep.
 //
 // The engine guarantees:
 //
 //   - cancellation: the caller's context is honored between training
-//     episodes and inside batched evaluation rollouts, so an interrupted
-//     sweep returns promptly with an error wrapping ctx.Err();
+//     episodes and between the steps of evaluation rollouts, so an
+//     interrupted sweep returns promptly with an error wrapping ctx.Err();
 //   - bitwise determinism at any worker count: per-run seeds derive from the
 //     hyper-parameter identity (JobSeed), per-episode evaluation seeds derive
-//     from the episode index, and frozen-policy evaluation uses the pure
-//     batched network forward — a sweep at workers=8 produces the same
-//     database, bit for bit, as workers=1;
+//     from the episode index, and each evaluation worker runs the frozen
+//     policy's own Forward through a replica — a sweep at workers=8 produces
+//     the same database, bit for bit, as workers=1;
 //   - resumability: with a checkpoint path configured, the database is
 //     snapshotted atomically after every completed (hyper, scenario) record
 //     and a restarted sweep skips points the checkpoint already holds;
@@ -49,9 +50,9 @@ import (
 // environment, streams every Transition into Observe — where value-based
 // methods update on their own schedule — and fires EndEpisode at each
 // episode boundary, where Monte-Carlo methods apply their update. Policy
-// returns the frozen deployment policy the collector validates; it should
-// implement airlearning.BatchPolicy so evaluation rollouts can batch and
-// parallelize.
+// returns the frozen deployment policy the collector validates; a policy
+// that serves one goroutine at a time offers a Replica method, so the
+// collector can give each rollout worker its own.
 type Algorithm interface {
 	// Name identifies the method ("dqn", "reinforce") for progress reports.
 	Name() string
@@ -86,10 +87,6 @@ type Config struct {
 	// Workers bounds the sweep and evaluation worker pools; <= 0 selects
 	// runtime.NumCPU(). The worker count never changes results.
 	Workers int
-
-	// EvalBatch is the number of evaluation episodes stepped in lockstep
-	// through the batched network forward; <= 0 selects DefaultEvalBatch.
-	EvalBatch int
 
 	// Checkpoint is the database snapshot path. When non-empty, Sweep
 	// resumes from an existing snapshot (skipping already-trained points)
@@ -164,7 +161,7 @@ func JobSeed(base int64, h policy.Hyper) int64 {
 }
 
 // Engine drives Phase-1 training runs: a Factory supplies the algorithm, the
-// engine owns the episode loop, cancellation, batched evaluation,
+// engine owns the episode loop, cancellation, parallel evaluation,
 // checkpointing, and progress reporting.
 type Engine struct {
 	factory Factory
@@ -256,7 +253,6 @@ func (e *Engine) train(ctx context.Context, h policy.Hyper, s airlearning.Scenar
 		Scenario: s,
 		Seed:     seed + evalSeedOffset,
 		Workers:  e.cfg.Workers,
-		Batch:    e.cfg.EvalBatch,
 		Obs:      e.cfg.Obs,
 	}
 	esp := obs.StartStep(ctx, "eval", "train")

@@ -214,8 +214,8 @@ func TestProgressSinkReports(t *testing.T) {
 	}
 }
 
-// frozenPolicy builds an untrained deployment policy — deterministic, pure,
-// and batch-capable — for collector tests.
+// frozenPolicy builds an untrained deployment policy — deterministic and
+// replicable — for collector tests.
 func frozenPolicy(t *testing.T) airlearning.Policy {
 	t.Helper()
 	net, err := policy.NewTrainable(policy.Hyper{Layers: 3, Filters: 32}, policy.DefaultTrainable(), tensor.NewRNG(13))
@@ -225,30 +225,24 @@ func frozenPolicy(t *testing.T) airlearning.Policy {
 	return rl.GreedyPolicy{Net: net}
 }
 
-// TestCollectorInvariantToBatchAndWorkers: the per-episode results must be
-// identical whatever the lockstep width or worker count.
-func TestCollectorInvariantToBatchAndWorkers(t *testing.T) {
+// TestCollectorInvariantToWorkers: the per-episode results must be those of
+// airlearning.RunEpisode on episode i's own environment, run one episode at
+// a time, whatever the worker count.
+func TestCollectorInvariantToWorkers(t *testing.T) {
 	pol := frozenPolicy(t)
-	const n = 10
-	base := train.Collector{Scenario: airlearning.LowObstacle, Seed: 2001, Workers: 1, Batch: 1}
-	want, err := base.Collect(context.Background(), pol, n)
-	if err != nil {
-		t.Fatal(err)
+	const n, seed = 10, 2001
+	want := make([]airlearning.EpisodeResult, n)
+	for i := range want {
+		want[i] = airlearning.RunEpisode(airlearning.NewEnv(airlearning.LowObstacle, seed+int64(i)), pol)
 	}
-	if len(want) != n {
-		t.Fatalf("%d results, want %d", len(want), n)
-	}
-	for _, c := range []train.Collector{
-		{Scenario: airlearning.LowObstacle, Seed: 2001, Workers: 1, Batch: 4},
-		{Scenario: airlearning.LowObstacle, Seed: 2001, Workers: 4, Batch: 3},
-		{Scenario: airlearning.LowObstacle, Seed: 2001, Workers: 8, Batch: 8},
-	} {
+	for _, workers := range []int{1, 4, 8} {
+		c := train.Collector{Scenario: airlearning.LowObstacle, Seed: seed, Workers: workers}
 		got, err := c.Collect(context.Background(), pol, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d batch=%d results differ:\n%+v\n%+v", c.Workers, c.Batch, got, want)
+			t.Fatalf("workers=%d results differ from sequential RunEpisode:\n%+v\n%+v", workers, got, want)
 		}
 	}
 }
