@@ -22,6 +22,7 @@ import (
 	"autopilot/internal/dse"
 	"autopilot/internal/experiments"
 	"autopilot/internal/gp"
+	"autopilot/internal/nn"
 	"autopilot/internal/pareto"
 	"autopilot/internal/policy"
 	"autopilot/internal/power"
@@ -457,18 +458,69 @@ func BenchmarkTrainCollector(b *testing.B) {
 	}
 }
 
-func BenchmarkDQNTrainingStep(b *testing.B) {
+// BenchmarkDQNUpdate times one DQN update: each op observes one recorded
+// transition, and with UpdateEvery = 1 that runs one minibatch update of
+// batch 8. Outside the timer the agent fills its 256-slot replay buffer from
+// a fixed cycle of 256 transitions of a random walk, which takes it past
+// LearnStart and sizes every buffer; the ops then replay the same cycle, so
+// the buffer stays full and an op's work does not depend on b.N.
+func BenchmarkDQNUpdate(b *testing.B) {
+	const cycle = 256
 	g := tensor.NewRNG(4)
 	h := policy.Hyper{Layers: 2, Filters: 32}
 	online, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
 	target, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
 	cfg := rl.DefaultDQNConfig()
-	cfg.LearnStart, cfg.UpdateEvery, cfg.BatchSize = 1, 1, 8
+	cfg.BufferSize, cfg.LearnStart, cfg.UpdateEvery, cfg.BatchSize = cycle, 64, 1, 8
 	agent := rl.NewDQN(online, target, cfg, 1)
 	env := airlearning.NewEnv(airlearning.LowObstacle, 4)
+	rec := make([]rl.Transition, 0, cycle)
+	obs := env.Reset()
+	for len(rec) < cycle {
+		a := g.Intn(airlearning.NumActions)
+		next, r, done := env.Step(a)
+		rec = append(rec, rl.Transition{Obs: obs, Action: a, Reward: r, Next: next, Done: done})
+		if obs = next; done {
+			obs = env.Reset()
+		}
+	}
+	for _, t := range rec {
+		agent.Observe(t)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Train(env, 1)
+		agent.Observe(rec[i%cycle])
+	}
+}
+
+// BenchmarkConv2DStep times one Forward plus Backward of each convolution
+// shape the trainable trunk trains: its 1→6 stride-2 first layer on the
+// 11x11 observation, and the 6→6 stride-1 layer that follows it. The
+// incoming gradient is zero wherever a following ReLU would mask it.
+func BenchmarkConv2DStep(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		d    tensor.ConvDims
+	}{
+		{"1to6-stride2", tensor.ConvDims{InC: 1, InH: 11, InW: 11, OutC: 6, K: 3, Stride: 2, Pad: 1}},
+		{"6to6", tensor.ConvDims{InC: 6, InH: 6, InW: 6, OutC: 6, K: 3, Stride: 1, Pad: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := tensor.NewRNG(7)
+			layer := nn.NewConv2D(c.d, g)
+			x := g.Randn(1, c.d.InC, c.d.InH, c.d.InW)
+			grad := g.Randn(1, c.d.OutC, c.d.OutH(), c.d.OutW())
+			for i, y := range layer.Forward(x).Data() {
+				if y <= 0 {
+					grad.Data()[i] = 0
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x)
+				layer.Backward(grad)
+			}
+		})
 	}
 }
 

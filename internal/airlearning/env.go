@@ -3,6 +3,7 @@ package airlearning
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"autopilot/internal/tensor"
 )
@@ -80,6 +81,13 @@ type Env struct {
 	totalDist0 float64
 
 	movers []mover // dynamic obstacles
+
+	// Breadth-first-search scratch, sized on first use: prev holds each
+	// cell's predecessor (-1 for the search's start, -2 unvisited) and
+	// queue the cells in the order the search visits them, both as cell
+	// indices y*ArenaW+x.
+	prev  []int32
+	queue []int32
 }
 
 // mover is a bouncing single-cell dynamic obstacle.
@@ -327,47 +335,56 @@ func (e *Env) TryReset() (Observation, error) {
 	return e.observe(), nil
 }
 
-// reachable runs BFS over 8-connected moves.
-func (e *Env) reachable(from, to Point) bool {
-	return len(e.ShortestPath(from, to)) > 0
-}
-
 // ShortestPath returns a BFS shortest path from `from` to `to` inclusive of
 // both endpoints, or nil if unreachable. Exposed for the scripted expert
 // policy and tests.
 func (e *Env) ShortestPath(from, to Point) []Point {
+	if !e.reachable(from, to) {
+		return nil
+	}
+	w := e.cfg.ArenaW
+	var path []Point
+	for i := to.Y*w + to.X; i != -1; i = int(e.prev[i]) {
+		path = append(path, Point{i % w, i / w})
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// reachable reports whether a path of 8-connected moves leads from one
+// cell to the other. It runs a breadth-first search over the env's scratch
+// until it dequeues `to`, and builds no path: e.prev holds the search tree,
+// and following it from `to` leads back to `from`.
+func (e *Env) reachable(from, to Point) bool {
 	w, h := e.cfg.ArenaW, e.cfg.ArenaH
-	prev := make([]int, w*h)
+	if e.prev == nil {
+		e.prev = make([]int32, w*h)
+		e.queue = make([]int32, 0, w*h)
+	}
+	prev := e.prev
 	for i := range prev {
 		prev[i] = -2
 	}
-	idx := func(p Point) int { return p.Y*w + p.X }
-	queue := []Point{from}
-	prev[idx(from)] = -1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			var path []Point
-			for p := to; ; {
-				path = append([]Point{p}, path...)
-				pi := prev[idx(p)]
-				if pi == -1 {
-					return path
-				}
-				p = Point{pi % w, pi / w}
-			}
+	start, goal := int32(from.Y*w+from.X), int32(to.Y*w+to.X)
+	queue := append(e.queue[:0], start)
+	prev[start] = -1
+	for head := 0; head < len(queue); head++ {
+		ci := queue[head]
+		if ci == goal {
+			return true
 		}
+		cur := Point{int(ci) % w, int(ci) / w}
 		for _, d := range dirs {
 			nxt := Point{cur.X + d.X, cur.Y + d.Y}
-			if e.Blocked(nxt) || prev[idx(nxt)] != -2 {
+			ni := nxt.Y*w + nxt.X
+			if e.Blocked(nxt) || prev[ni] != -2 {
 				continue
 			}
-			prev[idx(nxt)] = idx(cur)
-			queue = append(queue, nxt)
+			prev[ni] = ci
+			queue = append(queue, int32(ni))
 		}
 	}
-	return nil
+	return false
 }
 
 // Step applies a discrete action. It returns the next observation, the

@@ -3,10 +3,12 @@ package airlearning
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"autopilot/internal/policy"
+	"autopilot/internal/tensor"
 )
 
 func TestScenarioConfigsMatchPaper(t *testing.T) {
@@ -467,5 +469,86 @@ func TestSuccessRateCIWiderWithFewerEpisodes(t *testing.T) {
 	_, loB, hiB := SuccessRateCI(envB, ExpertPolicy{Env: envB}, 100)
 	if hiA-loA <= hiB-loB {
 		t.Fatalf("10-episode CI width %.3f should exceed 100-episode width %.3f", hiA-loA, hiB-loB)
+	}
+}
+
+// refShortestPath is ShortestPath as it was before the search moved onto
+// the env's scratch: a fresh predecessor array and queue per call, and the
+// path built by prepending one point at a time.
+func refShortestPath(e *Env, from, to Point) []Point {
+	w, h := e.cfg.ArenaW, e.cfg.ArenaH
+	prev := make([]int, w*h)
+	for i := range prev {
+		prev[i] = -2
+	}
+	idx := func(p Point) int { return p.Y*w + p.X }
+	queue := []Point{from}
+	prev[idx(from)] = -1
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur == to {
+			var path []Point
+			for p := to; ; {
+				path = append([]Point{p}, path...)
+				pi := prev[idx(p)]
+				if pi == -1 {
+					return path
+				}
+				p = Point{pi % w, pi / w}
+			}
+		}
+		for _, d := range dirs {
+			nxt := Point{cur.X + d.X, cur.Y + d.Y}
+			if e.Blocked(nxt) || prev[idx(nxt)] != -2 {
+				continue
+			}
+			prev[idx(nxt)] = idx(cur)
+			queue = append(queue, nxt)
+		}
+	}
+	return nil
+}
+
+// TestReachableAgreesWithShortestPath checks, on many layouts of every
+// scenario and on random pairs of cells (blocked, enclosed and free ones,
+// with the dynamic obstacles in place), that reachable agrees with
+// ShortestPath, that ShortestPath returns the path the reference returns,
+// and that a search allocates nothing once the env's scratch exists.
+func TestReachableAgreesWithShortestPath(t *testing.T) {
+	unreachable := 0
+	for _, s := range Scenarios {
+		env := NewEnv(s, 17)
+		g := tensor.NewRNG(18)
+		for ep := 0; ep < 40; ep++ {
+			env.Reset()
+			pairs := [][2]Point{{env.Pos(), env.Goal()}}
+			for q := 0; q < 16; q++ {
+				pairs = append(pairs, [2]Point{
+					{g.Intn(env.cfg.ArenaW), g.Intn(env.cfg.ArenaH)},
+					{g.Intn(env.cfg.ArenaW), g.Intn(env.cfg.ArenaH)},
+				})
+			}
+			for _, p := range pairs {
+				want := refShortestPath(env, p[0], p[1])
+				got := env.ShortestPath(p[0], p[1])
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v episode %d: ShortestPath(%v, %v) = %v, want %v", s, ep, p[0], p[1], got, want)
+				}
+				if r := env.reachable(p[0], p[1]); r != (want != nil) {
+					t.Fatalf("%v episode %d: reachable(%v, %v) = %v, but the path is %v", s, ep, p[0], p[1], r, want)
+				}
+				if want == nil {
+					unreachable++
+				}
+			}
+		}
+		from, to := env.Pos(), env.Goal()
+		if n := testing.AllocsPerRun(10, func() { env.reachable(from, to) }); n != 0 {
+			t.Errorf("%v: reachable allocates %.1f times per search, want 0", s, n)
+		}
+	}
+	if unreachable == 0 {
+		t.Error("no pair was unreachable, so the false case went untested")
 	}
 }

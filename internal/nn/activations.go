@@ -23,25 +23,33 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return r.y
 }
 
+// relu writes max(0, v) as v where v > 0 and +0 elsewhere, NaN included.
+// It selects with a mask over the value's bits, which the compiler makes a
+// conditional move, so the data's signs cost no branch mispredictions.
 func relu(dst, src []float64) {
+	dst = dst[:len(src)]
 	for i, v := range src {
+		m := uint64(0)
 		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
+			m = ^uint64(0)
 		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & m)
 	}
 }
 
-// Backward masks the incoming gradient by the activation pattern.
+// Backward masks the incoming gradient by the activation pattern: it zeroes
+// the gradient where the input was <= 0 and keeps it elsewhere, NaN inputs
+// included, with the same branch-free select as Forward.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = reuse(r.dx, grad.Shape()...)
-	od, id := r.dx.Data(), r.in.Data()
-	for i, g := range grad.Data() {
+	gd := grad.Data()
+	od, id := r.dx.Data()[:len(gd)], r.in.Data()[:len(gd)]
+	for i, g := range gd {
+		m := ^uint64(0)
 		if id[i] <= 0 {
-			g = 0
+			m = 0
 		}
-		od[i] = g
+		od[i] = math.Float64frombits(math.Float64bits(g) & m)
 	}
 	return r.dx
 }

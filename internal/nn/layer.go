@@ -110,30 +110,55 @@ func (d *Dense) affine(y, x []float64) {
 	}
 }
 
-// Backward accumulates dW, dB and returns dX.
+// Backward accumulates dW, dB and returns dX. It skips the output rows whose
+// gradient is zero and handles the others four per pass over x: each row
+// adds g·x into its own gradient row, and dX[i] adds the four rows' terms
+// left to right in increasing row order, exactly the additions of a loop
+// over one row at a time.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out, in := d.W.Dim(0), d.W.Dim(1)
 	if grad.Len() != out {
 		panic(fmt.Sprintf("nn: Dense grad len %d, want %d", grad.Len(), out))
 	}
-	gd, xd := grad.Data(), d.x.Data()
+	gd, xd := grad.Data(), d.x.Data()[:in]
 	gwd, wd := d.gw.Data(), d.W.Data()
 	gbd := d.gb.Data()
 	for o := 0; o < out; o++ {
 		gbd[o] += gd[o]
 	}
 	d.dx = reuse(d.dx, in)
-	dxv := d.dx.Data()
+	dxv := d.dx.Data()[:in]
 	clear(dxv)
-	for o := 0; o < out; o++ {
-		g := gd[o]
+	var nz [4]int // pending rows with a nonzero gradient
+	pending := 0
+	for o, g := range gd[:out] {
 		if g == 0 {
 			continue
 		}
-		grow := gwd[o*in : (o+1)*in]
-		wrow := wd[o*in : (o+1)*in]
-		for i := 0; i < in; i++ {
-			grow[i] += g * xd[i]
+		nz[pending] = o
+		if pending++; pending < 4 {
+			continue
+		}
+		pending = 0
+		o0, o1, o2, o3 := nz[0], nz[1], nz[2], nz[3]
+		g0, g1, g2, g3 := gd[o0], gd[o1], gd[o2], gd[o3]
+		gw0, w0 := gwd[o0*in:][:in], wd[o0*in:][:in]
+		gw1, w1 := gwd[o1*in:][:in], wd[o1*in:][:in]
+		gw2, w2 := gwd[o2*in:][:in], wd[o2*in:][:in]
+		gw3, w3 := gwd[o3*in:][:in], wd[o3*in:][:in]
+		for i, xv := range xd {
+			gw0[i] += g0 * xv
+			gw1[i] += g1 * xv
+			gw2[i] += g2 * xv
+			gw3[i] += g3 * xv
+			dxv[i] = dxv[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
+		}
+	}
+	for _, o := range nz[:pending] {
+		g := gd[o]
+		grow, wrow := gwd[o*in:][:in], wd[o*in:][:in]
+		for i, xv := range xd {
+			grow[i] += g * xv
 			dxv[i] += g * wrow[i]
 		}
 	}
@@ -149,13 +174,18 @@ func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.gw, d.gb} }
 // Replica returns a Dense layer over the same W and B with its own buffers.
 func (d *Dense) Replica() Layer { return &Dense{W: d.W, B: d.B} }
 
-// Conv2D is a 2-D convolution over a CHW input, implemented via im2col.
+// Conv2D is a 2-D convolution over a CHW input, implemented as a gather of
+// the input's column matrix followed by a matrix product.
 type Conv2D struct {
 	Dims   tensor.ConvDims
 	W, B   *tensor.Tensor // W: (OutC, InC*K*K), B: (OutC)
 	gw, gb *tensor.Tensor
 
-	cols *tensor.Tensor // im2col matrix of the last Forward's input
+	// plan is the gather index of Dims, built by the first Forward. It is
+	// immutable, so a replica made after that shares it.
+	plan *tensor.ConvPlan
+	xpad []float64      // zero-bordered copy of the last Forward's input
+	cols *tensor.Tensor // column matrix of the last Forward's input
 	y    *tensor.Tensor // output (OutC, OutH*OutW)
 	out  *tensor.Tensor // y viewed as (OutC, OutH, OutW)
 	bwd  *convGrad      // backward buffers, made by the first Backward
@@ -165,10 +195,9 @@ type Conv2D struct {
 // evaluated, such as DQN target networks, never allocate them.
 type convGrad struct {
 	g2    view           // incoming gradient viewed as (OutC, OutH*OutW)
-	colsT *tensor.Tensor // (OutH*OutW, InC*K*K)
 	dw    *tensor.Tensor // g2·colsᵀ before it is added into the gradient
-	wT    *tensor.Tensor // (InC*K*K, OutC)
 	dcols *tensor.Tensor // Wᵀ·g2, (InC*K*K, OutH*OutW)
+	dpad  []float64      // scatter scratch in the zero-bordered input layout
 	dx    *tensor.Tensor // input gradient (InC, InH, InW)
 }
 
@@ -192,12 +221,16 @@ func NewConv2D(d tensor.ConvDims, g *tensor.RNG) *Conv2D {
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d := c.Dims
 	if c.cols == nil {
+		if c.plan == nil {
+			c.plan = tensor.NewConvPlan(d)
+		}
 		hw := d.OutH() * d.OutW()
+		c.xpad = make([]float64, c.plan.PaddedLen())
 		c.cols = tensor.New(d.InC*d.K*d.K, hw)
 		c.y = tensor.New(d.OutC, hw)
 		c.out = c.y.Reshape(d.OutC, d.OutH(), d.OutW())
 	}
-	tensor.Im2colInto(c.cols, x, d)
+	c.plan.Gather(c.cols, x, c.xpad)
 	tensor.MatMulInto(c.y, c.W, c.cols)
 	c.addBias()
 	return c.out
@@ -219,24 +252,23 @@ func (c *Conv2D) addBias() {
 }
 
 // Backward accumulates dW, dB and returns the gradient w.r.t. the input.
+// The products read their transposed operands in place.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := c.Dims
 	hw := d.OutH() * d.OutW()
 	if c.bwd == nil {
 		rows := d.InC * d.K * d.K
 		c.bwd = &convGrad{
-			colsT: tensor.New(hw, rows),
 			dw:    tensor.New(d.OutC, rows),
-			wT:    tensor.New(rows, d.OutC),
 			dcols: tensor.New(rows, hw),
+			dpad:  make([]float64, c.plan.PaddedLen()),
 			dx:    tensor.New(d.InC, d.InH, d.InW),
 		}
 	}
 	s := c.bwd
 	g2 := s.g2.of(grad, d.OutC, hw)
 	// dW += g2 · colsᵀ
-	tensor.TransposeInto(s.colsT, c.cols)
-	tensor.MatMulInto(s.dw, g2, s.colsT)
+	tensor.MatMulTransBInto(s.dw, g2, c.cols)
 	c.gw.AddInPlace(s.dw)
 	// dB += row sums of g2
 	gd := g2.Data()
@@ -247,10 +279,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		c.gb.Data()[oc] += sum
 	}
-	// dX = col2im(Wᵀ · g2)
-	tensor.TransposeInto(s.wT, c.W)
-	tensor.MatMulInto(s.dcols, s.wT, g2)
-	tensor.Col2imInto(s.dx, s.dcols, d)
+	// dX = the scatter of Wᵀ · g2 back onto the input
+	tensor.MatMulTransAInto(s.dcols, c.W, g2)
+	c.plan.Scatter(s.dx, s.dcols, s.dpad)
 	return s.dx
 }
 
@@ -260,8 +291,9 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads returns the accumulated gradients, parallel to Params.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gw, c.gb} }
 
-// Replica returns a Conv2D layer over the same W and B with its own buffers.
-func (c *Conv2D) Replica() Layer { return &Conv2D{Dims: c.Dims, W: c.W, B: c.B} }
+// Replica returns a Conv2D layer over the same W, B and gather plan with its
+// own buffers.
+func (c *Conv2D) Replica() Layer { return &Conv2D{Dims: c.Dims, W: c.W, B: c.B, plan: c.plan} }
 
 func sqrtf(x float64) float64 { return math.Sqrt(x) }
 

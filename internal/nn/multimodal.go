@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"autopilot/internal/tensor"
 )
@@ -15,9 +16,10 @@ type MultiModal struct {
 	State  *Sequential
 	Head   *Sequential
 
-	vLen, sLen   int            // cached branch output lengths from the last Forward
-	joint        *tensor.Tensor // concatenated branch outputs fed to the head
-	vGrad, sGrad *tensor.Tensor // the head's input gradient, split per branch
+	vLen, sLen    int              // cached branch output lengths from the last Forward
+	joint         *tensor.Tensor   // concatenated branch outputs fed to the head
+	vGrad, sGrad  *tensor.Tensor   // the head's input gradient, split per branch
+	params, grads []*tensor.Tensor // built by the first Params and Grads
 }
 
 // NewMultiModal combines the three sub-networks.
@@ -63,18 +65,23 @@ func (m *MultiModal) Backward(grad *tensor.Tensor) {
 	m.State.Backward(m.sGrad)
 }
 
-// Params returns all trainable tensors across the three sub-networks.
+// Params returns all trainable tensors across the three sub-networks. It is
+// built once, by the first call, like Sequential's: the result must not be
+// modified.
 func (m *MultiModal) Params() []*tensor.Tensor {
-	ps := append([]*tensor.Tensor(nil), m.Vision.Params()...)
-	ps = append(ps, m.State.Params()...)
-	return append(ps, m.Head.Params()...)
+	if m.params == nil {
+		m.params = slices.Concat(m.Vision.Params(), m.State.Params(), m.Head.Params())
+	}
+	return m.params
 }
 
-// Grads returns all gradient tensors, parallel to Params.
+// Grads returns all gradient tensors, parallel to Params. Like Params it is
+// built once and must not be modified.
 func (m *MultiModal) Grads() []*tensor.Tensor {
-	gs := append([]*tensor.Tensor(nil), m.Vision.Grads()...)
-	gs = append(gs, m.State.Grads()...)
-	return append(gs, m.Head.Grads()...)
+	if m.grads == nil {
+		m.grads = slices.Concat(m.Vision.Grads(), m.State.Grads(), m.Head.Grads())
+	}
+	return m.grads
 }
 
 // ZeroGrads clears all accumulated gradients.

@@ -5,6 +5,8 @@ import "autopilot/internal/tensor"
 // Sequential chains layers; output of one feeds the next.
 type Sequential struct {
 	Layers []Layer
+
+	params, grads []*tensor.Tensor // built by the first Params and Grads
 }
 
 // NewSequential returns a network composed of the given layers in order.
@@ -39,22 +41,34 @@ func (s *Sequential) Replica() *Sequential {
 	return NewSequential(layers...)
 }
 
-// Params returns all trainable tensors in layer order.
+// Params returns all trainable tensors in layer order. A layer's tensors
+// never change identity, so the list is built once, by the first call, and
+// every later call returns it: the result must not be modified, and the
+// layers must not change after that call.
 func (s *Sequential) Params() []*tensor.Tensor {
-	var ps []*tensor.Tensor
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
+	if s.params == nil {
+		s.params = collect(s.Layers, Layer.Params)
 	}
-	return ps
+	return s.params
 }
 
-// Grads returns all gradient tensors, parallel to Params.
+// Grads returns all gradient tensors, parallel to Params. Like Params it is
+// built once and must not be modified.
 func (s *Sequential) Grads() []*tensor.Tensor {
-	var gs []*tensor.Tensor
-	for _, l := range s.Layers {
-		gs = append(gs, l.Grads()...)
+	if s.grads == nil {
+		s.grads = collect(s.Layers, Layer.Grads)
 	}
-	return gs
+	return s.grads
+}
+
+// collect concatenates each layer's tensors in layer order. The result is
+// non-nil even when empty, so a cache of it is built only once.
+func collect(layers []Layer, of func(Layer) []*tensor.Tensor) []*tensor.Tensor {
+	ts := []*tensor.Tensor{}
+	for _, l := range layers {
+		ts = append(ts, of(l)...)
+	}
+	return ts
 }
 
 // ZeroGrads clears all accumulated gradients.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,42 +33,92 @@ type promSample struct {
 type promFamily struct {
 	typ     string
 	samples []promSample
+	series  map[string]bool // rendered label sets of the family's series
 }
+
+// promLabel is one label pair of a series, its key sanitized.
+type promLabel struct{ k, v string }
 
 // WritePrometheus renders the snapshots in Prometheus text exposition format
 // 0.0.4. Later snapshots append samples to the families of earlier ones, so
 // a process can expose its own registry alongside a fleet's per-worker
 // labeled series in one scrape.
+//
+// The output is valid exposition whatever the series names are: no sample
+// repeats a label name, no series appears twice, and every sample sits
+// under one TYPE header of its own kind. Distinct series names can render
+// alike, so the series that claims a rendering first keeps it. Series are
+// taken snapshot by snapshot, and within one the counters, then the gauges,
+// then the histograms, each in name order; a later series is dropped when
+//   - its name and label set render as an earlier series' do (the gauges
+//     "a.b" and "a_b" both render as a_b);
+//   - its name belongs to a family of another kind (a counter and a gauge
+//     both named x), or one of its sample names to another family (a
+//     counter named h_bucket beside a histogram h).
+//
+// Within one series a label key repeated after sanitizing keeps its first
+// value, labels render sorted by key, and a histogram drops a label named
+// "le", which its buckets use.
 func WritePrometheus(w io.Writer, snaps ...Snapshot) error {
 	fams := map[string]*promFamily{}
-	family := func(name, typ string) (*promFamily, string) {
-		base, labels := splitSeries(name)
-		f, ok := fams[base]
-		if !ok {
-			f = &promFamily{typ: typ}
+	claimed := map[string]bool{} // family and sample names in use
+	// series returns the family a new series of the given kind joins and its
+	// rendered labels, or ok false when the series must be dropped.
+	series := func(name, typ string) (f *promFamily, labels string, ok bool) {
+		base, pairs := splitSeries(name, typ == "histogram")
+		labels = renderLabels(pairs)
+		f = fams[base]
+		if f == nil {
+			claims := []string{base}
+			if typ == "histogram" {
+				claims = append(claims, base+"_bucket", base+"_sum", base+"_count")
+			}
+			for _, c := range claims {
+				if claimed[c] {
+					return nil, "", false
+				}
+			}
+			for _, c := range claims {
+				claimed[c] = true
+			}
+			f = &promFamily{typ: typ, series: map[string]bool{}}
 			fams[base] = f
 		}
-		return f, labels
+		if f.typ != typ || f.series[labels] {
+			return nil, "", false
+		}
+		f.series[labels] = true
+		return f, labels, true
 	}
 	for _, s := range snaps {
-		for _, name := range sortedCounterNames(s.Counters) {
-			f, labels := family(name, "counter")
-			f.samples = append(f.samples, promSample{labels: labels, value: strconv.FormatInt(s.Counters[name], 10)})
+		for _, name := range sortedNames(s.Counters) {
+			if f, labels, ok := series(name, "counter"); ok {
+				f.samples = append(f.samples, promSample{labels: labels, value: strconv.FormatInt(s.Counters[name], 10)})
+			}
 		}
-		for _, name := range sortedGaugeNames(s.Gauges) {
-			f, labels := family(name, "gauge")
-			f.samples = append(f.samples, promSample{labels: labels, value: formatPromValue(s.Gauges[name])})
+		for _, name := range sortedNames(s.Gauges) {
+			if f, labels, ok := series(name, "gauge"); ok {
+				f.samples = append(f.samples, promSample{labels: labels, value: formatPromValue(s.Gauges[name])})
+			}
 		}
-		for _, name := range sortedHistogramNames(s.Histograms) {
-			f, labels := family(name, "histogram")
+		for _, name := range sortedNames(s.Histograms) {
+			f, labels, ok := series(name, "histogram")
+			if !ok {
+				continue
+			}
 			h := s.Histograms[name]
 			cum := int64(0)
+			les := map[string]bool{}
 			for i, c := range h.Counts {
 				cum += c
 				le := "+Inf"
 				if i < len(h.Bounds) {
 					le = formatPromValue(h.Bounds[i])
 				}
+				if les[le] {
+					continue // a malformed snapshot's repeated bound
+				}
+				les[le] = true
 				f.samples = append(f.samples, promSample{
 					suffix: "_bucket",
 					labels: addLabel(labels, "le", le),
@@ -112,29 +163,43 @@ func PrometheusHandler(snap func() []Snapshot) http.Handler {
 }
 
 // splitSeries splits a registry series name into its sanitized metric name
-// and a rendered label block: "hw.estimate_seconds;worker=w1" becomes
-// ("hw_estimate_seconds", `{worker="w1"}`).
-func splitSeries(series string) (name, labels string) {
+// and its label pairs: "hw.estimate_seconds;worker=w1" becomes
+// ("hw_estimate_seconds", [worker=w1]). A part with no "=" or an empty key
+// is skipped, a key repeated after sanitizing keeps its first value, a key
+// "le" is dropped when dropLE is set, and the pairs come sorted by key.
+func splitSeries(series string, dropLE bool) (name string, labels []promLabel) {
 	parts := strings.Split(series, ";")
 	name = sanitizeMetricName(parts[0])
-	if len(parts) == 1 {
-		return name, ""
-	}
-	var b strings.Builder
 	for _, p := range parts[1:] {
 		k, v, ok := strings.Cut(p, "=")
 		if !ok || k == "" {
 			continue
 		}
-		if b.Len() > 0 {
+		k = sanitizeLabelName(k)
+		if (dropLE && k == "le") || slices.ContainsFunc(labels, func(l promLabel) bool { return l.k == k }) {
+			continue
+		}
+		labels = append(labels, promLabel{k, v})
+	}
+	slices.SortFunc(labels, func(a, b promLabel) int { return strings.Compare(a.k, b.k) })
+	return name, labels
+}
+
+// renderLabels renders label pairs as a {...} block, "" for none.
+func renderLabels(labels []promLabel) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(labelPair(sanitizeLabelName(k), v))
+		b.WriteString(labelPair(l.k, l.v))
 	}
-	if b.Len() == 0 {
-		return name, ""
-	}
-	return name, "{" + b.String() + "}"
+	b.WriteByte('}')
+	return b.String()
 }
 
 // addLabel inserts k=v into a rendered label block (possibly empty).
@@ -212,25 +277,8 @@ func formatPromValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func sortedCounterNames(m map[string]int64) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedGaugeNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedHistogramNames(m map[string]HistogramSnapshot) []string {
+// sortedNames returns a snapshot map's series names in order.
+func sortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)

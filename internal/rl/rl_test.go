@@ -264,9 +264,10 @@ func TestAlgorithmStrings(t *testing.T) {
 }
 
 // TestDQNUpdateAllocationsIndependentOfBatch pins that a steady-state update
-// allocates nothing per transition: the same count at batch 4 and batch 16.
+// allocates nothing at all, at batch 4 and batch 16: no per-transition
+// buffer, and no per-update parameter or gradient list.
 func TestDQNUpdateAllocationsIndependentOfBatch(t *testing.T) {
-	allocs := func(batch int) float64 {
+	for _, batch := range []int{4, 16} {
 		g := tensor.NewRNG(24)
 		h := policy.Hyper{Layers: 3, Filters: 48}
 		online, _ := policy.NewTrainable(h, policy.DefaultTrainable(), g)
@@ -276,10 +277,8 @@ func TestDQNUpdateAllocationsIndependentOfBatch(t *testing.T) {
 		d := NewDQN(online, target, cfg, 24)
 		d.Train(airlearning.NewEnv(airlearning.LowObstacle, 24), 2) // fills the replay buffer
 		d.update()                                                  // sizes every buffer
-		return testing.AllocsPerRun(10, d.update)
-	}
-	small, large := allocs(4), allocs(16)
-	if small != large {
-		t.Fatalf("update allocates %.1f times at batch 4 and %.1f at batch 16; want no per-transition allocation", small, large)
+		if n := testing.AllocsPerRun(10, d.update); n != 0 {
+			t.Errorf("batch %d: update allocates %.1f times, want 0", batch, n)
+		}
 	}
 }

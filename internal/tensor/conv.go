@@ -35,100 +35,99 @@ func (d ConvDims) MACs() int64 {
 	return int64(d.OutC) * int64(d.OutH()) * int64(d.OutW()) * int64(d.InC) * int64(d.K) * int64(d.K)
 }
 
-// Im2colInto unrolls input (InC×InH×InW, flattened row-major) into dst, an
-// (InC*K*K) × (OutH*OutW) matrix, so convolution becomes the matrix product
-// weights(OutC × InC*K*K) · cols. Every entry of dst is written, padding
-// positions with 0, so dst may hold stale values.
-func Im2colInto(dst, in *Tensor, d ConvDims) {
-	if in.Len() != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2col input len %d, want %d", in.Len(), d.InC*d.InH*d.InW))
+// ConvPlan is the im2col gather index of one convolution geometry. The
+// column matrix of a convolution is (InC*K*K) × (OutH*OutW), so that the
+// convolution is the product weights(OutC × InC*K*K) · cols: entry
+// (row, oy*OutW+ox), with row = (c*K+ky)*K+kx, holds input element
+// (c, oy*Stride+ky-Pad, ox*Stride+kx-Pad), or 0 where that lies in the
+// padding. The plan maps each entry to an element of the input copied into
+// a zero-bordered (InC, InH+2*Pad, InW+2*Pad) buffer, so the gather and its
+// adjoint scatter are each one loop with no bounds tests.
+//
+// A plan is immutable and may be shared by any number of goroutines. The
+// padded buffers it works through belong to the caller.
+type ConvPlan struct {
+	d   ConvDims
+	idx []int32 // column-matrix entry -> index into the padded input
+}
+
+// NewConvPlan builds the gather index of a valid geometry.
+func NewConvPlan(d ConvDims) *ConvPlan {
+	if err := d.Validate(); err != nil {
+		panic(err)
 	}
 	oh, ow := d.OutH(), d.OutW()
-	rows := d.InC * d.K * d.K
-	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Im2col dst %v, want [%d %d]", dst.shape, rows, oh*ow))
-	}
+	ph, pw := d.InH+2*d.Pad, d.InW+2*d.Pad
+	idx := make([]int32, 0, d.InC*d.K*d.K*oh*ow)
 	for c := 0; c < d.InC; c++ {
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := (c*d.K+ky)*d.K + kx
-				block := dst.data[row*oh*ow:][:oh*ow]
-				lo, hi := d.inside(kx, d.InW, ow)
 				for oy := 0; oy < oh; oy++ {
-					out := block[oy*ow:][:ow]
-					iy := oy*d.Stride + ky - d.Pad
-					if iy < 0 || iy >= d.InH {
-						clear(out)
-						continue
+					for ox := 0; ox < ow; ox++ {
+						idx = append(idx, int32((c*ph+oy*d.Stride+ky)*pw+ox*d.Stride+kx))
 					}
-					inRow := in.data[(c*d.InH+iy)*d.InW:][:d.InW]
-					for ox := lo; ox < hi; ox++ {
-						out[ox] = inRow[ox*d.Stride+kx-d.Pad]
-					}
-					zeroOutside(out, lo, hi)
 				}
 			}
 		}
 	}
+	return &ConvPlan{d: d, idx: idx}
 }
 
-// zeroOutside zeroes out[:lo] and out[hi:]. Rows are a few elements wide,
-// where a loop beats a call to clear.
-func zeroOutside(out []float64, lo, hi int) {
-	for i := 0; i < lo; i++ {
-		out[i] = 0
+// PaddedLen returns the length of the zero-bordered input buffers that
+// Gather and Scatter work through.
+func (p *ConvPlan) PaddedLen() int {
+	return p.d.InC * (p.d.InH + 2*p.d.Pad) * (p.d.InW + 2*p.d.Pad)
+}
+
+// Gather sets cols, an (InC*K*K) × (OutH*OutW) matrix, to the column matrix
+// of in (InC×InH×InW elements). It copies in into the interior of padded,
+// a PaddedLen buffer whose border must be zero. Gather never writes the
+// border, so a buffer that starts zeroed and is used only by Gather stays
+// valid. Every entry of cols is written, so cols may hold stale values.
+func (p *ConvPlan) Gather(cols, in *Tensor, padded []float64) {
+	if in.Len() != p.d.InC*p.d.InH*p.d.InW {
+		panic(fmt.Sprintf("tensor: ConvPlan.Gather input len %d, want %d", in.Len(), p.d.InC*p.d.InH*p.d.InW))
 	}
-	for i := hi; i < len(out); i++ {
-		out[i] = 0
+	if cols.Len() != len(p.idx) {
+		panic(fmt.Sprintf("tensor: ConvPlan.Gather cols len %d, want %d", cols.Len(), len(p.idx)))
+	}
+	padded = padded[:p.PaddedLen()]
+	p.eachRow(func(inner, outer int) { copy(padded[outer:][:p.d.InW], in.data[inner:][:p.d.InW]) })
+	cd := cols.data[:len(p.idx)]
+	for i, j := range p.idx {
+		cd[i] = padded[j]
 	}
 }
 
-// inside returns the output positions [lo, hi), out of n, whose input
-// position pos*Stride + k - Pad along an axis of the given size lies inside
-// the input, so the loops over them need no bounds test.
-func (d ConvDims) inside(k, size, n int) (lo, hi int) {
-	for lo < n && lo*d.Stride+k-d.Pad < 0 {
-		lo++
+// Scatter sets dst (InC×InH×InW elements) to the adjoint of Gather applied
+// to dcols, an (InC*K*K) × (OutH*OutW) matrix: each input element is the
+// sum of the dcols entries gathered from it, added in increasing entry
+// order (by row, then output row, then output column) to an accumulator
+// that starts at +0. padded is PaddedLen scratch that Scatter clears first;
+// the padding entries' terms land in its border and are dropped.
+func (p *ConvPlan) Scatter(dst, dcols *Tensor, padded []float64) {
+	if dcols.Len() != len(p.idx) {
+		panic(fmt.Sprintf("tensor: ConvPlan.Scatter input len %d, want %d", dcols.Len(), len(p.idx)))
 	}
-	hi = n
-	for hi > lo && (hi-1)*d.Stride+k-d.Pad >= size {
-		hi--
+	if dst.Len() != p.d.InC*p.d.InH*p.d.InW {
+		panic(fmt.Sprintf("tensor: ConvPlan.Scatter dst len %d, want %d", dst.Len(), p.d.InC*p.d.InH*p.d.InW))
 	}
-	return lo, hi
+	padded = padded[:p.PaddedLen()]
+	clear(padded)
+	for i, v := range dcols.data[:len(p.idx)] {
+		padded[p.idx[i]] += v
+	}
+	p.eachRow(func(inner, outer int) { copy(dst.data[inner:][:p.d.InW], padded[outer:][:p.d.InW]) })
 }
 
-// Col2imInto sets dst (InC×InH×InW elements) to the scatter of a
-// (InC*K*K) × (OutH*OutW) gradient matrix back onto the input layout,
-// accumulating overlapping contributions. It is the adjoint of Im2colInto
-// and is used by the convolution backward pass.
-func Col2imInto(dst, cols *Tensor, d ConvDims) {
-	oh, ow := d.OutH(), d.OutW()
-	rows := d.InC * d.K * d.K
-	ncols := oh * ow
-	if cols.Len() != rows*ncols {
-		panic(fmt.Sprintf("tensor: Col2im input len %d, want %d", cols.Len(), rows*ncols))
-	}
-	if dst.Len() != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Col2im dst len %d, want %d", dst.Len(), d.InC*d.InH*d.InW))
-	}
-	clear(dst.data)
+// eachRow calls f with the offset of each input row in the unpadded layout
+// and in the interior of the padded one.
+func (p *ConvPlan) eachRow(f func(inner, outer int)) {
+	d := p.d
+	ph, pw := d.InH+2*d.Pad, d.InW+2*d.Pad
 	for c := 0; c < d.InC; c++ {
-		for ky := 0; ky < d.K; ky++ {
-			for kx := 0; kx < d.K; kx++ {
-				row := (c*d.K+ky)*d.K + kx
-				lo, hi := d.inside(kx, d.InW, ow)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*d.Stride + ky - d.Pad
-					if iy < 0 || iy >= d.InH {
-						continue
-					}
-					out := dst.data[(c*d.InH+iy)*d.InW:][:d.InW]
-					src := cols.data[row*ncols+oy*ow:][:ow]
-					for ox := lo; ox < hi; ox++ {
-						out[ox*d.Stride+kx-d.Pad] += src[ox]
-					}
-				}
-			}
+		for y := 0; y < d.InH; y++ {
+			f((c*d.InH+y)*d.InW, (c*ph+y+d.Pad)*pw+d.Pad)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package tensor provides the minimal dense float64 tensor math used by the
 // neural-network and reinforcement-learning substrates. It is deliberately
 // small: shapes, element access, matrix multiplication, and the im2col
-// transform needed for 2-D convolutions. The matrix kernels (MatMulInto,
-// TransposeInto, Im2colInto, Col2imInto) write into a caller's tensor, so a
-// layer can reuse its buffers from call to call. Everything is deterministic
-// given a seeded RNG so experiments are reproducible.
+// gather needed for 2-D convolutions. The product kernels (MatMulInto and
+// its transposed-operand forms) and ConvPlan's Gather and Scatter write into
+// a caller's buffers, so a layer can reuse them from call to call.
+// Everything is deterministic given a seeded RNG so experiments are
+// reproducible.
 package tensor
 
 import (
@@ -241,17 +242,7 @@ func (t *Tensor) Norm2() float64 {
 // element receives the same additions, in the same order, as a loop adding
 // one term per pass, and the result does not depend on the blocking.
 func MatMulInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMulInto requires rank-2 tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims mismatch %d vs %d", k, k2))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.shape, m, n))
-	}
+	m, k, n := productDims("MatMulInto", dst, a, b, false, false)
 	var nz [4]int // indices into a's row of the pending nonzero terms
 	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
@@ -285,21 +276,134 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 }
 
-// TransposeInto writes the transpose of the m×n matrix a into dst (n×m).
-// dst must not share storage with a.
-func TransposeInto(dst, a *Tensor) {
-	if a.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: TransposeInto requires rank-2 tensors")
-	}
-	m, n := a.shape[0], a.shape[1]
-	if dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: TransposeInto dst %v, want [%d %d]", dst.shape, n, m))
-	}
+// MatMulTransAInto sets dst (m×n) to aᵀ·b for a (k×m) and b (k×n), reading
+// a's columns in place; dst must not share storage with a or b. Every output
+// element receives exactly the additions MatMulInto(dst, aᵀ, b) gives it, in
+// the same order. The last one to three terms of a row take one pass
+// together, which matters when k is a few filters.
+func MatMulTransAInto(dst, a, b *Tensor) {
+	m, k, n := productDims("MatMulTransAInto", dst, a, b, true, false)
+	var nz [4]int
 	for i := 0; i < m; i++ {
-		for j, v := range a.data[i*n : (i+1)*n] {
-			dst.data[j*m+i] = v
+		orow := dst.data[i*n : (i+1)*n]
+		clear(orow)
+		pending := 0
+		for p := 0; p < k; p++ {
+			if a.data[p*m+i] == 0 {
+				continue
+			}
+			nz[pending] = p
+			if pending++; pending < 4 {
+				continue
+			}
+			pending = 0
+			a0, a1, a2, a3 := a.data[nz[0]*m+i], a.data[nz[1]*m+i], a.data[nz[2]*m+i], a.data[nz[3]*m+i]
+			b0 := b.data[nz[0]*n:][:len(orow)]
+			b1 := b.data[nz[1]*n:][:len(orow)]
+			b2 := b.data[nz[2]*n:][:len(orow)]
+			b3 := b.data[nz[3]*n:][:len(orow)]
+			for j, o := range orow {
+				orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		// The last one to three terms, in one pass.
+		var ta [3]float64
+		var tb [3][]float64
+		for t, p := range nz[:pending] {
+			ta[t], tb[t] = a.data[p*m+i], b.data[p*n:][:len(orow)]
+		}
+		switch b0, b1, b2 := tb[0], tb[1], tb[2]; pending {
+		case 1:
+			for j, o := range orow {
+				orow[j] = o + ta[0]*b0[j]
+			}
+		case 2:
+			for j, o := range orow {
+				orow[j] = o + ta[0]*b0[j] + ta[1]*b1[j]
+			}
+		case 3:
+			for j, o := range orow {
+				orow[j] = o + ta[0]*b0[j] + ta[1]*b1[j] + ta[2]*b2[j]
+			}
 		}
 	}
+}
+
+// MatMulTransBInto sets dst (m×n) to a·bᵀ for a (m×k) and b (n×k), reading
+// b's rows in place as the columns of bᵀ; dst must not share storage with a
+// or b. Every output element receives exactly the additions
+// MatMulInto(dst, a, bᵀ) gives it, in the same order; as in
+// MatMulTransAInto the last one to three terms take one pass.
+func MatMulTransBInto(dst, a, b *Tensor) {
+	m, k, n := productDims("MatMulTransBInto", dst, a, b, false, true)
+	bd := b.data
+	var nz [4]int
+	for i := 0; i < m; i++ {
+		arow := a.data[i*k : (i+1)*k]
+		orow := dst.data[i*n : (i+1)*n]
+		clear(orow)
+		pending := 0
+		for p, av := range arow {
+			if av == 0 {
+				continue
+			}
+			nz[pending] = p
+			if pending++; pending < 4 {
+				continue
+			}
+			pending = 0
+			p0, p1, p2, p3 := nz[0], nz[1], nz[2], nz[3]
+			a0, a1, a2, a3 := arow[p0], arow[p1], arow[p2], arow[p3]
+			for j, o := range orow {
+				q := j * k // bᵀ's column j is b's row j
+				orow[j] = o + a0*bd[q+p0] + a1*bd[q+p1] + a2*bd[q+p2] + a3*bd[q+p3]
+			}
+		}
+		// The last one to three terms, in one pass.
+		var ta [3]float64
+		for t, p := range nz[:pending] {
+			ta[t] = arow[p]
+		}
+		switch p0, p1, p2 := nz[0], nz[1], nz[2]; pending {
+		case 1:
+			for j, o := range orow {
+				orow[j] = o + ta[0]*bd[j*k+p0]
+			}
+		case 2:
+			for j, o := range orow {
+				q := j * k
+				orow[j] = o + ta[0]*bd[q+p0] + ta[1]*bd[q+p1]
+			}
+		case 3:
+			for j, o := range orow {
+				q := j * k
+				orow[j] = o + ta[0]*bd[q+p0] + ta[1]*bd[q+p1] + ta[2]*bd[q+p2]
+			}
+		}
+	}
+}
+
+// productDims checks the shapes of dst = op(a)·op(b), where op transposes
+// its operand when the flag says so, and returns m, k and n.
+func productDims(op string, dst, a, b *Tensor, transA, transB bool) (m, k, n int) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: %s requires rank-2 tensors", op))
+	}
+	m, k = a.shape[0], a.shape[1]
+	if transA {
+		m, k = k, m
+	}
+	k2, n := b.shape[0], b.shape[1]
+	if transB {
+		k2, n = n, k2
+	}
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dims mismatch %d vs %d", op, k, k2))
+	}
+	if dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", op, dst.shape, m, n))
+	}
+	return m, k, n
 }
 
 // ArgMax returns the flat index of the maximum element.

@@ -142,10 +142,24 @@ func matMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// transpose is the reference transpose, written from the definition.
 func transpose(a *Tensor) *Tensor {
-	out := New(a.Dim(1), a.Dim(0))
-	TransposeInto(out, a)
+	m, n := a.Dim(0), a.Dim(1)
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.data[j*m+i] = a.data[i*n+j]
+		}
+	}
 	return out
+}
+
+func identity(n int) *Tensor {
+	id := New(n, n)
+	for i := 0; i < n; i++ {
+		id.data[i*n+i] = 1
+	}
+	return id
 }
 
 func TestMatMulKnown(t *testing.T) {
@@ -241,30 +255,92 @@ func TestMatMulIntoMatchesNaiveBitwise(t *testing.T) {
 	}
 }
 
+// TestTranspose checks the transposed-operand products on known values:
+// aᵀ·I and I·aᵀ are aᵀ, read from a in place. A destination of the
+// untransposed shape panics.
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := transpose(a)
 	want := FromSlice([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	if !Equal(got, want, 0) {
-		t.Fatalf("Transpose = %v", got)
+	viaA, viaB := New(3, 2), New(3, 2)
+	MatMulTransAInto(viaA, a, identity(2))
+	MatMulTransBInto(viaB, identity(3), a)
+	if !Equal(viaA, want, 0) || !Equal(viaB, want, 0) {
+		t.Fatalf("aᵀ·I = %v, I·aᵀ = %v, want %v", viaA, viaB, want)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a wrongly shaped destination")
-		}
-	}()
-	TransposeInto(New(2, 3), a)
+	for name, f := range map[string]func(){
+		"MatMulTransAInto": func() { MatMulTransAInto(New(2, 3), a, identity(2)) },
+		"MatMulTransBInto": func() { MatMulTransBInto(New(2, 3), identity(3), a) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for a wrongly shaped destination", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
+// TestTransposeInvolution checks that transposing through one product
+// kernel and back through the other returns a exactly: each output element
+// receives one term, a product with 1.
 func TestTransposeInvolution(t *testing.T) {
 	g := NewRNG(1)
 	f := func(seed uint8) bool {
 		m, n := 1+int(seed%7), 1+int(seed/7%9)
 		a := g.Randn(1, m, n)
-		return Equal(transpose(transpose(a)), a, 0)
+		at, back := New(n, m), New(m, n)
+		MatMulTransBInto(at, identity(n), a)
+		MatMulTransAInto(back, at, identity(n))
+		return bitsEqual(at, transpose(a)) && bitsEqual(back, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransposedProductsMatchMatMulInto checks MatMulTransAInto and
+// MatMulTransBInto bit for bit against MatMulInto over explicit transposes,
+// on the shapes of the convolution backward pass and on inner sizes that
+// leave every remainder mod 4. The left operand carries a ReLU-like mask of
+// zeros, a -0 and a zero row; the right one a -0 and an infinity that a
+// skipped zero must never multiply; the destinations hold stale values.
+func TestTransposedProductsMatchMatMulInto(t *testing.T) {
+	g := NewRNG(14)
+	for _, s := range []struct{ m, k, n int }{
+		{6, 36, 54}, {6, 36, 9}, {54, 6, 36}, {9, 6, 36}, // conv dW and dcols
+		{1, 1, 1}, {3, 5, 7}, {5, 4, 2}, {8, 9, 3}, {4, 72, 5},
+	} {
+		a := g.Randn(1, s.m, s.k)
+		b := g.Randn(1, s.k, s.n)
+		ad := a.Data()
+		for i := range ad {
+			if g.Float64() < 0.5 {
+				ad[i] = 0
+			}
+		}
+		ad[len(ad)/2] = math.Copysign(0, -1)
+		if s.m > 1 {
+			clear(ad[:s.k])
+		}
+		b.Data()[0] = math.Copysign(0, -1)
+		b.Data()[len(b.Data())-1] = math.Inf(1)
+		want := New(s.m, s.n)
+		MatMulInto(want, a, b)
+
+		gotA := New(s.m, s.n)
+		gotA.Fill(math.NaN())
+		MatMulTransAInto(gotA, transpose(a), b)
+		if !bitsEqual(gotA, want) {
+			t.Errorf("%+v: MatMulTransAInto(aᵀ, b) differs from MatMulInto(a, b)", s)
+		}
+		gotB := New(s.m, s.n)
+		gotB.Fill(math.NaN())
+		MatMulTransBInto(gotB, a, transpose(b))
+		if !bitsEqual(gotB, want) {
+			t.Errorf("%+v: MatMulTransBInto(a, bᵀ) differs from MatMulInto(a, b)", s)
+		}
 	}
 }
 
