@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"autopilot/internal/airlearning"
@@ -193,8 +194,9 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers measures Phase-2 wall-clock scaling across
-// evaluation worker counts; the determinism tests guarantee the results
-// themselves are identical, so only the runtime should move.
+// worker counts, which bound both the evaluations and the optimizer's
+// candidate screen; the determinism tests guarantee the results themselves
+// are identical, so only the runtime should move.
 func BenchmarkAblationWorkers(b *testing.B) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
@@ -335,7 +337,9 @@ func BenchmarkGPFitPredict(b *testing.B) {
 // features, whose random samples leave a front of a few dozen points. The
 // timed proposals observe nothing new, so each one reads a warm posterior
 // and, once the first few have screened nearly every candidate, a warm
-// kernel cache: what it times is the block solve and the scoring.
+// kernel cache: what it times is the block solve and the scoring. The
+// screen is split over GOMAXPROCS workers, so -cpu sets how many goroutines
+// score it; at -cpu 1 it is the serial loop.
 func BenchmarkAcquisitionScreen(b *testing.B) {
 	const pool, observed = 2048, 96
 	g := tensor.NewRNG(8)
@@ -358,6 +362,7 @@ func BenchmarkAcquisitionScreen(b *testing.B) {
 	}
 	cfg := bayesopt.DefaultConfig()
 	cfg.Iterations = observed - cfg.InitSamples
+	cfg.Workers = runtime.GOMAXPROCS(0)
 	opt, err := bayesopt.New(points, feats, []float64{2.5, 2.5, 2.5}, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -26,11 +26,12 @@
 // cmd/autopilotd job server accepts over HTTP — so a CLI run and a server
 // job with equivalent parameters are bitwise identical.
 //
-// The Phase-1 training sweep and Phase-2 evaluations fan out over -workers
-// goroutines (0 = all CPUs); results are bitwise deterministic for a given
-// seed regardless of the worker count. Ctrl-C cancels a long run cleanly;
-// with -train and -train-db the Phase-1 sweep checkpoints each completed
-// policy, so rerunning the same command resumes instead of retraining.
+// The Phase-1 training sweep, the Phase-2 evaluations and the Phase-2
+// candidate screen fan out over -workers goroutines (0 = all CPUs); results
+// are bitwise deterministic for a given seed regardless of the worker count.
+// Ctrl-C cancels a long run cleanly; with -train and -train-db the Phase-1
+// sweep checkpoints each completed policy, so rerunning the same command
+// resumes instead of retraining.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the phase and
 // job spans (load it in chrome://tracing or Perfetto), -manifest writes a
@@ -145,7 +146,7 @@ func main() {
 	flag.IntVar(&o.Pool, "pool", 2048, "Phase-2 candidate pool size")
 	flag.IntVar(&o.BOIters, "bo-iters", 72, "Phase-2 Bayesian-optimization iterations")
 	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
-	flag.IntVar(&o.Workers, "workers", 0, "evaluation/training worker pool size (0 = all CPUs)")
+	flag.IntVar(&o.Workers, "workers", 0, "evaluation/training worker pool size, which also bounds the Phase-2 candidate screen (0 = all CPUs)")
 	flag.BoolVar(&o.Train, "train", false, "Phase 1: actually train policies with RL instead of the surrogate (slow)")
 	flag.IntVar(&o.Episodes, "episodes", 150, "RL episodes per policy with -train")
 	flag.StringVar(&o.TrainDB, "train-db", "", "with -train: checkpoint file making the Phase-1 sweep resumable")

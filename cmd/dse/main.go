@@ -31,8 +31,9 @@
 // so flag validation and request wiring are shared with cmd/autopilot and
 // the cmd/autopilotd job server.
 //
-// Evaluations fan out over -workers goroutines (0 = all CPUs); the result is
-// bitwise deterministic for a given seed regardless of the worker count.
+// Evaluations, and the Bayesian optimizer's screen of its candidates, fan
+// out over -workers goroutines (0 = all CPUs); the result is bitwise
+// deterministic for a given seed regardless of the worker count.
 // Ctrl-C cancels the sweep cleanly.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the search and
@@ -84,7 +85,7 @@ func main() {
 	pool := flag.Int("pool", 2048, "candidate pool size")
 	iters := flag.Int("iters", 72, "Bayesian-optimization iterations")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "evaluation worker pool size, which also bounds the candidate screen (0 = all CPUs)")
 	dbPath := flag.String("db", "", "Air Learning database file (default: built-in surrogate)")
 	retries := flag.Int("retries", 1, "attempt budget per design evaluation (1 = no retries)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt evaluation timeout (0 = unbounded)")

@@ -45,9 +45,9 @@ type Constraints struct {
 	BOIterations int `json:"bo_iterations,omitempty"`
 	// SensorFPS caps the sensor frame rate; 0 selects the platform maximum.
 	SensorFPS float64 `json:"sensor_fps,omitempty"`
-	// Workers bounds the evaluation/training worker pools; 0 selects all
-	// CPUs. Results are bitwise identical at any worker count, so this field
-	// is excluded from the request hash.
+	// Workers bounds the evaluation/training worker pools and the Phase-2
+	// candidate screen; 0 selects all CPUs. Results are bitwise identical at
+	// any worker count, so this field is excluded from the request hash.
 	Workers int `json:"workers,omitempty"`
 	// Retries is the attempt budget per training job / evaluation; values
 	// <= 1 mean a single attempt.

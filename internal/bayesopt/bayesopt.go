@@ -18,11 +18,18 @@
 // candidate pool. Every posterior and every kernel value is bitwise what a
 // refit from scratch computes.
 //
-// One screening loop serves both acquisitions. It predicts the screened
-// candidates in blocks of gp.BlockSize, one forward solve per block, and
-// scores them against a front sorted once per iteration, all over scratch
-// made once per iteration, so scoring a candidate allocates nothing. Every
-// score is bitwise what scoring the candidate alone gives.
+// One screening loop serves both acquisitions. It cuts the screened
+// candidates into blocks of gp.BlockSize and scores them on up to
+// Config.Workers of internal/pool's goroutines, each of which claims the
+// next unscored block in screen order. Before the fan-out the kernel cache
+// gives each screened candidate its slot, in screen order, so a worker
+// writes only its own candidates' slots. A worker predicts a block with one
+// forward solve and scores it against its own copy of the front, sorted
+// once per iteration, over scratch it keeps for the optimizer's lifetime,
+// so scoring a candidate allocates nothing. Every score is bitwise what
+// scoring the candidate alone gives, each block keeps its first best, and
+// the blocks' bests are reduced in screen order, so the proposal is bitwise
+// the same at every worker count.
 //
 // The optimizer is an ask/tell proposer (BO): it proposes candidates and is
 // told their objectives, and leaves evaluation, caching, budgets and failure
@@ -30,11 +37,14 @@
 package bayesopt
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"autopilot/internal/gp"
 	"autopilot/internal/pareto"
+	"autopilot/internal/pool"
 	"autopilot/internal/space"
 	"autopilot/internal/tensor"
 )
@@ -73,6 +83,10 @@ type Config struct {
 	LengthScale float64 // SE kernel length scale in normalized feature space
 	Acquisition Acquisition
 	Seed        int64
+	// Workers bounds the goroutines that score the screened candidates;
+	// <= 0 means runtime.NumCPU(). Proposals are bitwise the same for any
+	// value, and 1 scores the screen on the calling goroutine.
+	Workers int
 }
 
 // DefaultConfig returns settings that work well on the DSSoC space.
@@ -104,6 +118,9 @@ type BO struct {
 	kernel gp.SE
 	mod    model       // the posterior, extended as observations arrive
 	cache  kernelCache // k(observation, screened candidate)
+
+	scorers []*scorer // the screen's workers' scratch
+	picks   []pick    // each screened block's first best, in screen order
 
 	started bool
 	nInit   int
@@ -143,7 +160,8 @@ func New(points []space.Point, feats [][]float64, ref []float64, cfg Config) (*B
 // Propose returns the next candidates to evaluate: the initial random
 // sample, then one model-guided candidate per call, and nothing once the
 // candidates are exhausted. It fails when none of the initial samples
-// returned objectives.
+// returned objectives, and when scoring the screen panics: the pool
+// recovers the panic into an error wrapping a *fault.PanicError.
 func (b *BO) Propose() ([]space.Point, error) {
 	if !b.started {
 		b.started = true
@@ -157,40 +175,110 @@ func (b *BO) Propose() ([]space.Point, error) {
 		return nil, err
 	}
 	front := pareto.Filter(b.objs)
-	pool := screen(b.rng, len(b.points), b.told, b.cfg.ScreenSize)
-	if len(pool) == 0 {
+	screened := screen(b.rng, len(b.points), b.told, b.cfg.ScreenSize)
+	if len(screened) == 0 {
 		return nil, nil
 	}
 	var weights []float64
 	var bestScalar float64
-	var prepared pareto.Front
 	if b.cfg.Acquisition == AcqScalarizedEI {
 		weights, bestScalar = eiSetup(b.rng, b.objs, b.ref, len(b.ref))
-	} else {
-		prepared.Prepare(front, b.ref)
 	}
-	blk := newBlock(len(b.ref), len(b.feats))
-	best, bestScore := -1, math.Inf(-1)
-	for start := 0; start < len(pool); start += gp.BlockSize {
-		cands := pool[start:min(start+gp.BlockSize, len(pool))]
+	b.cache.reserve(screened, len(b.feats))
+	blocks := (len(screened) + gp.BlockSize - 1) / gp.BlockSize
+	for len(b.picks) < blocks {
+		b.picks = append(b.picks, pick{})
+	}
+	w := min(pool.Workers(b.cfg.Workers), blocks)
+	for len(b.scorers) < w {
+		b.scorers = append(b.scorers, &scorer{blk: newBlock(len(b.ref))})
+	}
+	scorers := b.scorers[:w]
+	var next atomic.Int64 // the next block to score
+	err := pool.ForEach(context.TODO(), len(scorers), scorers, func(_ context.Context, s *scorer) error {
+		b.score(s, screened, &next, front, weights, bestScalar)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bayesopt: screen: %w", err)
+	}
+	return b.propose(reduce(b.picks[:blocks]).index), nil
+}
+
+// scorer is one screen worker's scratch: a block and the front, prepared for
+// SMS-EGO's contributions. It is made once and kept for the optimizer's
+// lifetime.
+type scorer struct {
+	blk   *block
+	front pareto.Front
+}
+
+// score claims the screen's blocks from next, in screen order, until none is
+// left, and predicts and scores each block's candidates over s, recording
+// the block's first best in b.picks. A block's predictions and best do not
+// depend on which scorer claims it. score writes only s, the picks of the
+// blocks it claims and the kernel cache's slots of their candidates, so
+// scorers may share a screen concurrently.
+func (b *BO) score(s *scorer, screened []int, next *atomic.Int64, front [][]float64, weights []float64, bestScalar float64) {
+	blk := s.blk
+	for len(blk.scratch) < len(b.feats) {
+		blk.scratch = append(blk.scratch, [gp.BlockSize]float64{})
+	}
+	if b.cfg.Acquisition != AcqScalarizedEI {
+		s.front.Prepare(front, b.ref)
+	}
+	for {
+		k := int(next.Add(1)) - 1
+		start := k * gp.BlockSize
+		if start >= len(screened) {
+			return
+		}
+		cands := screened[start:min(start+gp.BlockSize, len(screened))]
 		for c, ci := range cands {
 			blk.x[c] = b.cands[ci]
-			b.cache.column(b.feats, ci, blk.scratch, c)
+			b.cache.fill(b.feats, ci, blk.scratch, c)
 		}
 		b.mod.predict(blk, len(cands))
+		best := newPick()
 		for c, ci := range cands {
 			var score float64
 			if b.cfg.Acquisition == AcqScalarizedEI {
 				score = expectedImprovement(blk.mu[c], blk.sd[c], weights, bestScalar, b.ref)
 			} else {
-				score = smsEGO(blk.mu[c], blk.sd[c], front, &prepared, b.ref, b.cfg.Gain)
+				score = smsEGO(blk.mu[c], blk.sd[c], front, &s.front, b.ref, b.cfg.Gain)
 			}
-			if score > bestScore {
-				best, bestScore = ci, score
-			}
+			best.offer(ci, score)
 		}
+		b.picks[k] = best
 	}
-	return b.propose(best), nil
+}
+
+// pick is a scan for the first best candidate under a strict >: a candidate
+// replaces the best only when its score is greater, so of tied scores the
+// first is kept and a NaN score never wins. Offering the blocks' bests in
+// screen order to a new pick therefore gives the candidate one scan over the
+// whole screen gives.
+type pick struct {
+	index int // -1 until a score beats -Inf
+	score float64
+}
+
+func newPick() pick { return pick{index: -1, score: math.Inf(-1)} }
+
+// offer makes candidate index the best if score beats the best so far.
+func (p *pick) offer(index int, score float64) {
+	if score > p.score {
+		p.index, p.score = index, score
+	}
+}
+
+// reduce offers picks in order and returns the first best of them.
+func reduce(picks []pick) pick {
+	best := newPick()
+	for _, p := range picks {
+		best.offer(p.index, p.score)
+	}
+	return best
 }
 
 func (b *BO) propose(idx ...int) []space.Point {
@@ -304,13 +392,36 @@ func newKernelCache(kernel gp.Kernel, cands [][]float64, screen, iterations int)
 	return kernelCache{kernel: kernel, cands: cands, slot: make([]int32, len(cands)), filled: make([]int32, width)}
 }
 
-// column writes k(feats[i], cands[ci]) into ks[i][c] for every observation
-// i, computing only the values the cache does not hold yet.
-func (kc *kernelCache) column(feats [][]float64, ci int, ks [][gp.BlockSize]float64, c int) {
-	s := kc.slotOf(ci)
-	for len(kc.rows) < len(feats) {
+// reserve readies the cache for a screen: in screened's order it gives each
+// candidate screened for the first time the next slot, doubling every row
+// when the slots run out, and it adds rows up to n observations. After it,
+// fill writes only its own candidate's slot.
+func (kc *kernelCache) reserve(screened []int, n int) {
+	for _, ci := range screened {
+		if kc.slot[ci] > 0 {
+			continue
+		}
+		if kc.used == len(kc.filled) {
+			grow := min(len(kc.cands), max(2*kc.used, 1)) - kc.used
+			kc.filled = append(kc.filled, make([]int32, grow)...)
+			for i, row := range kc.rows {
+				kc.rows[i] = append(row, make([]float64, grow)...)
+			}
+		}
+		kc.used++
+		kc.slot[ci] = int32(kc.used)
+	}
+	for len(kc.rows) < n {
 		kc.rows = append(kc.rows, make([]float64, len(kc.filled)))
 	}
+}
+
+// fill writes k(feats[i], cands[ci]) into ks[i][c] for every observation
+// i, computing only the values the cache does not hold yet. A reserve for
+// ci and len(feats) must come first. fill writes only ci's slot, so fills
+// of distinct candidates may run concurrently.
+func (kc *kernelCache) fill(feats [][]float64, ci int, ks [][gp.BlockSize]float64, c int) {
+	s := int(kc.slot[ci]) - 1
 	x := kc.cands[ci]
 	for i := int(kc.filled[s]); i < len(feats); i++ {
 		kc.rows[i][s] = kc.kernel.Eval(feats[i], x)
@@ -321,28 +432,9 @@ func (kc *kernelCache) column(feats [][]float64, ci int, ks [][gp.BlockSize]floa
 	}
 }
 
-// slotOf returns candidate ci's slot, giving it the next one on its first
-// screening and doubling every row when the slots run out.
-func (kc *kernelCache) slotOf(ci int) int {
-	if s := kc.slot[ci]; s > 0 {
-		return int(s) - 1
-	}
-	if kc.used == len(kc.filled) {
-		grow := min(len(kc.cands), max(2*kc.used, 1)) - kc.used
-		kc.filled = append(kc.filled, make([]int32, grow)...)
-		for i, row := range kc.rows {
-			kc.rows[i] = append(row, make([]float64, grow)...)
-		}
-	}
-	s := kc.used
-	kc.used++
-	kc.slot[ci] = int32(s + 1)
-	return s
-}
-
-// block is the scratch of one iteration's screen: a block of candidates,
-// their kernel values, their posterior predictions and the GP's work space.
-// It is made once per iteration, so scoring a candidate allocates nothing.
+// block is a scorer's scratch: a block of candidates, their kernel values,
+// their posterior predictions and the GP's work space. It is kept for the
+// optimizer's lifetime, so scoring a candidate allocates nothing.
 type block struct {
 	x        [gp.BlockSize][]float64 // the candidates' features
 	mu, sd   [gp.BlockSize][]float64 // per objective, de-standardized
@@ -350,9 +442,9 @@ type block struct {
 	scratch  [][gp.BlockSize]float64 // k(observation i, candidate c), then the solve
 }
 
-// newBlock sizes a block for m objectives and n observations.
-func newBlock(m, n int) *block {
-	b := &block{scratch: make([][gp.BlockSize]float64, n)}
+// newBlock makes a block for m objectives.
+func newBlock(m int) *block {
+	b := &block{}
 	for c := range b.mu {
 		b.mu[c], b.sd[c] = make([]float64, m), make([]float64, m)
 	}

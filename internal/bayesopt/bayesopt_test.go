@@ -1,11 +1,15 @@
 package bayesopt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"autopilot/internal/fault"
 	"autopilot/internal/gp"
 	"autopilot/internal/pareto"
 	"autopilot/internal/space"
@@ -392,19 +396,22 @@ func sameBits(a, b [][]float64) bool {
 }
 
 // lockstep drives two optimizers with one configuration over p, as drive
-// does, to a budget of designs that returned objectives. The reference drops
-// its posterior and its kernel cache before every proposal, so it refits
-// from scratch and computes every kernel value anew, as the optimizer did
-// before it kept them. Every proposal, and every posterior's factor rows and
-// weights, must match bit for bit. check, if not nil, sees the cached
+// does, to a budget of designs that returned objectives. The cached one
+// screens on the given number of workers; the reference screens on one, and
+// drops its posterior and its kernel cache before every proposal, so it
+// refits from scratch and computes every kernel value anew, as the optimizer
+// did before it kept them. Every proposal, and every posterior's factor rows
+// and weights, must match bit for bit. check, if not nil, sees the cached
 // optimizer after each of its proposals. lockstep returns the posteriors the
 // cached optimizer scored with, in order, one per model-guided proposal.
-func lockstep(t *testing.T, p problem, cfg Config, budget int, check func(*BO)) []*gp.GP {
+func lockstep(t *testing.T, p problem, cfg Config, workers, budget int, check func(*BO)) []*gp.GP {
 	t.Helper()
+	cfg.Workers = workers
 	cached, err := New(p.points, p.feats, p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 1
 	ref, err := New(p.points, p.feats, p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -453,26 +460,203 @@ func lockstep(t *testing.T, p problem, cfg Config, budget int, check func(*BO)) 
 	return models
 }
 
+// screenWorkers are the worker counts the cached optimizer screens on
+// against the one-worker refitting reference: one, two, an odd split and
+// more workers than the host has CPUs.
+var screenWorkers = []int{1, 2, 3, 8}
+
 // TestCachedPosteriorMatchesRefit pins the kept posterior and the kernel
 // cache over a whole default-budget run on a three-objective problem, for
-// both acquisitions: every proposal, factor row and weight is bitwise a
-// refit's, and the run fits its posterior once and extends it after that.
+// both acquisitions and with the screen split over every worker count of
+// screenWorkers: every proposal, factor row and weight is bitwise a
+// one-worker refit's, and the run fits its posterior once and extends it
+// after that.
 func TestCachedPosteriorMatchesRefit(t *testing.T) {
 	p := threeObjective(64) // 4096 candidates
 	for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
 		t.Run(acq.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Acquisition = acq
-			models := lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, nil)
-			if len(models) != cfg.Iterations {
-				t.Fatalf("%d model-guided proposals, want %d", len(models), cfg.Iterations)
-			}
-			for i, m := range models {
-				if m != models[0] {
-					t.Fatalf("proposal %d refitted the posterior; Append should have extended it", i)
-				}
+			for _, workers := range screenWorkers {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Acquisition = acq
+					models := lockstep(t, p, cfg, workers, cfg.InitSamples+cfg.Iterations, nil)
+					if len(models) != cfg.Iterations {
+						t.Fatalf("%d model-guided proposals, want %d", len(models), cfg.Iterations)
+					}
+					for i, m := range models {
+						if m != models[0] {
+							t.Fatalf("proposal %d refitted the posterior; Append should have extended it", i)
+						}
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestScreenSplitsMatchSerial runs screens that split unevenly: a screen
+// size that is not a multiple of gp.BlockSize, so the last block is
+// partial, and screens of fewer blocks than workers, so some workers get no
+// block. Each must propose bitwise what the one-worker reference does, for
+// both acquisitions, to the end of a run that exhausts the pool, whose last
+// screens are smaller still.
+func TestScreenSplitsMatchSerial(t *testing.T) {
+	p := threeObjective(8) // 64 candidates
+	for _, tc := range []struct{ screen, workers int }{
+		{30, 3}, // 8 blocks, the last of 2 candidates, over 3 workers
+		{30, 8}, // 8 blocks over 8 workers
+		{6, 8},  // 2 blocks, so 2 of 8 workers score
+		{3, 2},  // one partial block, so one worker scores
+	} {
+		for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
+			t.Run(fmt.Sprintf("screen=%d/workers=%d/%v", tc.screen, tc.workers, acq), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.InitSamples, cfg.Iterations, cfg.ScreenSize, cfg.Acquisition = 6, 80, tc.screen, acq
+				models := lockstep(t, p, cfg, tc.workers, len(p.points), nil)
+				if want := len(p.points) - cfg.InitSamples; len(models) != want {
+					t.Fatalf("%d model-guided proposals, want %d", len(models), want)
+				}
+			})
+		}
+	}
+}
+
+// TestScreenScoresEveryBlock pins the workers' claims: at every worker
+// count, a Propose scores every block of its screen, so it fills every
+// screened candidate's kernel values up to the latest observation, and it
+// makes scratch for min(workers, blocks) workers. Each screen holds every
+// candidate not yet told, so the test knows which candidates it screened.
+func TestScreenScoresEveryBlock(t *testing.T) {
+	p := zdt1Grid(8) // 64 candidates
+	for _, workers := range screenWorkers {
+		cfg := DefaultConfig()
+		cfg.InitSamples, cfg.ScreenSize, cfg.Workers = 6, len(p.points), workers
+		b, err := New(p.points, p.feats, p.ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; ; round++ {
+			pts, err := b.Propose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) == 0 {
+				break
+			}
+			for ci := range p.points {
+				if round == 0 || b.told[ci] {
+					continue
+				}
+				if s := int(b.cache.slot[ci]) - 1; s < 0 || int(b.cache.filled[s]) != len(b.feats) {
+					t.Fatalf("workers=%d, round %d: candidate %d was screened but not scored", workers, round, ci)
+				}
+			}
+			ys := make([][]float64, len(pts))
+			for j, pt := range pts {
+				ys[j] = p.eval(pt[0]*8 + pt[1])
+			}
+			b.Observe(ys)
+		}
+		firstBlocks := (len(p.points) - cfg.InitSamples + gp.BlockSize - 1) / gp.BlockSize
+		if len(b.scorers) != min(workers, firstBlocks) {
+			t.Fatalf("workers=%d: scratch for %d workers, want %d", workers, len(b.scorers), min(workers, firstBlocks))
+		}
+	}
+}
+
+// TestBlockBestsReduceLikeSerialScan pins the reduction of the blocks'
+// bests: each block keeps its first best under a strict >, and the blocks
+// are reduced in screen order under a strict >, which must pick the
+// candidate one serial `score > bestScore` scan over the whole screen picks,
+// ties and NaN included. Candidate indices are the scores' positions in the
+// screen.
+func TestBlockBestsReduceLikeSerialScan(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name   string
+		blocks [][]float64
+		want   int
+	}{
+		{"top tied across two blocks", [][]float64{{1, 5, 2}, {5, 3}, {4}}, 1},
+		{"top tied within a block", [][]float64{{1, 2}, {7, 7}, {7}}, 2},
+		{"NaN first", [][]float64{{nan, 1}, {3, nan}}, 2},
+		{"NaN after the best", [][]float64{{2, nan}, {nan, 2}}, 0},
+		{"NaN everywhere but one", [][]float64{{nan, nan}, {nan, -4}, {nan}}, 3},
+		{"every score NaN", [][]float64{{nan}, {nan, nan}}, -1},
+		{"a block of -Inf", [][]float64{{-inf, -inf}, {0.5, 0.25}}, 2},
+		{"a block of -Inf between", [][]float64{{-3}, {-inf, -inf, -inf}, {-3, -2}}, 5},
+		{"every score -Inf", [][]float64{{-inf}, {-inf, -inf}}, -1},
+		{"+Inf ties", [][]float64{{inf}, {inf}}, 0},
+		{"signed zeros", [][]float64{{-1, math.Copysign(0, -1)}, {0}}, 1},
+		{"a single block", [][]float64{{3, 1, 4, 1}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var picks []pick
+			var all []float64
+			for _, scores := range tc.blocks {
+				best := newPick()
+				for _, s := range scores {
+					best.offer(len(all), s)
+					all = append(all, s)
+				}
+				picks = append(picks, best)
+			}
+			serial, bestScore := -1, math.Inf(-1)
+			for i, s := range all {
+				if s > bestScore {
+					serial, bestScore = i, s
+				}
+			}
+			if serial != tc.want {
+				t.Fatalf("the serial scan picks %d; the case expects %d", serial, tc.want)
+			}
+			if got := reduce(picks).index; got != serial {
+				t.Fatalf("the blocks reduce to candidate %d, the serial scan picks %d", got, serial)
+			}
+		})
+	}
+}
+
+// panicKernel fails every evaluation.
+type panicKernel struct{ gp.Kernel }
+
+func (panicKernel) Eval(a, b []float64) float64 { panic("kernel evaluation failed") }
+
+// TestScreenPanicReturnsError pins the screen's panic isolation: a panic
+// while scoring the screen comes back from Propose as an error wrapping a
+// *fault.PanicError, at every worker count. With one worker the screen is
+// scored on Propose's own goroutine, whose stack the recovered panic
+// carries; with more it is scored on goroutines the pool starts.
+func TestScreenPanicReturnsError(t *testing.T) {
+	p := zdt1Grid(8)
+	for _, workers := range screenWorkers {
+		cfg := DefaultConfig()
+		cfg.InitSamples, cfg.ScreenSize, cfg.Workers = 8, 32, workers
+		b, err := New(p.points, p.feats, p.ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := b.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys := make([][]float64, len(pts))
+		for j, pt := range pts {
+			ys[j] = p.eval(pt[0]*8 + pt[1])
+		}
+		b.Observe(ys)
+		b.cache.kernel = panicKernel{b.cache.kernel}
+		_, err = b.Propose()
+		var pe *fault.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: Propose returned %v, want a *fault.PanicError", workers, err)
+		}
+		stack := string(pe.Stack)
+		onCaller := strings.Contains(stack, "TestScreenPanicReturnsError")
+		pooled := strings.Contains(stack, "created by autopilot/internal/pool.")
+		if want := workers == 1; onCaller != want || pooled == want {
+			t.Fatalf("workers=%d: the panic was recovered on the caller's goroutine: %v, on a pool goroutine: %v\n%s", workers, onCaller, pooled, stack)
+		}
 	}
 }
 
@@ -488,7 +672,7 @@ func TestCachedPosteriorFallsBackToJitter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 40, 64
 	cfg.LengthScale, cfg.Noise = 3, 1e-20-1e-9
-	models := lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, nil)
+	models := lockstep(t, p, cfg, 2, cfg.InitSamples+cfg.Iterations, nil)
 	extended, refits := 0, 0
 	for i := 1; i < len(models); i++ {
 		if models[i] != models[i-1] {
@@ -503,14 +687,15 @@ func TestCachedPosteriorFallsBackToJitter(t *testing.T) {
 	}
 }
 
-// countingKernel counts its evaluations.
+// countingKernel counts its evaluations, which the screen's workers make
+// concurrently.
 type countingKernel struct {
 	gp.Kernel
-	n *int
+	n *atomic.Int64
 }
 
 func (k countingKernel) Eval(a, b []float64) float64 {
-	*k.n++
+	k.n.Add(1)
 	return k.Kernel.Eval(a, b)
 }
 
@@ -518,10 +703,10 @@ func (k countingKernel) Eval(a, b []float64) float64 {
 // cache's first width, ScreenSize × (Iterations+1), with half the
 // candidates failing, so that the run takes more model-guided rounds than
 // Iterations and screens more candidates than the rows first have room for.
-// The slots must grow, the run must match a refit's bit for bit, and the
-// cache must compute each value it holds once, only for screened
-// candidates and observations, with rows no wider than twice the candidates
-// screened.
+// The slots must grow, the run must match a one-worker refit's bit for bit
+// at every worker count of screenWorkers, and the cache must compute each
+// value it holds once, only for screened candidates and observations, with
+// rows no wider than twice the candidates screened.
 func TestKernelCacheGrowsWithScreening(t *testing.T) {
 	p := threeObjective(40) // 1600 candidates
 	inner := p.eval
@@ -531,55 +716,67 @@ func TestKernelCacheGrowsWithScreening(t *testing.T) {
 		}
 		return inner(i)
 	}
-	cfg := DefaultConfig()
-	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 32
-	width := cfg.ScreenSize * (cfg.Iterations + 1)
-	evals, rounds, grown := 0, 0, 0
-	lockstep(t, p, cfg, cfg.InitSamples+cfg.Iterations, func(b *BO) {
-		kc := &b.cache
-		if rounds == 0 {
-			if len(kc.filled) != width {
-				t.Fatalf("rows start %d wide, want ScreenSize × (Iterations+1) = %d", len(kc.filled), width)
+	for _, workers := range screenWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 12, 32
+			width := cfg.ScreenSize * (cfg.Iterations + 1)
+			var evals atomic.Int64
+			rounds, grown := 0, 0
+			lockstep(t, p, cfg, workers, cfg.InitSamples+cfg.Iterations, func(b *BO) {
+				kc := &b.cache
+				if rounds == 0 {
+					if len(kc.filled) != width {
+						t.Fatalf("rows start %d wide, want ScreenSize × (Iterations+1) = %d", len(kc.filled), width)
+					}
+					kc.kernel = countingKernel{kc.kernel, &evals}
+				}
+				rounds++
+				held := 0
+				for _, f := range kc.filled[:kc.used] {
+					held += int(f)
+				}
+				if int64(held) != evals.Load() {
+					t.Fatalf("round %d: the cache holds %d values but computed %d", rounds, held, evals.Load())
+				}
+				if screened := cfg.ScreenSize * (rounds - 1); kc.used > screened {
+					t.Fatalf("round %d: %d slots taken after screening at most %d candidates", rounds, kc.used, screened)
+				}
+				if held > kc.used*len(b.feats) || len(kc.rows) > len(b.feats) {
+					t.Fatalf("round %d: %d values in %d rows for %d screened candidates and %d observations", rounds, held, len(kc.rows), kc.used, len(b.feats))
+				}
+				for i, row := range kc.rows {
+					if len(row) != len(kc.filled) {
+						t.Fatalf("round %d: row %d holds %d slots, the cache %d", rounds, i, len(row), len(kc.filled))
+					}
+				}
+				if len(kc.filled) > max(width, 2*kc.used) {
+					t.Fatalf("round %d: rows are %d wide for %d slots taken", rounds, len(kc.filled), kc.used)
+				}
+				grown = len(kc.filled)
+			})
+			if rounds-1 <= cfg.Iterations {
+				t.Fatalf("%d model-guided rounds; failures should have added rounds past %d", rounds-1, cfg.Iterations)
 			}
-			kc.kernel = countingKernel{kc.kernel, &evals}
-		}
-		rounds++
-		held := 0
-		for _, f := range kc.filled[:kc.used] {
-			held += int(f)
-		}
-		if held != evals {
-			t.Fatalf("round %d: the cache holds %d values but computed %d", rounds, held, evals)
-		}
-		if screened := cfg.ScreenSize * (rounds - 1); kc.used > screened {
-			t.Fatalf("round %d: %d slots taken after screening at most %d candidates", rounds, kc.used, screened)
-		}
-		if held > kc.used*len(b.feats) || len(kc.rows) > len(b.feats) {
-			t.Fatalf("round %d: %d values in %d rows for %d screened candidates and %d observations", rounds, held, len(kc.rows), kc.used, len(b.feats))
-		}
-		for i, row := range kc.rows {
-			if len(row) != len(kc.filled) {
-				t.Fatalf("round %d: row %d holds %d slots, the cache %d", rounds, i, len(row), len(kc.filled))
+			t.Logf("%d model-guided rounds; rows grew from %d to %d slots", rounds-1, width, grown)
+			if grown <= width {
+				t.Fatalf("rows are %d wide; the slots never grew past %d", grown, width)
 			}
-		}
-		if len(kc.filled) > max(width, 2*kc.used) {
-			t.Fatalf("round %d: rows are %d wide for %d slots taken", rounds, len(kc.filled), kc.used)
-		}
-		grown = len(kc.filled)
-	})
-	if rounds-1 <= cfg.Iterations {
-		t.Fatalf("%d model-guided rounds; failures should have added rounds past %d", rounds-1, cfg.Iterations)
-	}
-	t.Logf("%d model-guided rounds; rows grew from %d to %d slots", rounds-1, width, grown)
-	if grown <= width {
-		t.Fatalf("rows are %d wide; the slots never grew past %d", grown, width)
+		})
 	}
 }
 
 // TestProposeAllocationsIndependentOfScreen pins that scoring a screened
-// candidate allocates nothing: a model-guided Propose makes as many
+// candidate allocates nothing and that each worker's scratch is made once:
+// a warm model-guided Propose keeps every worker's block and makes as many
 // allocations when it screens 1024 candidates as when it screens 64, for
-// both acquisitions, on a three-objective problem.
+// both acquisitions, on a three-objective problem, at one, two and eight
+// workers. The count is the mean over 40 proposals, because the runtime now
+// and then allocates a goroutine or wait-queue record of its own when the
+// pool's goroutines are scheduled differently; an allocation per block or
+// per candidate would still add at least one per proposal. Forty-two
+// proposals of 64 fill fewer cache slots than the rows start with, so the
+// cache never grows here.
 func TestProposeAllocationsIndependentOfScreen(t *testing.T) {
 	p := zdt1Grid(64) // 4096 candidates
 	p.ref = []float64{2, 3, 3}
@@ -588,32 +785,46 @@ func TestProposeAllocationsIndependentOfScreen(t *testing.T) {
 		f := two(i)
 		return append(f, (1-f[0])*(1-f[0])+f[1]*f[1])
 	}
-	for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
-		allocs := map[int]float64{}
-		for _, screen := range []int{64, 1024} {
-			cfg := DefaultConfig()
-			cfg.InitSamples, cfg.ScreenSize, cfg.Acquisition = 24, screen, acq
-			bo, err := New(p.points, p.feats, p.ref, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pts, err := bo.Propose()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ys := make([][]float64, len(pts))
-			for j, pt := range pts {
-				ys[j] = p.eval(pt[0]*64 + pt[1])
-			}
-			bo.Observe(ys)
-			allocs[screen] = testing.AllocsPerRun(5, func() {
+	for _, workers := range []int{1, 2, 8} {
+		for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
+			allocs := map[int]float64{}
+			for _, screen := range []int{64, 1024} {
+				cfg := DefaultConfig()
+				cfg.InitSamples, cfg.ScreenSize, cfg.Acquisition, cfg.Workers = 24, screen, acq, workers
+				bo, err := New(p.points, p.feats, p.ref, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pts, err := bo.Propose()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ys := make([][]float64, len(pts))
+				for j, pt := range pts {
+					ys[j] = p.eval(pt[0]*64 + pt[1])
+				}
+				bo.Observe(ys)
 				if _, err := bo.Propose(); err != nil {
 					t.Fatal(err)
 				}
-			})
-		}
-		if allocs[64] != allocs[1024] {
-			t.Errorf("%v: %v allocations per Propose screening 64 candidates, %v screening 1024", acq, allocs[64], allocs[1024])
+				kept := map[*block]bool{}
+				for _, sc := range bo.scorers {
+					kept[sc.blk] = true
+				}
+				allocs[screen] = testing.AllocsPerRun(40, func() {
+					if _, err := bo.Propose(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				for _, sc := range bo.scorers {
+					if !kept[sc.blk] {
+						t.Errorf("workers=%d, %v, screen %d: a warm Propose made a worker new scratch", workers, acq, screen)
+					}
+				}
+			}
+			if allocs[64] != allocs[1024] {
+				t.Errorf("workers=%d, %v: %v allocations per Propose screening 64 candidates, %v screening 1024", workers, acq, allocs[64], allocs[1024])
+			}
 		}
 	}
 }

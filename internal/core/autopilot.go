@@ -76,11 +76,12 @@ type Spec struct {
 	Tuning tuning.Options
 
 	// Workers bounds the evaluation worker pool shared by the Phase-1
-	// training sweep, the Phase-2 search, and the baseline evaluations;
-	// <= 0 selects runtime.NumCPU(). Results are bitwise deterministic
-	// regardless of the worker count: per-policy training seeds derive from
-	// the hyper-parameter identity, and parallel evaluations are
-	// re-assembled in submission order.
+	// training sweep, the Phase-2 search (its evaluations and its candidate
+	// screen), and the baseline evaluations; <= 0 selects runtime.NumCPU().
+	// Results are bitwise deterministic regardless of the worker count:
+	// per-policy training seeds derive from the hyper-parameter identity,
+	// parallel evaluations are re-assembled in submission order, and the
+	// screen's blocks are reduced in screen order.
 	Workers int
 
 	// Retries is the total attempt budget per Phase-1 training job and

@@ -46,7 +46,8 @@ func (o Optimizer) String() string {
 // newProposer builds the request's optimizer over the parameter space ps and
 // returns it with the search budget: InitSamples+Iterations designs that
 // return objectives (for the Bayesian optimizer, at most its candidate
-// pool). Every optimizer gets the same hypervolume reference point.
+// pool). Every optimizer gets the same hypervolume reference point, and the
+// Bayesian optimizer screens its candidates on r.Workers goroutines.
 func (r Request) newProposer(ps space.Space) (proposer, int, error) {
 	cfg := r.Config
 	budget := cfg.BO.InitSamples + cfg.BO.Iterations
@@ -67,7 +68,9 @@ func (r Request) newProposer(ps space.Space) (proposer, int, error) {
 		for i, p := range pts {
 			feats[i] = ps.Vector(p)
 		}
-		opt, err = bayesopt.New(pts, feats, ref, cfg.BO)
+		bo := cfg.BO
+		bo.Workers = r.Workers
+		opt, err = bayesopt.New(pts, feats, ref, bo)
 		budget = min(budget, len(pts))
 	case OptGenetic:
 		c := moea.DefaultGAConfig()

@@ -28,8 +28,10 @@ type Request struct {
 	Config Config
 	// Optimizer selects the search method; the zero value is OptBayesian.
 	Optimizer Optimizer
-	// Workers bounds the evaluation worker pool; <= 0 means runtime.NumCPU().
-	// Results are bitwise deterministic regardless of the worker count.
+	// Workers bounds the evaluation worker pool and the goroutines the
+	// Bayesian optimizer screens its candidates on; <= 0 means
+	// runtime.NumCPU(). Results are bitwise deterministic regardless of the
+	// worker count.
 	Workers int
 
 	// Vehicle is the mission/thermal context for spaces with vehicle axes;

@@ -126,7 +126,9 @@ func Contribution(points [][]float64, p []float64, ref []float64) float64 {
 // copies the points that lie strictly inside the reference box, sorts the
 // copy once by the last objective and reserves the sweep's scratch, so a
 // query allocates nothing. Prepare reuses a Front's storage. A Front is not
-// safe for concurrent use.
+// safe for concurrent use, because a query sweeps over the Front's own
+// scratch: goroutines that query one point set each prepare a Front of
+// their own, as the Bayesian optimizer's screen keeps one per worker.
 //
 // The sweep works in three objectives. Prepare pads fewer with coordinate 0
 // against reference 1, which scales no volume, and a query is padded the

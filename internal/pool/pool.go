@@ -1,7 +1,8 @@
 // Package pool provides the bounded worker pool behind AutoPilot's parallel
 // evaluation engine. Every fan-out in the pipeline — the Phase-1 training
-// sweep, the Phase-2 initial-sample batch, the deterministic probe sweep and
-// the baseline evaluations — funnels through Map, which guarantees:
+// sweep, the Phase-2 initial-sample batch, the Bayesian optimizer's
+// candidate screen, the deterministic probe sweep and the baseline
+// evaluations — funnels through Map, which guarantees:
 //
 //   - bounded concurrency (default runtime.NumCPU());
 //   - results re-assembled in submission order, so downstream consumers
