@@ -15,8 +15,8 @@
 //
 // Observability: -trace writes a Chrome trace_event JSON of per-run training
 // spans, -manifest a machine-readable run manifest, and -debug-addr serves
-// live metrics/expvar/pprof over HTTP. The -progress output is unchanged: it
-// now rides the obs event stream through a writer-sink adapter.
+// live metrics/expvar/pprof over HTTP. -progress prints the engine's
+// train/progress events from the obs event stream.
 package main
 
 import (
@@ -114,9 +114,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(2)
 	}
-	// Progress rides the obs event stream; the writer sink renders it to
+	// Progress rides the obs event stream; printProgress renders it to
 	// stdout alongside whatever the -trace/-manifest flags attached.
-	run.Obs.Events = obs.MultiSink(run.Obs.Events, train.SinkEvents(train.NewWriterSink(os.Stdout)))
+	run.Obs.Events = obs.MultiSink(run.Obs.Events, printProgress)
 	eng := train.New(rl.Factory(cfg), train.Config{
 		Episodes:      cfg.Episodes,
 		EvalEpisodes:  cfg.EvalEpisodes,
@@ -159,7 +159,7 @@ func main() {
 // retry policy; a positive failure budget lets the sweep finish with a
 // failure report instead of aborting on the first exhausted job.
 func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlearning.Scenario, cfg rl.TrainConfig, workers, progress int, dbPath string, retry fault.Policy, failureBudget float64) {
-	run.Obs.Events = obs.MultiSink(run.Obs.Events, train.SinkEvents(train.NewWriterSink(os.Stdout)))
+	run.Obs.Events = obs.MultiSink(run.Obs.Events, printProgress)
 	eng := train.New(rl.Factory(cfg), train.Config{
 		Episodes:      cfg.Episodes,
 		EvalEpisodes:  cfg.EvalEpisodes,
@@ -212,3 +212,18 @@ func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlea
 	}
 	finish(nil)
 }
+
+// printProgress renders each training progress event as one line on stdout.
+var printProgress = obs.EventFunc(func(e obs.Event) {
+	p, ok := e.Payload.(train.Progress)
+	if !ok {
+		return
+	}
+	if p.Done {
+		fmt.Printf("%s/%s [%s] done: %d episodes, %d env steps, %.0f%% success (%.1fs)\n",
+			p.Hyper, p.Scenario, p.Algorithm, p.Episode, p.Steps, 100*p.SuccessRate, p.Elapsed.Seconds())
+		return
+	}
+	fmt.Printf("%s/%s [%s] episode %d/%d: return %.2f, %d env steps (%.1fs)\n",
+		p.Hyper, p.Scenario, p.Algorithm, p.Episode, p.Episodes, p.Return, p.Steps, p.Elapsed.Seconds())
+})

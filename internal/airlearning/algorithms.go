@@ -39,12 +39,6 @@ const (
 	AlgorithmReinforce = "reinforce"
 )
 
-// Algorithms lists the searchable training-algorithm names in canonical
-// order.
-func Algorithms() []string {
-	return []string{AlgorithmDQN, AlgorithmReinforce}
-}
-
 // AlgorithmSuccess maps a DQN-calibrated base success rate onto the named
 // training algorithm for a model. A zero base (untrained/unknown model)
 // stays zero, and unknown algorithm names score zero so they can never win

@@ -150,15 +150,6 @@ func (e *Env) staticBlocked(p Point) bool {
 	return e.grid[p.Y*e.cfg.ArenaW+p.X]
 }
 
-// Movers returns the current dynamic-obstacle positions.
-func (e *Env) Movers() []Point {
-	out := make([]Point, len(e.movers))
-	for i, m := range e.movers {
-		out[i] = m.pos
-	}
-	return out
-}
-
 // stepMovers advances the dynamic obstacles one cell along their velocity,
 // bouncing off walls, static obstacles and each other.
 func (e *Env) stepMovers() {

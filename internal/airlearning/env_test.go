@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 
 	"autopilot/internal/policy"
@@ -186,16 +185,34 @@ func TestExpertPolicyHighSuccess(t *testing.T) {
 
 func TestRandomPolicyWorseThanExpert(t *testing.T) {
 	env := NewEnv(LowObstacle, 13)
-	i := 0
-	random := PolicyFunc(func(Observation) int {
-		i = (i*7 + 3) % NumActions
-		return i
-	})
-	randRate := SuccessRate(env, random, 30)
+	randRate := SuccessRate(env, &cyclePolicy{}, 30)
 	expertRate := SuccessRate(env, ExpertPolicy{Env: env}, 30)
 	if randRate >= expertRate {
 		t.Fatalf("random %.2f >= expert %.2f", randRate, expertRate)
 	}
+}
+
+// cyclePolicy steps through the actions in a fixed, goal-blind order.
+type cyclePolicy struct{ i int }
+
+func (p *cyclePolicy) Act(Observation) int {
+	p.i = (p.i*7 + 3) % NumActions
+	return p.i
+}
+
+// cancellingExpert flies the expert's moves and cancels its context on
+// action number at.
+type cancellingExpert struct {
+	expert   ExpertPolicy
+	acts, at int
+	cancel   func()
+}
+
+func (p *cancellingExpert) Act(o Observation) int {
+	if p.acts++; p.acts == p.at {
+		p.cancel()
+	}
+	return p.expert.Act(o)
 }
 
 func TestRunEpisodeResultConsistency(t *testing.T) {
@@ -225,13 +242,7 @@ func TestRunEpisodeContextStopsWhenCancelled(t *testing.T) {
 	env = NewEnv(MediumObstacle, 17)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	acts := 0
-	stopAfter3 := PolicyFunc(func(o Observation) int {
-		if acts++; acts == 3 {
-			cancel()
-		}
-		return ExpertPolicy{Env: env}.Act(o)
-	})
+	stopAfter3 := &cancellingExpert{expert: ExpertPolicy{Env: env}, at: 3, cancel: cancel}
 	res, err := RunEpisodeContext(ctx, env, stopAfter3)
 	if !errors.Is(err, context.Canceled) || res.Steps != 3 || res.Outcome != Running {
 		t.Fatalf("cancelled at step 3: %+v, %v; want 3 steps, Running, context.Canceled", res, err)
@@ -368,30 +379,15 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-func TestRenderContainsActors(t *testing.T) {
-	env := NewEnv(MediumObstacle, 3)
-	env.Reset()
-	s := env.Render()
-	for _, want := range []string{"U", "G", "#", "."} {
-		if !strings.Contains(s, want) {
-			t.Errorf("render missing %q:\n%s", want, s)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != env.Config().ArenaH {
-		t.Fatalf("render has %d lines, want %d", len(lines), env.Config().ArenaH)
-	}
-	if strings.Count(s, "U") != 1 || strings.Count(s, "G") != 1 {
-		t.Fatal("render must show exactly one UAV and one goal")
-	}
-}
-
 func TestDynamicObstaclesSpawnAndMove(t *testing.T) {
 	cfg := LowObstacle.Config()
 	cfg.Dynamic = 3
 	env := NewEnvWithConfig(LowObstacle, cfg, 31)
 	env.Reset()
-	before := env.Movers()
+	var before []Point
+	for _, m := range env.movers {
+		before = append(before, m.pos)
+	}
 	if len(before) != 3 {
 		t.Fatalf("movers = %d, want 3", len(before))
 	}
@@ -401,10 +397,9 @@ func TestDynamicObstaclesSpawnAndMove(t *testing.T) {
 		}
 		env.Step(2) // move E if possible
 	}
-	after := env.Movers()
 	moved := false
-	for i := range after {
-		if after[i] != before[i] {
+	for i, m := range env.movers {
+		if m.pos != before[i] {
 			moved = true
 			break
 		}
@@ -419,9 +414,9 @@ func TestDynamicObstaclesBlockCells(t *testing.T) {
 	cfg.Dynamic = 2
 	env := NewEnvWithConfig(LowObstacle, cfg, 33)
 	env.Reset()
-	for _, p := range env.Movers() {
-		if !env.Blocked(p) {
-			t.Fatalf("mover cell %v not blocked", p)
+	for _, m := range env.movers {
+		if !env.Blocked(m.pos) {
+			t.Fatalf("mover cell %v not blocked", m.pos)
 		}
 	}
 }
@@ -439,7 +434,7 @@ func TestExpertHandlesDynamicObstacles(t *testing.T) {
 func TestStaticScenariosHaveNoMovers(t *testing.T) {
 	env := NewEnv(DenseObstacle, 1)
 	env.Reset()
-	if len(env.Movers()) != 0 {
+	if len(env.movers) != 0 {
 		t.Fatal("paper scenarios are static; no movers expected")
 	}
 }

@@ -10,12 +10,6 @@ type Policy interface {
 	Act(obs Observation) int
 }
 
-// PolicyFunc adapts a plain function to the Policy interface.
-type PolicyFunc func(Observation) int
-
-// Act calls f.
-func (f PolicyFunc) Act(obs Observation) int { return f(obs) }
-
 // EpisodeResult summarizes one rollout.
 type EpisodeResult struct {
 	Outcome Outcome

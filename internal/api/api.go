@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -110,12 +111,6 @@ type CoDesignRequest struct {
 	// execution topology — results are bitwise identical with or without it —
 	// so it is masked out of the request hash.
 	Grid *GridSpec `json:"grid,omitempty"`
-}
-
-// DefaultRequest returns the normalized default query: nano UAV, dense
-// scenario, the default search budgets.
-func DefaultRequest() CoDesignRequest {
-	return CoDesignRequest{}.Normalized()
 }
 
 // ParseUAV resolves a UAV class name (or alias) to its platform.
@@ -249,13 +244,13 @@ func (r CoDesignRequest) Validate() error {
 	if c.BOIterations < 1 {
 		return fmt.Errorf("api: non-positive BO iteration budget %d", c.BOIterations)
 	}
-	if c.SensorFPS < 0 {
-		return fmt.Errorf("api: negative sensor FPS %g", c.SensorFPS)
+	if c.SensorFPS < 0 || math.IsNaN(c.SensorFPS) || math.IsInf(c.SensorFPS, 0) {
+		return fmt.Errorf("api: sensor FPS %g is not a finite, non-negative rate", c.SensorFPS)
 	}
 	if c.JobTimeoutMS < 0 {
 		return fmt.Errorf("api: negative job timeout %dms", c.JobTimeoutMS)
 	}
-	if c.FailureBudget < 0 || c.FailureBudget > 1 {
+	if math.IsNaN(c.FailureBudget) || c.FailureBudget < 0 || c.FailureBudget > 1 {
 		return fmt.Errorf("api: failure budget %g outside [0,1]", c.FailureBudget)
 	}
 	if n.Train != nil {

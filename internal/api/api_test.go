@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestParseAlgorithm(t *testing.T) {
 }
 
 func TestNormalizedDefaults(t *testing.T) {
-	n := DefaultRequest()
+	n := CoDesignRequest{}.Normalized()
 	if n.Version != Version || n.UAVClass != "nano" || n.Scenario != "dense" || n.Seed != 1 {
 		t.Fatalf("defaults: %+v", n)
 	}
@@ -131,8 +132,11 @@ func TestValidateRejections(t *testing.T) {
 		{"pool", CoDesignRequest{Constraints: Constraints{CandidatePool: 1}}},
 		{"bo", CoDesignRequest{Constraints: Constraints{BOIterations: -1}}},
 		{"fps", CoDesignRequest{Constraints: Constraints{SensorFPS: -30}}},
+		{"fps NaN", CoDesignRequest{Constraints: Constraints{SensorFPS: math.NaN()}}},
+		{"fps Inf", CoDesignRequest{Constraints: Constraints{SensorFPS: math.Inf(1)}}},
 		{"timeout", CoDesignRequest{Constraints: Constraints{JobTimeoutMS: -5}}},
 		{"budget", CoDesignRequest{Constraints: Constraints{FailureBudget: 1.5}}},
+		{"budget NaN", CoDesignRequest{Constraints: Constraints{FailureBudget: math.NaN()}}},
 		{"algorithm", CoDesignRequest{Train: &TrainSpec{Algorithm: "ppo"}}},
 		{"episodes", CoDesignRequest{Train: &TrainSpec{Episodes: -1}}},
 	}

@@ -19,11 +19,6 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
-
 // Job is the server's view of one submitted request: identity, lifecycle,
 // and — once terminal — the result or error. It is the body of both the
 // POST /v1/jobs acknowledgement and the GET /v1/jobs/{id} status response.

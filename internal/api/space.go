@@ -2,7 +2,9 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"autopilot/internal/airlearning"
@@ -100,19 +102,6 @@ func defaultAxisValues(name string) []int {
 	return nil
 }
 
-// equalInts reports element-wise equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // normalizedSpace canonicalizes a space block: axis values are deduped and
 // sorted (ascending for ints, lexicographic for choices), axes are put in
 // canonical order, and axes equal to their Table II default — including an
@@ -129,12 +118,14 @@ func normalizedSpace(s *SpaceSpec) *SpaceSpec {
 	}
 	for _, a := range s.Axes {
 		a.Name = strings.ToLower(strings.TrimSpace(a.Name))
-		a.Values = dedupeInts(a.Values)
+		a.Values = append([]int(nil), a.Values...)
+		slices.Sort(a.Values)
+		a.Values = slices.Compact(a.Values)
 		a.Choices = dedupeStrings(a.Choices)
-		if a.Name == AxisAlgorithm && equalStrings(a.Choices, []string{airlearning.AlgorithmDQN}) {
+		if a.Name == AxisAlgorithm && slices.Equal(a.Choices, []string{airlearning.AlgorithmDQN}) {
 			continue // the legacy fixed algorithm: not a search axis
 		}
-		if def := defaultAxisValues(a.Name); def != nil && len(a.Choices) == 0 && equalInts(a.Values, def) {
+		if def := defaultAxisValues(a.Name); def != nil && len(a.Choices) == 0 && slices.Equal(a.Values, def) {
 			continue
 		}
 		n.Axes = append(n.Axes, a)
@@ -148,63 +139,14 @@ func normalizedSpace(s *SpaceSpec) *SpaceSpec {
 	return &n
 }
 
-// dedupeInts sorts ascending and drops duplicates.
-func dedupeInts(vs []int) []int {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := append([]int(nil), vs...)
-	sort.Ints(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// dedupeStrings lowercases, sorts, and drops duplicates.
+// dedupeStrings lowercases and trims, sorts, and drops duplicates.
 func dedupeStrings(vs []string) []string {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(vs))
+	var out []string
 	for _, v := range vs {
 		out = append(out, strings.ToLower(strings.TrimSpace(v)))
 	}
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// equalStrings reports element-wise equality.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// intSet builds a membership set.
-func intSet(vs []int) map[int]bool {
-	m := make(map[int]bool, len(vs))
-	for _, v := range vs {
-		m[v] = true
-	}
-	return m
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // validateSpace checks a normalized space block with typed *SpaceError
@@ -255,16 +197,14 @@ func validateSpace(s *SpaceSpec, train bool) error {
 		}
 		switch a.Name {
 		case AxisLayers:
-			ok := intSet(policy.LayerChoices)
 			for _, v := range a.Values {
-				if !ok[v] {
+				if !slices.Contains(policy.LayerChoices, v) {
 					return &SpaceError{Axis: a.Name, Reason: fmt.Sprintf("value %d outside the trained template family %v", v, policy.LayerChoices)}
 				}
 			}
 		case AxisFilters:
-			ok := intSet(policy.FilterChoices)
 			for _, v := range a.Values {
-				if !ok[v] {
+				if !slices.Contains(policy.FilterChoices, v) {
 					return &SpaceError{Axis: a.Name, Reason: fmt.Sprintf("value %d outside the trained template family %v", v, policy.FilterChoices)}
 				}
 			}
@@ -333,8 +273,8 @@ func ParseSpaceFlags(algorithms string, axes []string) (*SpaceSpec, error) {
 		}
 		ax := AxisSpec{Name: name}
 		for _, f := range strings.Split(vals, ",") {
-			var v int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &v); err != nil {
+			v, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
 				return nil, &SpaceError{Axis: name, Reason: fmt.Sprintf("bad value %q", f)}
 			}
 			ax.Values = append(ax.Values, v)

@@ -214,7 +214,9 @@ func TestParseSpaceFlags(t *testing.T) {
 	if _, err := ParseSpaceFlags("", []string{"layers"}); err == nil {
 		t.Fatal("missing '=' accepted")
 	}
-	if _, err := ParseSpaceFlags("", []string{"layers=two"}); err == nil {
-		t.Fatal("non-numeric value accepted")
+	for _, bad := range []string{"layers=two", "pe_rows=3.5", "pe_rows=12abc", "pe_rows=0x10"} {
+		if _, err := ParseSpaceFlags("", []string{bad}); err == nil {
+			t.Errorf("-axis %s accepted", bad)
+		}
 	}
 }

@@ -60,11 +60,6 @@ type SensorMode struct {
 	FPS           float64
 }
 
-// PixelRate returns pixels per second in the mode.
-func (m SensorMode) PixelRate() float64 {
-	return float64(m.Width) * float64(m.Height) * m.FPS
-}
-
 // Sensor is an onboard camera.
 type Sensor struct {
 	Name    string

@@ -125,43 +125,3 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteText renders the report for terminals.
-func (r *Report) WriteText(w io.Writer) error {
-	s := r.Summary()
-	_, err := fmt.Fprintf(w, `AutoPilot DSSoC co-design: %s, %s scenario
-Phase 1: %d validated policies
-Phase 2: %d designs evaluated, %d on the Pareto front
-Selected (AP): %s on %s%s
-  %.1f FPS @ %.2f W, %.1f g payload, action %.1f Hz (knee %.1f Hz, %s, %s)
-  v_safe %.2f m/s -> %.2f missions per charge
-Conventional picks: HT %.2f | LP %.2f | HE %.2f missions
-`,
-		s.UAV, s.Scenario, s.Policies, s.Evaluated, s.Front,
-		s.Selected.Model, s.Selected.Hardware, tunedSuffix(s.Selected.Tuned),
-		s.Selected.FPS, s.Selected.SoCPowerW, s.Selected.PayloadG,
-		s.Selected.ActionHz, s.Selected.KneeHz, s.Selected.Bound, s.Selected.Provisioning,
-		s.Selected.VSafeMS, s.Selected.Missions,
-		s.HT.Missions, s.LP.Missions, s.HE.Missions)
-	if err != nil {
-		return fmt.Errorf("core: write report: %w", err)
-	}
-	for _, b := range s.Baselines {
-		if b.Liftable {
-			_, err = fmt.Fprintf(w, "Baseline %-12s %6.2f missions (gain %.2fx)\n", b.Name, b.Missions, b.Gain)
-		} else {
-			_, err = fmt.Fprintf(w, "Baseline %-12s grounded\n", b.Name)
-		}
-		if err != nil {
-			return fmt.Errorf("core: write report: %w", err)
-		}
-	}
-	return nil
-}
-
-func tunedSuffix(t string) string {
-	if t == "" {
-		return ""
-	}
-	return " (tuned: " + t + ")"
-}

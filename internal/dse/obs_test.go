@@ -75,7 +75,7 @@ func TestObsCountersMatchResult(t *testing.T) {
 	if got := r.Counter("hw.estimate.calls").Value(); got != res.CacheMisses {
 		t.Errorf("hw.estimate.calls = %d, want %d (one per scored design)", got, res.CacheMisses)
 	}
-	if got := r.Histogram("hw.estimate_seconds", nil).Count(); got != res.CacheMisses {
+	if got := r.Snapshot().Histograms["hw.estimate_seconds"].Count; got != res.CacheMisses {
 		t.Errorf("hw.estimate_seconds.count = %d, want %d", got, res.CacheMisses)
 	}
 	if r.Counter("bo.evaluations").Value() == 0 {

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"autopilot/internal/airlearning"
 	"autopilot/internal/hw"
 )
 
@@ -47,20 +46,4 @@ func (in *Injector) Backend(key string, b hw.Backend) hw.Backend {
 		return b
 	}
 	return injectedBackend{in: in, key: key, b: b}
-}
-
-// Reset performs an environment reset under the key's fault decision —
-// injected panics and errors surface exactly like a real unsolvable-layout
-// failure from airlearning.(*Env).TryReset.
-func (in *Injector) Reset(key string, env *airlearning.Env) (airlearning.Observation, error) {
-	if in == nil {
-		return env.TryReset()
-	}
-	var obs airlearning.Observation
-	err := in.Invoke(key, func() error {
-		var e error
-		obs, e = env.TryReset()
-		return e
-	})
-	return obs, err
 }

@@ -95,18 +95,6 @@ func New[K comparable, V any](capacity int, counters Counters) *Store[K, V] {
 	}
 }
 
-// Len returns the number of completed values currently held.
-func (s *Store[K, V]) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Stats returns the hit and miss counts so far.
-func (s *Store[K, V]) Stats() (hits, misses int64) {
-	return s.counters.Hits.Value(), s.counters.Misses.Value()
-}
-
 // unlink removes e from the LRU list.
 func (s *Store[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
@@ -172,18 +160,6 @@ func (s *Store[K, V]) insert(k K, v V) {
 		delete(s.entries, victim.key)
 		s.counters.Evictions.Inc()
 	}
-}
-
-// Get returns the cached value for k, counting a hit when present. It never
-// blocks on in-flight computations.
-func (s *Store[K, V]) Get(k K) (V, bool) {
-	s.mu.Lock()
-	v, ok := s.lookup(k)
-	s.mu.Unlock()
-	if ok {
-		s.counters.Hits.Inc()
-	}
-	return v, ok
 }
 
 // Put stores a completed value directly — the warm-start path (reloading a

@@ -16,7 +16,8 @@ import (
 func counters() Counters { return RegistryCounters(obs.NewRegistry(), "test") }
 
 func TestDoMemoizes(t *testing.T) {
-	s := New[string, int](0, counters())
+	c := counters()
+	s := New[string, int](0, c)
 	calls := 0
 	fn := func() (int, error) { calls++; return 42, nil }
 	for i := 0; i < 3; i++ {
@@ -31,7 +32,7 @@ func TestDoMemoizes(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fn ran %d times, want 1", calls)
 	}
-	if hits, misses := s.Stats(); hits != 2 || misses != 1 {
+	if hits, misses := c.Hits.Value(), c.Misses.Value(); hits != 2 || misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 2/1", hits, misses)
 	}
 }
@@ -50,9 +51,6 @@ func TestErrorsNeverCached(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("failed fn ran %d times, want 2 (errors must not cache)", calls)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after failures, want 0", s.Len())
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -63,31 +61,26 @@ func TestLRUEviction(t *testing.T) {
 	s.Do(context.Background(), 2, id(2))
 	s.Do(context.Background(), 1, id(1)) // refresh 1: now 2 is LRU
 	s.Do(context.Background(), 3, id(3)) // evicts 2
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if _, ok := s.Get(2); ok {
-		t.Fatal("key 2 survived eviction")
-	}
-	if _, ok := s.Get(1); !ok {
-		t.Fatal("recently used key 1 was evicted")
-	}
-	if _, ok := s.Get(3); !ok {
-		t.Fatal("newest key 3 missing")
-	}
 	if ev := c.Evictions.Value(); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
-	// An evicted key recomputes.
+	if _, cached, _ := s.Do(context.Background(), 1, id(-1)); !cached {
+		t.Fatal("recently used key 1 was evicted")
+	}
+	if _, cached, _ := s.Do(context.Background(), 3, id(-3)); !cached {
+		t.Fatal("newest key 3 missing")
+	}
+	// The evicted key recomputes.
 	calls := 0
 	s.Do(context.Background(), 2, func() (int, error) { calls++; return 2, nil })
 	if calls != 1 {
-		t.Fatal("evicted key did not recompute")
+		t.Fatal("key 2 survived eviction")
 	}
 }
 
 func TestDisabledCapacityAlwaysComputes(t *testing.T) {
-	s := New[string, int](-1, counters())
+	c := counters()
+	s := New[string, int](-1, c)
 	calls := 0
 	for i := 0; i < 3; i++ {
 		s.Do(context.Background(), "k", func() (int, error) { calls++; return 7, nil })
@@ -95,7 +88,7 @@ func TestDisabledCapacityAlwaysComputes(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("fn ran %d times with caching disabled, want 3", calls)
 	}
-	if hits, misses := s.Stats(); hits != 0 || misses != 3 {
+	if hits, misses := c.Hits.Value(), c.Misses.Value(); hits != 0 || misses != 3 {
 		t.Fatalf("hits/misses = %d/%d, want 0/3", hits, misses)
 	}
 }
@@ -149,7 +142,7 @@ func TestSingleflightDedup(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("fn ran %d times, want 1", got)
 	}
-	hits, misses := s.Stats()
+	hits, misses := c.Hits.Value(), c.Misses.Value()
 	if misses != 1 || hits != n-1 {
 		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, n-1)
 	}
@@ -199,17 +192,19 @@ func TestPutWarmStart(t *testing.T) {
 
 func TestRegistryCounters(t *testing.T) {
 	// Nil registry: all counters nil, everything no-ops without panicking.
-	s := New[int, int](1, RegistryCounters(nil, "x"))
+	c := RegistryCounters(nil, "x")
+	s := New[int, int](1, c)
 	if _, _, err := s.Do(context.Background(), 1, func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := s.Stats(); hits != 0 || misses != 0 {
+	if hits, misses := c.Hits.Value(), c.Misses.Value(); hits != 0 || misses != 0 {
 		t.Fatal("nil counters must read zero")
 	}
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	s := New[int, int](8, counters())
+	c := counters()
+	s := New[int, int](8, c)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -225,7 +220,8 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() > 8 {
-		t.Fatalf("Len = %d exceeds capacity 8", s.Len())
+	// Every miss inserts one value and every eviction drops one.
+	if held := c.Misses.Value() - c.Evictions.Value(); held > 8 {
+		t.Fatalf("store holds %d values, over its capacity 8", held)
 	}
 }

@@ -53,7 +53,6 @@ func TestPayloadWeightMonotonicity(t *testing.T) {
 		first := true
 		for payloadG := 0.0; payloadG <= 200; payloadG += 10 {
 			accel := lo.MaxAccelMS2(payloadG)
-			end := EnduranceMin(lo, params, payloadG, computeW)
 			prof, err := EvaluateLoadout(lo, params, spec, payloadG, computeW, vSafe)
 			if err != nil {
 				// Heavier payloads may become infeasible; that only
@@ -61,6 +60,7 @@ func TestPayloadWeightMonotonicity(t *testing.T) {
 				// kind, checked elsewhere. Stop the sweep here.
 				break
 			}
+			end := lo.Battery.EnergyJ() / prof.TotalW / 60 // hover endurance, minutes
 			if !first {
 				if accel > prevAccel {
 					t.Errorf("%s: accel rose %.4f -> %.4f at %g g", name, prevAccel, accel, payloadG)
@@ -105,9 +105,16 @@ func TestEnduranceMonotoneInComputePower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := EnduranceMin(lo, DefaultParams(), 50, 0.1)
+	endurance := func(computeW float64) float64 {
+		prof, err := EvaluateLoadout(lo, DefaultParams(), DefaultSpec(), 50, computeW, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lo.Battery.EnergyJ() / prof.TotalW / 60
+	}
+	prev := endurance(0.1)
 	for w := 1.0; w <= 20; w += 1 {
-		end := EnduranceMin(lo, DefaultParams(), 50, w)
+		end := endurance(w)
 		if end >= prev {
 			t.Fatalf("endurance did not fall at %g W: %.4f >= %.4f", w, end, prev)
 		}

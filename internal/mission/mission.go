@@ -129,25 +129,3 @@ func EvaluateLoadout(lo catalog.Loadout, params Params, spec Spec, payloadG, com
 	}
 	return profileFor(params, spec, lo.Battery.EnergyJ(), rotor, computeW, lo.Airframe.OtherPowerW, vSafe), nil
 }
-
-// FlightTimeMin returns the hover endurance in minutes for the platform with
-// the payload, a convenient sanity metric.
-func FlightTimeMin(p uav.Platform, params Params, payloadG, computeW float64) float64 {
-	rotor := params.RotorHoverPowerW(p.TotalMassKg(payloadG), p.RotorDiscAreaM2)
-	total := rotor + computeW + p.OtherPowerW
-	if total <= 0 {
-		return 0
-	}
-	return p.BatteryJ() / total / 60
-}
-
-// EnduranceMin returns the hover endurance in minutes for a catalog loadout
-// with the payload — the loadout analog of FlightTimeMin.
-func EnduranceMin(lo catalog.Loadout, params Params, payloadG, computeW float64) float64 {
-	rotor := params.RotorHoverPowerW(lo.TotalMassKg(payloadG), lo.Airframe.RotorDiscAreaM2)
-	total := rotor + computeW + lo.Airframe.OtherPowerW
-	if total <= 0 {
-		return 0
-	}
-	return lo.Battery.EnergyJ() / total / 60
-}

@@ -42,7 +42,11 @@ func TestFlightTimesMatchRealDrones(t *testing.T) {
 		{uav.AscTecPelican(), 15, 28},
 	}
 	for _, c := range cases {
-		min := FlightTimeMin(c.plat, p, 24, 0.7)
+		prof, err := Evaluate(c.plat, p, DefaultSpec(), 24, 0.7, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		min := c.plat.BatteryJ() / prof.TotalW / 60 // hover endurance
 		if min < c.lo || min > c.hi {
 			t.Errorf("%s: flight time %.1f min outside [%g, %g]", c.plat.Name, min, c.lo, c.hi)
 		}
@@ -131,16 +135,6 @@ func TestRotorsDominateSoCPower(t *testing.T) {
 	}
 	if frac := prof.RotorPowerW / prof.TotalW; frac < 0.9 {
 		t.Fatalf("rotor fraction = %.2f, want > 0.9 for the mini-UAV", frac)
-	}
-}
-
-func TestFlightTimeDegeneratePower(t *testing.T) {
-	p := Params{}
-	if FlightTimeMin(uav.ZhangNano(), p, 0, 0) != 0 {
-		// zero-FM params give zero rotor power; with zero compute and the
-		// small OtherPowerW the time is finite — just ensure no panic and
-		// non-negative
-		t.Log("degenerate flight time computed without panic")
 	}
 }
 

@@ -63,43 +63,6 @@ func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 // Replica returns a ReLU with its own buffers.
 func (r *ReLU) Replica() Layer { return NewReLU() }
 
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out, dx *tensor.Tensor // output and input-gradient buffers
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	t.out = reuse(t.out, x.Shape()...)
-	yd := t.out.Data()
-	for i, v := range x.Data() {
-		yd[i] = math.Tanh(v)
-	}
-	return t.out
-}
-
-// Backward scales the gradient by 1 - tanh².
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t.dx = reuse(t.dx, grad.Shape()...)
-	od, yd := t.dx.Data(), t.out.Data()
-	for i, g := range grad.Data() {
-		od[i] = g * (1 - yd[i]*yd[i])
-	}
-	return t.dx
-}
-
-// Params returns no tensors: Tanh has no parameters.
-func (t *Tanh) Params() []*tensor.Tensor { return nil }
-
-// Grads returns no tensors: Tanh has no parameters.
-func (t *Tanh) Grads() []*tensor.Tensor { return nil }
-
-// Replica returns a Tanh with its own buffers.
-func (t *Tanh) Replica() Layer { return NewTanh() }
-
 // Flatten reshapes any input to rank 1, remembering the original shape so the
 // gradient can be restored on the way back. Both directions return views of
 // the tensor passed in, not copies.

@@ -320,7 +320,6 @@ func TestReusedBuffersCarryNoState(t *testing.T) {
 		{"Conv2D", func() Layer { return NewConv2D(conv, tensor.NewRNG(31)) }, []int{2, 7, 7}, []int{3, 4, 4}},
 		{"Dense", func() Layer { return NewDense(9, 5, tensor.NewRNG(31)) }, []int{9}, []int{5}},
 		{"ReLU", func() Layer { return NewReLU() }, []int{4, 3}, []int{4, 3}},
-		{"Tanh", func() Layer { return NewTanh() }, []int{6}, []int{6}},
 		{"Flatten", func() Layer { return NewFlatten() }, []int{2, 3}, []int{6}},
 	} {
 		g := tensor.NewRNG(32)

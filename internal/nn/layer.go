@@ -1,7 +1,7 @@
 // Package nn implements the small neural-network substrate used to train and
 // run the end-to-end (E2E) UAV autonomy policies: dense and convolutional
-// layers with hand-derived backward passes, common activations, losses, and
-// SGD/Adam optimizers.
+// layers with hand-derived backward passes, activations, the policy-gradient
+// loss and the Adam optimizer.
 //
 // Training runs one sample at a time through Forward and Backward. Each
 // layer owns its output, input-gradient and scratch buffers, sizes them on
@@ -62,12 +62,6 @@ func NewDense(in, out int, g *tensor.RNG) *Dense {
 		gb: tensor.New(out),
 	}
 }
-
-// InDim returns the input width.
-func (d *Dense) InDim() int { return d.W.Dim(1) }
-
-// OutDim returns the output width.
-func (d *Dense) OutDim() int { return d.W.Dim(0) }
 
 // Forward computes W·x + b for a flattened input.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {

@@ -6,48 +6,6 @@ import (
 	"autopilot/internal/tensor"
 )
 
-// MSELoss returns 0.5·Σ(pred-target)² and the gradient w.r.t. pred.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.Sub(pred, target)
-	loss := 0.0
-	for _, v := range grad.Data() {
-		loss += 0.5 * v * v
-	}
-	return loss, grad
-}
-
-// HuberLoss returns the Huber loss with threshold delta and its gradient
-// w.r.t. pred. It behaves like MSE near zero and like L1 for large errors,
-// which stabilizes DQN training.
-func HuberLoss(pred, target *tensor.Tensor, delta float64) (float64, *tensor.Tensor) {
-	grad := tensor.Sub(pred, target)
-	loss := 0.0
-	gd := grad.Data()
-	for i, v := range gd {
-		if a := math.Abs(v); a <= delta {
-			loss += 0.5 * v * v
-		} else {
-			loss += delta * (a - 0.5*delta)
-			if v > 0 {
-				gd[i] = delta
-			} else {
-				gd[i] = -delta
-			}
-		}
-	}
-	return loss, grad
-}
-
-// CrossEntropyLoss treats logits as unnormalized log-probabilities, returns
-// -log p(class) and the gradient w.r.t. the logits (softmax - onehot).
-func CrossEntropyLoss(logits *tensor.Tensor, class int) (float64, *tensor.Tensor) {
-	p := Softmax(logits)
-	loss := -math.Log(math.Max(p.Data()[class], 1e-12))
-	grad := p.Clone()
-	grad.Data()[class] -= 1
-	return loss, grad
-}
-
 // PolicyGradientLoss returns the REINFORCE gradient w.r.t. logits for taking
 // `action` with advantage `adv`: grad = adv · (softmax - onehot(action)).
 // (The "loss" is -adv·log π(a), returned for monitoring.)

@@ -91,15 +91,6 @@ func (m *MultiModal) ZeroGrads() {
 	}
 }
 
-// ParamCount returns the total number of trainable scalars.
-func (m *MultiModal) ParamCount() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Len()
-	}
-	return n
-}
-
 // CopyParamsFrom overwrites this network's parameters with src's.
 func (m *MultiModal) CopyParamsFrom(src *MultiModal) {
 	dst, from := m.Params(), src.Params()

@@ -6,40 +6,6 @@ import (
 	"autopilot/internal/tensor"
 )
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params, grads []*tensor.Tensor)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      [][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params, grads []*tensor.Tensor) {
-	if o.vel == nil {
-		o.vel = make([][]float64, len(params))
-		for i, p := range params {
-			o.vel[i] = make([]float64, p.Len())
-		}
-	}
-	for i, p := range params {
-		pd, gd, v := p.Data(), grads[i].Data(), o.vel[i]
-		for j := range pd {
-			v[j] = o.Momentum*v[j] - o.LR*gd[j]
-			pd[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

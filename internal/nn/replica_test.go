@@ -165,7 +165,7 @@ func TestSequentialReplicaMatchesForward(t *testing.T) {
 	conv := tensor.ConvDims{InC: 2, InH: 5, InW: 5, OutC: 3, K: 3, Stride: 2, Pad: 1}
 	seq := nn.NewSequential(
 		nn.NewConv2D(conv, g), nn.NewReLU(), nn.NewFlatten(),
-		nn.NewDense(27, 4, g), nn.NewTanh(), nn.NewDense(4, 2, g))
+		nn.NewDense(27, 4, g), nn.NewReLU(), nn.NewDense(4, 2, g))
 	rep := seq.Replica()
 	for i := 0; i < 5; i++ {
 		x := g.Randn(1, conv.InC, conv.InH, conv.InW)

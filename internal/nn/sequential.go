@@ -70,31 +70,3 @@ func collect(layers []Layer, of func(Layer) []*tensor.Tensor) []*tensor.Tensor {
 	}
 	return ts
 }
-
-// ZeroGrads clears all accumulated gradients.
-func (s *Sequential) ZeroGrads() {
-	for _, g := range s.Grads() {
-		g.Zero()
-	}
-}
-
-// ParamCount returns the total number of trainable scalars.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Len()
-	}
-	return n
-}
-
-// CopyParamsFrom overwrites this network's parameters with src's. The two
-// networks must have identical architecture. Used for DQN target networks.
-func (s *Sequential) CopyParamsFrom(src *Sequential) {
-	dst, from := s.Params(), src.Params()
-	if len(dst) != len(from) {
-		panic("nn: CopyParamsFrom architecture mismatch")
-	}
-	for i := range dst {
-		copy(dst[i].Data(), from[i].Data())
-	}
-}

@@ -13,7 +13,7 @@ import (
 //	go test ./internal/obs -bench . -benchmem
 
 func BenchmarkCounterEnabled(b *testing.B) {
-	c := NewCounter()
+	c := NewRegistry().Counter("c")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()

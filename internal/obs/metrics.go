@@ -18,11 +18,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// NewCounter returns a standalone counter not bound to any registry — for
-// components (the dse evaluator's cache stats) that count unconditionally
-// and mirror into a registry only when observability is on.
-func NewCounter() *Counter { return &Counter{} }
-
 // Add increments the counter by n; nil-safe.
 func (c *Counter) Add(n int64) {
 	if c == nil {
@@ -153,14 +148,6 @@ func (h *Histogram) bucket(v float64) int {
 		}
 	}
 	return lo
-}
-
-// Count returns the number of observations; 0 for a nil histogram.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of all observations; 0 for a nil histogram.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCounter(t *testing.T) {
-	c := NewCounter()
+	c := NewRegistry().Counter("c")
 	c.Inc()
 	c.Add(41)
 	if got := c.Value(); got != 42 {
@@ -43,8 +43,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d, want 8", h.Count())
+	if s.Count != 8 {
+		t.Fatalf("count = %d, want 8", s.Count)
 	}
 	if got, want := h.Sum(), 0.5+1+1.0000001+10+99+100+101+1e9; got != want {
 		t.Fatalf("sum = %v, want %v", got, want)
@@ -64,8 +64,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
+	if n := h.snapshot().Count; n != 8000 {
+		t.Fatalf("count = %d, want 8000", n)
 	}
 }
 

@@ -91,17 +91,17 @@ func WritePrometheus(w io.Writer, snaps ...Snapshot) error {
 		return f, labels, true
 	}
 	for _, s := range snaps {
-		for _, name := range sortedNames(s.Counters) {
+		for _, name := range sortedKeys(s.Counters) {
 			if f, labels, ok := series(name, "counter"); ok {
 				f.samples = append(f.samples, promSample{labels: labels, value: strconv.FormatInt(s.Counters[name], 10)})
 			}
 		}
-		for _, name := range sortedNames(s.Gauges) {
+		for _, name := range sortedKeys(s.Gauges) {
 			if f, labels, ok := series(name, "gauge"); ok {
 				f.samples = append(f.samples, promSample{labels: labels, value: formatPromValue(s.Gauges[name])})
 			}
 		}
-		for _, name := range sortedNames(s.Histograms) {
+		for _, name := range sortedKeys(s.Histograms) {
 			f, labels, ok := series(name, "histogram")
 			if !ok {
 				continue
@@ -275,14 +275,4 @@ func formatPromValue(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// sortedNames returns a snapshot map's series names in order.
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

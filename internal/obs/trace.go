@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -70,7 +71,6 @@ type Span struct {
 	tid   int64
 	lane  int // forked lane index to release on End; -1 otherwise
 	start time.Duration
-	args  []spanArg
 
 	mu    sync.Mutex
 	ended bool
@@ -124,18 +124,6 @@ func (s *Span) Fork(name, cat string) *Span {
 	return &Span{tr: t, name: name, cat: cat, tid: laneBase + int64(lane), lane: lane, start: start}
 }
 
-// Arg attaches a key/value annotation rendered in the trace viewer's span
-// details; it returns s for chaining. Nil-safe.
-func (s *Span) Arg(k, v string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	s.args = append(s.args, spanArg{k: k, v: v})
-	s.mu.Unlock()
-	return s
-}
-
 // End records the span. Ending a span twice records it once; ending a nil
 // span is a no-op.
 func (s *Span) End() {
@@ -148,7 +136,6 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	args := s.args
 	s.mu.Unlock()
 
 	t := s.tr
@@ -156,7 +143,7 @@ func (s *Span) End() {
 	t.mu.Lock()
 	t.spans = append(t.spans, spanRecord{
 		name: s.name, cat: s.cat, tid: s.tid,
-		start: s.start, dur: end - s.start, args: args,
+		start: s.start, dur: end - s.start,
 	})
 	if s.lane >= 0 {
 		t.lanes[s.lane] = end
@@ -239,14 +226,14 @@ func (t *Tracer) Ingest(pid int, parent *Span, ws WireSpan) {
 	t.mu.Unlock()
 }
 
-// sortedKeys returns m's keys in sorted order so ingested args render
-// deterministically.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order, so output built from a
+// map is deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -278,7 +265,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	file := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	if t != nil {
 		t.mu.Lock()
-		for _, pid := range sortedPIDs(t.procs) {
+		for _, pid := range sortedKeys(t.procs) {
 			file.TraceEvents = append(file.TraceEvents, traceEvent{
 				Name: "process_name", Ph: "M", PID: pid,
 				Args: map[string]string{"name": t.procs[pid]},
@@ -307,14 +294,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(file)
-}
-
-// sortedPIDs returns the named pid lanes in ascending order.
-func sortedPIDs(procs map[int]string) []int {
-	pids := make([]int, 0, len(procs))
-	for pid := range procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	return pids
 }

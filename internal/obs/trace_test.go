@@ -102,7 +102,7 @@ func TestDurationsEndOrder(t *testing.T) {
 
 func TestTracerWriteJSON(t *testing.T) {
 	tr := NewTracer()
-	root := tr.Span("phase1", "phase").Arg("scenario", "dense")
+	root := tr.Span("phase1", "phase")
 	job := root.Fork("job", "train")
 	job.End()
 	root.End()
@@ -147,8 +147,8 @@ func TestTracerWriteJSON(t *testing.T) {
 	if file.TraceEvents[0].Name != "job" || file.TraceEvents[0].TID != laneBase {
 		t.Fatalf("first event = %+v, want job on lane %d", file.TraceEvents[0], laneBase)
 	}
-	if file.TraceEvents[1].Args["scenario"] != "dense" {
-		t.Fatalf("root args = %v, want scenario=dense", file.TraceEvents[1].Args)
+	if ev := file.TraceEvents[1]; ev.Name != "phase1" || len(ev.Args) != 0 {
+		t.Fatalf("second event = %+v, want phase1 with no args", ev)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestNilTracerWritesEmptyTrace(t *testing.T) {
 	var tr *Tracer
 	s := tr.Span("x", "y")
 	s.Child("c", "y").End()
-	s.Fork("f", "y").Arg("k", "v").End()
+	s.Fork("f", "y").End()
 	s.End()
 	if tr.Durations("y") != nil {
 		t.Fatal("nil tracer returned durations")

@@ -10,6 +10,7 @@ import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/policy"
 	"autopilot/internal/tensor"
+	"autopilot/internal/train"
 )
 
 // TestDQNTrainingDigestGolden pins every trained parameter bit of a short
@@ -45,7 +46,11 @@ func TestDQNTrainingDigestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		agent := NewDQN(online, target, c.cfg, 7)
-		stats := agent.Train(airlearning.NewEnv(airlearning.DenseObstacle, 7), 40)
+		env := airlearning.NewEnv(airlearning.DenseObstacle, 7)
+		steps := 0
+		for ep := 0; ep < 40; ep++ {
+			steps += train.RunTrainingEpisode(env, agent).Steps
+		}
 
 		sum := sha256.New()
 		var buf [8]byte
@@ -56,9 +61,9 @@ func TestDQNTrainingDigestGolden(t *testing.T) {
 			}
 		}
 		got := hex.EncodeToString(sum.Sum(nil)[:8])
-		if stats.Steps != c.steps || got != c.digest {
+		if steps != c.steps || got != c.digest {
 			t.Errorf("%s (buffer %d, sync %d): %d steps, digest %s; want %d steps, digest %s",
-				c.h, c.cfg.BufferSize, c.cfg.TargetSync, stats.Steps, got, c.steps, c.digest)
+				c.h, c.cfg.BufferSize, c.cfg.TargetSync, steps, got, c.steps, c.digest)
 		}
 	}
 }

@@ -155,21 +155,6 @@ func (d *DQN) bootstrap(s *slot) float64 {
 	return s.next
 }
 
-// TrainStats summarizes a training run.
-type TrainStats struct {
-	Episodes    int
-	Steps       int
-	MeanReturn  float64 // mean return over the last 20% of episodes
-	SuccessRate float64 // success over the last 20% of episodes
-}
-
-// Train runs the agent for the given number of episodes and returns stats.
-// The episode loop is the engine's shared one (train.RunTrainingEpisode);
-// Train remains for direct, single-run use.
-func (d *DQN) Train(env *airlearning.Env, episodes int) TrainStats {
-	return runEpisodes(env, d, episodes)
-}
-
 func clamp(v, lo, hi float64) float64 {
 	return math.Max(lo, math.Min(hi, v))
 }

@@ -6,7 +6,6 @@ import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/nn"
 	"autopilot/internal/tensor"
-	"autopilot/internal/train"
 )
 
 // ReinforceConfig holds REINFORCE hyper-parameters.
@@ -106,25 +105,7 @@ func (r *Reinforce) EndEpisode(airlearning.EpisodeResult) {
 	r.traj = r.traj[:0]
 }
 
-// SamplingPolicy returns the stochastic softmax policy — the behavior
-// policy, for callers that want exploration at evaluation time.
-func (r *Reinforce) SamplingPolicy() airlearning.Policy {
-	return airlearning.PolicyFunc(func(obs airlearning.Observation) int { return r.sampleAction(obs) })
-}
-
 // Policy returns the greedy (argmax) deployment policy over the model.
 func (r *Reinforce) Policy() airlearning.Policy {
 	return GreedyPolicy{Net: r.Model}
-}
-
-// TrainEpisode rolls out one episode through the engine's shared loop and
-// applies the policy-gradient update. It returns the undiscounted episode
-// return.
-func (r *Reinforce) TrainEpisode(env *airlearning.Env) float64 {
-	return train.RunTrainingEpisode(env, r).Return
-}
-
-// Train runs the agent for the given number of episodes.
-func (r *Reinforce) Train(env *airlearning.Env, episodes int) TrainStats {
-	return runEpisodes(env, r, episodes)
 }

@@ -9,7 +9,18 @@ import (
 	"autopilot/internal/airlearning"
 	"autopilot/internal/policy"
 	"autopilot/internal/tensor"
+	"autopilot/internal/train"
 )
+
+// trainEpisodes drives alg through the engine's episode loop and returns
+// the env steps taken.
+func trainEpisodes(env *airlearning.Env, alg train.Algorithm, episodes int) int {
+	steps := 0
+	for ep := 0; ep < episodes; ep++ {
+		steps += train.RunTrainingEpisode(env, alg).Steps
+	}
+	return steps
+}
 
 func TestReplayBufferBasics(t *testing.T) {
 	b := NewReplayBuffer(3)
@@ -57,7 +68,7 @@ func TestDQNCachedTargetsMatchTarget(t *testing.T) {
 	cfg := DefaultDQNConfig()
 	cfg.BufferSize, cfg.TargetSync, cfg.LearnStart = 48, 30, 20
 	d := NewDQN(online, target, cfg, 25)
-	d.Train(airlearning.NewEnv(airlearning.LowObstacle, 25), 40)
+	trainEpisodes(airlearning.NewEnv(airlearning.LowObstacle, 25), d, 40)
 	if d.steps < 2*cfg.BufferSize || d.epoch < 3 {
 		t.Fatalf("%d steps and %d target epochs: the ring never wrapped twice or the target never synced twice", d.steps, d.epoch)
 	}
@@ -138,9 +149,8 @@ func TestDQNTrainSmoke(t *testing.T) {
 	cfg.UpdateEvery = 8
 	d := NewDQN(online, target, cfg, 3)
 	env := airlearning.NewEnv(airlearning.LowObstacle, 3)
-	stats := d.Train(env, 10)
-	if stats.Episodes != 10 || stats.Steps <= 0 {
-		t.Fatalf("stats = %+v", stats)
+	if steps := trainEpisodes(env, d, 10); steps <= 0 {
+		t.Fatalf("10 episodes took %d steps", steps)
 	}
 }
 
@@ -151,7 +161,7 @@ func TestReinforceTrainEpisodeUpdatesParams(t *testing.T) {
 	before := model.Params()[0].Clone()
 	agent := NewReinforce(model, DefaultReinforceConfig(), 4)
 	env := airlearning.NewEnv(airlearning.LowObstacle, 4)
-	agent.TrainEpisode(env)
+	train.RunTrainingEpisode(env, agent)
 	if tensor.Equal(before, model.Params()[0], 0) {
 		t.Fatal("training episode did not change parameters")
 	}
@@ -164,7 +174,7 @@ func TestReinforcePolicySamplesValidActions(t *testing.T) {
 	env := airlearning.NewEnv(airlearning.LowObstacle, 5)
 	obs := env.Reset()
 	for i := 0; i < 50; i++ {
-		a := agent.SamplingPolicy().Act(obs)
+		a := agent.Act(obs)
 		if a < 0 || a >= airlearning.NumActions {
 			t.Fatalf("sampled action %d out of range", a)
 		}
@@ -195,7 +205,7 @@ func TestDQNLearnsOnNavigationTask(t *testing.T) {
 
 	evalEnv := airlearning.NewEnvWithConfig(airlearning.LowObstacle, cfg, 1006)
 	before := airlearning.SuccessRate(evalEnv, agent.Policy(), 30)
-	agent.Train(env, 250)
+	trainEpisodes(env, agent, 250)
 	after := airlearning.SuccessRate(evalEnv, agent.Policy(), 30)
 	if after <= before && after < 0.4 {
 		t.Fatalf("DQN did not learn: success before %.2f, after %.2f", before, after)
@@ -275,8 +285,8 @@ func TestDQNUpdateAllocationsIndependentOfBatch(t *testing.T) {
 		cfg := DefaultDQNConfig()
 		cfg.BatchSize = batch
 		d := NewDQN(online, target, cfg, 24)
-		d.Train(airlearning.NewEnv(airlearning.LowObstacle, 24), 2) // fills the replay buffer
-		d.update()                                                  // sizes every buffer
+		trainEpisodes(airlearning.NewEnv(airlearning.LowObstacle, 24), d, 2) // fills the replay buffer
+		d.update()                                                           // sizes every buffer
 		if n := testing.AllocsPerRun(10, d.update); n != 0 {
 			t.Errorf("batch %d: update allocates %.1f times, want 0", batch, n)
 		}

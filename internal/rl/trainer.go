@@ -3,7 +3,6 @@ package rl
 import (
 	"fmt"
 
-	"autopilot/internal/airlearning"
 	"autopilot/internal/policy"
 	"autopilot/internal/tensor"
 	"autopilot/internal/train"
@@ -74,10 +73,9 @@ func Factory(cfg TrainConfig) train.Factory {
 	}
 }
 
-// Engine returns a single-worker training engine for cfg — the common
-// wiring behind cmd/trainsim's single-run path. Call Train on it for one
-// (hyper, scenario) run, or build a custom train.Config with Factory for
-// sweeps.
+// Engine returns a single-worker training engine for cfg. Call Train on it
+// for one (hyper, scenario) run, or build a custom train.Config with Factory
+// for sweeps.
 func Engine(cfg TrainConfig) *train.Engine {
 	return train.New(Factory(cfg), train.Config{
 		Episodes:     cfg.Episodes,
@@ -85,31 +83,4 @@ func Engine(cfg TrainConfig) *train.Engine {
 		Seed:         cfg.Seed,
 		Workers:      1,
 	})
-}
-
-// runEpisodes drives an agent through the engine's shared episode loop and
-// summarizes the run, keeping the historical Train tail statistics: mean
-// return and success rate over the final 20% of episodes.
-func runEpisodes(env *airlearning.Env, alg train.Algorithm, episodes int) TrainStats {
-	var stats TrainStats
-	tail := episodes / 5
-	if tail == 0 {
-		tail = 1
-	}
-	var tailReturn float64
-	var tailWins int
-	for ep := 0; ep < episodes; ep++ {
-		res := train.RunTrainingEpisode(env, alg)
-		stats.Steps += res.Steps
-		if ep >= episodes-tail {
-			tailReturn += res.Return
-			if res.Outcome == airlearning.Success {
-				tailWins++
-			}
-		}
-	}
-	stats.Episodes = episodes
-	stats.MeanReturn = tailReturn / float64(tail)
-	stats.SuccessRate = float64(tailWins) / float64(tail)
-	return stats
 }

@@ -231,9 +231,6 @@ wait:
 	return err
 }
 
-// CacheStats reports the shared result store's hit/miss counters.
-func (s *Server) CacheStats() (hits, misses int64) { return s.store.Stats() }
-
 // --- persistence ---
 
 func (s *Server) statePath(hash string) string {

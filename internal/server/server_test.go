@@ -87,7 +87,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) api.Job {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		jb := getJob(t, ts, id)
-		if jb.State.Terminal() {
+		if jb.State != api.JobQueued && jb.State != api.JobRunning {
 			return jb
 		}
 		if time.Now().After(deadline) {
@@ -107,7 +107,7 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want api.JobState) 
 		if jb.State == want {
 			return
 		}
-		if jb.State.Terminal() || time.Now().After(deadline) {
+		if jb.State != api.JobQueued && jb.State != api.JobRunning || time.Now().After(deadline) {
 			t.Fatalf("job %s is %s, want %s", id, jb.State, want)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -206,7 +206,7 @@ func TestDuplicateSubmissionServedFromCache(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("cached result differs from computed result")
 	}
-	if hits, misses := svc.CacheStats(); hits < 1 || misses != 1 {
+	if hits, misses := svc.reg.Counter("server.cache.hits").Value(), svc.reg.Counter("server.cache.misses").Value(); hits < 1 || misses != 1 {
 		t.Errorf("cache stats hits=%d misses=%d, want >=1 hit and exactly 1 miss", hits, misses)
 	}
 
@@ -427,7 +427,7 @@ func TestStatePersistence(t *testing.T) {
 	if jb2.State != api.JobDone || !jb2.CacheHit {
 		t.Fatalf("restarted server: state %s cacheHit %v", jb2.State, jb2.CacheHit)
 	}
-	if hits, misses := svc2.CacheStats(); hits != 1 || misses != 0 {
+	if hits, misses := svc2.reg.Counter("server.cache.hits").Value(), svc2.reg.Counter("server.cache.misses").Value(); hits != 1 || misses != 0 {
 		t.Errorf("restarted server cache stats hits=%d misses=%d, want 1/0", hits, misses)
 	}
 	a, _ := json.Marshal(jb.Result)

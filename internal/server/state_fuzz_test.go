@@ -1,10 +1,15 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"autopilot/internal/api"
 )
 
 // FuzzStateDir writes one file, with an arbitrary name and arbitrary bytes,
@@ -22,27 +27,32 @@ func FuzzStateDir(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Skip("a name this file system refuses")
 		}
-		s, err := New(Config{StateDir: dir})
+		// A one-entry store evicts, and counts, any second result.
+		s, err := New(Config{StateDir: dir, CacheCap: 1})
 		if err != nil {
 			t.Fatalf("New over a state dir holding %q: %v", name, err)
 		}
 		defer s.Close()
-		switch n := s.store.Len(); {
-		case n == 0:
-			return
-		case n > 1:
-			t.Fatalf("one file loaded %d results", n)
+		if n := s.reg.Counter("server.cache.evictions").Value(); n > 0 {
+			t.Fatalf("one file loaded %d results", n+1)
 		}
-		hash, ok := strings.CutSuffix(name, ".json")
-		if !ok {
-			t.Fatalf("loaded a result from %q, which is not a .json file", name)
-		}
-		res, ok := s.store.Get(hash)
-		if !ok {
-			t.Fatalf("loaded a result from %q, but not under its hash %q", name, hash)
-		}
-		if res.RequestHash != hash {
-			t.Fatalf("result with request hash %q loaded from %q", res.RequestHash, name)
+		// A loaded result sits under its request hash or its file's name;
+		// probe both with a computation that must not run.
+		var decoded api.Result
+		_ = json.Unmarshal(data, &decoded)
+		for _, key := range []string{decoded.RequestHash, strings.TrimSuffix(name, ".json")} {
+			res, held, _ := s.store.Do(context.Background(), key, func() (api.Result, error) {
+				return api.Result{}, errors.New("not loaded")
+			})
+			if !held {
+				continue
+			}
+			if name != key+".json" {
+				t.Fatalf("loaded a result from %q under the key %q", name, key)
+			}
+			if res.RequestHash != key {
+				t.Fatalf("result with request hash %q loaded from %q", res.RequestHash, name)
+			}
 		}
 	})
 }

@@ -12,35 +12,10 @@ package spa
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"autopilot/internal/airlearning"
 )
-
-// Stage identifies one SPA pipeline stage.
-type Stage int
-
-// SPA pipeline stages.
-const (
-	Sense Stage = iota
-	Plan
-	Act
-)
-
-// String names the stage.
-func (s Stage) String() string {
-	switch s {
-	case Sense:
-		return "sense"
-	case Plan:
-		return "plan"
-	case Act:
-		return "act"
-	default:
-		return fmt.Sprintf("Stage(%d)", int(s))
-	}
-}
 
 // OccupancyGrid is the mapper's belief over arena cells.
 type OccupancyGrid struct {
@@ -89,17 +64,6 @@ func (g *OccupancyGrid) Occupied(p airlearning.Point) bool {
 	}
 	i := g.idx(p)
 	return g.visited[i] && g.cells[i] > 0.5
-}
-
-// KnownFraction returns the explored fraction of the arena.
-func (g *OccupancyGrid) KnownFraction() float64 {
-	n := 0
-	for _, v := range g.visited {
-		if v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(g.visited))
 }
 
 // dirs8 are the 8-connected moves matching the airlearning action space.
@@ -205,9 +169,6 @@ func NewPipeline(env *airlearning.Env) *Pipeline {
 	return &Pipeline{env: env, grid: NewOccupancyGrid(cfg.ArenaW, cfg.ArenaH)}
 }
 
-// Grid exposes the mapper state.
-func (pl *Pipeline) Grid() *OccupancyGrid { return pl.grid }
-
 // Act implements airlearning.Policy: sense (fuse the observation window into
 // the map), plan (A*, replanned when the current path is invalidated), act
 // (emit the move along the path).
@@ -267,24 +228,6 @@ func (pl *Pipeline) pathValid(pos airlearning.Point) bool {
 
 // TotalOps returns the pipeline's accumulated work.
 func (pl *Pipeline) TotalOps() int64 { return pl.SenseOps + pl.PlanOps + pl.ActOps }
-
-// OpsPerDecision returns the mean per-decision work over `decisions` steps.
-func (pl *Pipeline) OpsPerDecision(decisions int) float64 {
-	if decisions <= 0 {
-		return 0
-	}
-	return float64(pl.TotalOps()) / float64(decisions)
-}
-
-// ThroughputHz converts a per-decision operation count into an SPA action
-// throughput on a processor with the given sustained ops/s — the quantity
-// Phase 3's F-1 model consumes when the autonomy stack is SPA instead of E2E.
-func ThroughputHz(opsPerDecision, sustainedOpsPerSec float64) float64 {
-	if opsPerDecision <= 0 || sustainedOpsPerSec <= 0 {
-		return 0
-	}
-	return sustainedOpsPerSec / opsPerDecision
-}
 
 // Stats summarizes the measured SPA pipeline behaviour over a batch of
 // episodes: the validated task success (the SPA analogue of the Phase-1

@@ -2,18 +2,11 @@ package spa
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"autopilot/internal/airlearning"
 )
-
-func TestStageStrings(t *testing.T) {
-	for _, s := range []Stage{Sense, Plan, Act} {
-		if s.String() == "" {
-			t.Errorf("empty name for %d", int(s))
-		}
-	}
-}
 
 func TestOccupancyGridUnknownPrior(t *testing.T) {
 	g := NewOccupancyGrid(5, 5)
@@ -21,7 +14,7 @@ func TestOccupancyGridUnknownPrior(t *testing.T) {
 	if g.Occupied(p) {
 		t.Fatal("unknown cells must be optimistically traversable")
 	}
-	if g.KnownFraction() != 0 {
+	if slices.Contains(g.visited, true) {
 		t.Fatal("fresh grid must be fully unknown")
 	}
 }
@@ -37,8 +30,14 @@ func TestOccupancyGridObserve(t *testing.T) {
 	if g.Occupied(p) {
 		t.Fatal("re-observed free cell must clear")
 	}
-	if g.KnownFraction() != 1.0/25 {
-		t.Fatalf("known fraction = %g", g.KnownFraction())
+	known := 0
+	for _, v := range g.visited {
+		if v {
+			known++
+		}
+	}
+	if known != 1 {
+		t.Fatalf("%d known cells, want 1", known)
 	}
 }
 
@@ -158,7 +157,7 @@ func TestPipelineNavigatesAllScenarios(t *testing.T) {
 func TestPipelineAccountsWork(t *testing.T) {
 	env := airlearning.NewEnv(airlearning.MediumObstacle, 9)
 	pl := NewPipeline(env)
-	res := airlearning.RunEpisode(env, pl)
+	airlearning.RunEpisode(env, pl)
 	if pl.SenseOps <= 0 || pl.PlanOps <= 0 || pl.ActOps <= 0 {
 		t.Fatalf("work counters: sense=%d plan=%d act=%d", pl.SenseOps, pl.PlanOps, pl.ActOps)
 	}
@@ -168,10 +167,7 @@ func TestPipelineAccountsWork(t *testing.T) {
 	if pl.Replans < 1 {
 		t.Fatal("pipeline never planned")
 	}
-	if pl.OpsPerDecision(res.Steps) <= 0 {
-		t.Fatal("per-decision ops must be positive")
-	}
-	if pl.Grid().KnownFraction() <= 0 {
+	if !slices.Contains(pl.grid.visited, true) {
 		t.Fatal("mapper learned nothing")
 	}
 }
@@ -184,21 +180,5 @@ func TestPipelinePlansDominateCompute(t *testing.T) {
 	airlearning.RunEpisode(env, pl)
 	if pl.ActOps*10 > pl.SenseOps+pl.PlanOps {
 		t.Fatalf("act ops %d not negligible vs sense+plan %d", pl.ActOps, pl.SenseOps+pl.PlanOps)
-	}
-}
-
-func TestThroughputHz(t *testing.T) {
-	if got := ThroughputHz(1e6, 50e6); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("throughput = %g, want 50", got)
-	}
-	if ThroughputHz(0, 1e6) != 0 || ThroughputHz(1e6, 0) != 0 {
-		t.Fatal("degenerate inputs must give 0")
-	}
-}
-
-func TestOpsPerDecisionDegenerate(t *testing.T) {
-	pl := NewPipeline(airlearning.NewEnv(airlearning.LowObstacle, 1))
-	if pl.OpsPerDecision(0) != 0 {
-		t.Fatal("zero decisions must give 0")
 	}
 }

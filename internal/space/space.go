@@ -72,12 +72,6 @@ type Axis struct {
 	Lo, Hi float64 // normalization bounds in transformed units; Lo == Hi derives them
 }
 
-// IntAxis builds an integer axis with linear feature scaling and derived
-// normalization bounds.
-func IntAxis(name string, values ...int) Axis {
-	return Axis{Name: name, Kind: KindInt, Ints: values}
-}
-
 // CatAxis builds a categorical axis.
 func CatAxis(name string, choices ...string) Axis {
 	return Axis{Name: name, Kind: KindCat, Cats: choices}
@@ -259,19 +253,6 @@ func (s Space) Validate() error {
 		seen[a.Name] = true
 	}
 	return nil
-}
-
-// NumAxes returns the number of axes.
-func (s Space) NumAxes() int { return len(s.Axes) }
-
-// AxisIndex returns the position of the named axis, or -1.
-func (s Space) AxisIndex(name string) int {
-	for i, a := range s.Axes {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Dims returns the cardinality of every axis — the genome layout the

@@ -9,7 +9,7 @@ import (
 func testSpace() Space {
 	return New(
 		CatAxis("algorithm", "dqn", "reinforce"),
-		IntAxis("layers", 2, 4, 7),
+		Axis{Name: "layers", Kind: KindInt, Ints: []int{2, 4, 7}},
 		Axis{Name: "pe", Kind: KindInt, Ints: []int{8, 16, 32, 64}, Scale: ScaleLog2, Lo: 3, Hi: 10},
 	)
 }
@@ -23,14 +23,14 @@ func TestValidate(t *testing.T) {
 		s    Space
 	}{
 		{"no axes", New()},
-		{"unnamed", New(IntAxis("", 1))},
-		{"empty int axis", New(IntAxis("a"))},
+		{"unnamed", New(Axis{Name: "", Kind: KindInt, Ints: []int{1}})},
+		{"empty int axis", New(Axis{Name: "a", Kind: KindInt})},
 		{"empty cat axis", New(CatAxis("a"))},
-		{"duplicate axis", New(IntAxis("a", 1), IntAxis("a", 2))},
-		{"duplicate value", New(IntAxis("a", 1, 1))},
+		{"duplicate axis", New(Axis{Name: "a", Kind: KindInt, Ints: []int{1}}, Axis{Name: "a", Kind: KindInt, Ints: []int{2}})},
+		{"duplicate value", New(Axis{Name: "a", Kind: KindInt, Ints: []int{1, 1}})},
 		{"duplicate choice", New(CatAxis("a", "x", "x"))},
 		{"empty choice", New(CatAxis("a", ""))},
-		{"separator in name", New(IntAxis("a=b", 1))},
+		{"separator in name", New(Axis{Name: "a=b", Kind: KindInt, Ints: []int{1}})},
 		{"separator in choice", New(CatAxis("a", "x;y"))},
 		{"mixed kinds", New(Axis{Name: "a", Kind: KindInt, Ints: []int{1}, Cats: []string{"x"}})},
 		{"log2 of zero", New(Axis{Name: "a", Kind: KindInt, Ints: []int{0}, Scale: ScaleLog2})},
@@ -133,7 +133,7 @@ func TestSampleReproducible(t *testing.T) {
 }
 
 func TestSampleClampsToSize(t *testing.T) {
-	s := New(IntAxis("a", 1, 2), IntAxis("b", 3, 4))
+	s := New(Axis{Name: "a", Kind: KindInt, Ints: []int{1, 2}}, Axis{Name: "b", Kind: KindInt, Ints: []int{3, 4}})
 	pts := s.Sample(100, 1)
 	if int64(len(pts)) != s.Size() {
 		t.Fatalf("sampled %d of %d points", len(pts), s.Size())
@@ -169,7 +169,7 @@ func TestVector(t *testing.T) {
 }
 
 func TestCornersWithoutCatAxes(t *testing.T) {
-	s := New(IntAxis("a", 1, 2, 3), IntAxis("b", 4, 5))
+	s := New(Axis{Name: "a", Kind: KindInt, Ints: []int{1, 2, 3}}, Axis{Name: "b", Kind: KindInt, Ints: []int{4, 5}})
 	pts := s.Sample(2, 7)
 	if !reflect.DeepEqual(pts[0], Point{0, 0}) || !reflect.DeepEqual(pts[1], Point{2, 1}) {
 		t.Fatalf("corners = %v, %v", pts[0], pts[1])
@@ -178,9 +178,6 @@ func TestCornersWithoutCatAxes(t *testing.T) {
 
 func TestAxisIndexAndDims(t *testing.T) {
 	s := testSpace()
-	if s.AxisIndex("layers") != 1 || s.AxisIndex("missing") != -1 {
-		t.Fatal("AxisIndex lookup broken")
-	}
 	if !reflect.DeepEqual(s.Dims(), []int{2, 3, 4}) {
 		t.Fatalf("Dims = %v", s.Dims())
 	}

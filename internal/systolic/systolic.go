@@ -59,11 +59,6 @@ type Config struct {
 // PEs returns the number of processing elements.
 func (c Config) PEs() int { return c.Rows * c.Cols }
 
-// SRAMBytesTotal returns the total scratchpad capacity in bytes.
-func (c Config) SRAMBytesTotal() int64 {
-	return int64(c.IfmapKB+c.FilterKB+c.OfmapKB) * 1024
-}
-
 // Validate checks the configuration for physical plausibility.
 func (c Config) Validate() error {
 	if c.Rows <= 0 || c.Cols <= 0 {
@@ -136,6 +131,12 @@ type Report struct {
 	SRAMReads, SRAMWrites int64
 	DRAMReads, DRAMWrites int64
 }
+
+// SRAMBytes returns the total on-chip scratchpad traffic per inference.
+func (r *Report) SRAMBytes() int64 { return r.SRAMReads + r.SRAMWrites }
+
+// DRAMBytes returns the total off-chip traffic per inference.
+func (r *Report) DRAMBytes() int64 { return r.DRAMReads + r.DRAMWrites }
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {

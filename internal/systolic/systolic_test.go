@@ -45,9 +45,6 @@ func TestConfigAccessors(t *testing.T) {
 	if c.PEs() != 1024 {
 		t.Errorf("PEs = %d", c.PEs())
 	}
-	if c.SRAMBytesTotal() != 3*256*1024 {
-		t.Errorf("SRAM total = %d", c.SRAMBytesTotal())
-	}
 	if c.String() == "" {
 		t.Error("empty String")
 	}

@@ -70,9 +70,9 @@ func TraceLayer(l policy.LayerSpec, c Config, emit func(Access)) (TraceStats, er
 	rows, cols := int64(c.Rows), int64(c.Cols)
 	cycle := int64(0)
 	for tn := int64(0); tn < g.N; tn += rows {
-		nEnd := min64(tn+rows, g.N)
+		nEnd := min(tn+rows, g.N)
 		for tm := int64(0); tm < g.M; tm += cols {
-			mEnd := min64(tm+cols, g.M)
+			mEnd := min(tm+cols, g.M)
 			// stream K operand pairs through the tile
 			for k := int64(0); k < g.K; k++ {
 				// one ifmap byte per active row, one filter byte per active column
@@ -106,11 +106,4 @@ func TraceLayer(l policy.LayerSpec, c Config, emit func(Access)) (TraceStats, er
 	}
 	st.Cycles = cycle
 	return st, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

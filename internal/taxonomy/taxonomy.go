@@ -35,18 +35,6 @@ func TableI() []PriorWork {
 	}
 }
 
-// Columns reports which Table I capabilities a row provides.
-func (p PriorWork) Columns() map[string]bool {
-	return map[string]bool{
-		"end-to-end":  p.EndToEnd,
-		"hw-accel":    p.HardwareAccel != "none" && p.HardwareAccel != "",
-		"sensor":      p.ConsidersSensor,
-		"uav-physics": p.ConsidersUAVPhysics,
-		"methodology": p.ProvidesMethodology,
-		"automated":   p.Automated,
-	}
-}
-
 // Domain is one row family of Table VI: an autonomous-vehicle domain and the
 // components that would instantiate each AutoPilot phase for it.
 type Domain struct {

@@ -13,14 +13,8 @@ func TestTableIOnlyAutoPilotChecksEveryColumn(t *testing.T) {
 	full := 0
 	var fullName string
 	for _, p := range rows {
-		all := true
-		for _, v := range p.Columns() {
-			if !v {
-				all = false
-				break
-			}
-		}
-		if all {
+		accel := p.HardwareAccel != "none" && p.HardwareAccel != ""
+		if p.EndToEnd && accel && p.ConsidersSensor && p.ConsidersUAVPhysics && p.ProvidesMethodology && p.Automated {
 			full++
 			fullName = p.Name
 		}

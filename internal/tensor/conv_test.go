@@ -213,9 +213,10 @@ func TestCol2imAdjointProperty(t *testing.T) {
 		back := New(d.InC, d.InH, d.InW)
 		back.Fill(1e6) // Scatter must overwrite, not accumulate into, dst
 		p.Scatter(back, y, make([]float64, p.PaddedLen()))
-		lhs := Dot(cols.Reshape(y.Len()), y.Reshape(y.Len()))
-		rhs := Dot(x.Reshape(x.Len()), back.Reshape(x.Len()))
-		return absf(lhs-rhs) < 1e-9
+		lhs, rhs := New(1, 1), New(1, 1)
+		MatMulInto(lhs, cols.Reshape(1, y.Len()), y.Reshape(y.Len(), 1))
+		MatMulInto(rhs, x.Reshape(1, x.Len()), back.Reshape(x.Len(), 1))
+		return absf(lhs.At(0, 0)-rhs.At(0, 0)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

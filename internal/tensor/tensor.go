@@ -130,53 +130,11 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// SubInPlace subtracts o element-wise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	mustSameLen(t, o, "SubInPlace")
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-}
-
 // ScaleInPlace multiplies every element by a.
 func (t *Tensor) ScaleInPlace(a float64) {
 	for i := range t.data {
 		t.data[i] *= a
 	}
-}
-
-// AxpyInPlace computes t += a*o element-wise.
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
-	mustSameLen(t, o, "AxpyInPlace")
-	for i, v := range o.data {
-		t.data[i] += a * v
-	}
-}
-
-// Add returns t + o element-wise.
-func Add(t, o *Tensor) *Tensor {
-	mustSameLen(t, o, "Add")
-	r := t.Clone()
-	r.AddInPlace(o)
-	return r
-}
-
-// Sub returns t - o element-wise.
-func Sub(t, o *Tensor) *Tensor {
-	mustSameLen(t, o, "Sub")
-	r := t.Clone()
-	r.SubInPlace(o)
-	return r
-}
-
-// Mul returns the element-wise (Hadamard) product of t and o.
-func Mul(t, o *Tensor) *Tensor {
-	mustSameLen(t, o, "Mul")
-	r := t.Clone()
-	for i, v := range o.data {
-		r.data[i] *= v
-	}
-	return r
 }
 
 // Scale returns a*t.
@@ -213,16 +171,6 @@ func (t *Tensor) Max() (float64, int) {
 		}
 	}
 	return best, arg
-}
-
-// Dot returns the inner product of two equal-length tensors.
-func Dot(a, b *Tensor) float64 {
-	mustSameLen(a, b, "Dot")
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor.

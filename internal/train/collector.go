@@ -11,8 +11,8 @@ import (
 
 // RunTrainingEpisode rolls the algorithm's behavior policy through one
 // episode, streaming every transition into the algorithm as it happens, and
-// fires the episode-boundary hook — the single training-episode loop both
-// the engine and the rl package's direct Train helpers share.
+// fires the episode-boundary hook. It is the engine's one training-episode
+// loop.
 func RunTrainingEpisode(env *airlearning.Env, alg Algorithm) airlearning.EpisodeResult {
 	obs := env.Reset()
 	var res airlearning.EpisodeResult

@@ -95,48 +95,3 @@ func TestObsSweepTelemetry(t *testing.T) {
 		t.Errorf("completed %d train-category spans, want >= %d (one job span per run)", got, len(recs))
 	}
 }
-
-// TestSinkEventsAdapter pins satellite (a): legacy Sinks now ride the obs
-// event stream through the SinkEvents adapter, and the engine emits the same
-// Progress payloads it used to deliver directly.
-func TestSinkEventsAdapter(t *testing.T) {
-	var direct []train.Progress
-	sink := train.SinkFunc(func(p train.Progress) { direct = append(direct, p) })
-	adapter := train.SinkEvents(sink)
-	if train.SinkEvents(nil) != nil {
-		t.Fatal("SinkEvents(nil) not nil")
-	}
-	adapter.Emit(obs.Event{Cat: "train", Name: "progress", Payload: train.Progress{Episode: 3}})
-	adapter.Emit(obs.Event{Cat: "checkpoint", Name: "quarantined", Payload: "db"}) // wrong payload type: dropped
-	if len(direct) != 1 || direct[0].Episode != 3 {
-		t.Fatalf("adapter delivered %+v", direct)
-	}
-
-	// End to end: a legacy sink adapted over the event stream and a raw
-	// observer event sink both see the engine's progress events.
-	var viaSink, viaEvents int
-	o := &obs.Observer{Events: obs.MultiSink(
-		obs.EventFunc(func(e obs.Event) {
-			if e.Cat == "train" && e.Name == "progress" {
-				if _, ok := e.Payload.(train.Progress); !ok {
-					t.Errorf("progress payload has type %T", e.Payload)
-				}
-				viaEvents++
-			}
-		}),
-		train.SinkEvents(train.SinkFunc(func(train.Progress) { viaSink++ })),
-	)}
-	cfg := rl.TrainConfig{Algorithm: rl.AlgDQN, Episodes: 20, EvalEpisodes: 5, Seed: 1}
-	eng := train.New(rl.Factory(cfg), train.Config{
-		Episodes:     cfg.Episodes,
-		EvalEpisodes: cfg.EvalEpisodes,
-		Seed:         cfg.Seed,
-		Obs:          o,
-	})
-	if _, _, err := eng.Train(context.Background(), policy.Hyper{Layers: 2, Filters: 32}, airlearning.LowObstacle); err != nil {
-		t.Fatal(err)
-	}
-	if viaSink == 0 || viaSink != viaEvents {
-		t.Fatalf("sink saw %d progress reports, event stream saw %d", viaSink, viaEvents)
-	}
-}

@@ -1,12 +1,9 @@
 package train
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"autopilot/internal/airlearning"
-	"autopilot/internal/obs"
 	"autopilot/internal/policy"
 )
 
@@ -27,50 +24,4 @@ type Progress struct {
 	Elapsed     time.Duration // wall time since the run started
 
 	Done bool
-}
-
-// Sink receives progress reports. The engine serializes Report calls across
-// its sweep workers, so implementations need no locking of their own.
-type Sink interface {
-	Report(Progress)
-}
-
-// SinkFunc adapts a plain function to the Sink interface.
-type SinkFunc func(Progress)
-
-// Report calls f.
-func (f SinkFunc) Report(p Progress) { f(p) }
-
-// SinkEvents adapts a legacy Sink over the obs event stream: the returned
-// sink forwards every train/progress event's Progress payload to s and
-// ignores everything else. This is how the engine keeps WithSink consumers
-// (cmd/trainsim's writer sink) working unchanged now that progress is an
-// obs.Event. A nil Sink yields a nil EventSink.
-func SinkEvents(s Sink) obs.EventSink {
-	if s == nil {
-		return nil
-	}
-	return obs.EventFunc(func(e obs.Event) {
-		if p, ok := e.Payload.(Progress); ok {
-			s.Report(p)
-		}
-	})
-}
-
-// writerSink prints one line per report.
-type writerSink struct{ w io.Writer }
-
-// NewWriterSink returns a sink that renders each report as one line on w —
-// what cmd/trainsim wires to stdout.
-func NewWriterSink(w io.Writer) Sink { return writerSink{w: w} }
-
-// Report renders p.
-func (s writerSink) Report(p Progress) {
-	if p.Done {
-		fmt.Fprintf(s.w, "%s/%s [%s] done: %d episodes, %d env steps, %.0f%% success (%.1fs)\n",
-			p.Hyper, p.Scenario, p.Algorithm, p.Episode, p.Steps, 100*p.SuccessRate, p.Elapsed.Seconds())
-		return
-	}
-	fmt.Fprintf(s.w, "%s/%s [%s] episode %d/%d: return %.2f, %d env steps (%.1fs)\n",
-		p.Hyper, p.Scenario, p.Algorithm, p.Episode, p.Episodes, p.Return, p.Steps, p.Elapsed.Seconds())
 }

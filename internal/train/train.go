@@ -21,9 +21,9 @@
 //     and a restarted sweep skips points the checkpoint already holds;
 //   - observability: per-run progress (episodes done, env steps, validated
 //     success rate, wall time) streams through the internal/obs event
-//     stream (Cat "train", Name "progress"); legacy Sinks ride on it as
-//     adapters, and with Config.Obs set the engine also records episode,
-//     step, and per-run latency instruments plus per-run trace spans.
+//     stream (Cat "train", Name "progress", a Progress payload), and with
+//     Config.Obs set the engine also records episode, step, and per-run
+//     latency instruments plus per-run trace spans.
 //
 // The concrete algorithms (DQN, REINFORCE) live in internal/rl and plug in
 // behind the Algorithm interface via a Factory; this package never imports
@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -135,12 +136,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("train: non-positive training budget (episodes %d, eval %d)",
 			c.Episodes, c.EvalEpisodes)
 	}
+	if math.IsNaN(c.FailureBudget) || c.FailureBudget < 0 || c.FailureBudget > 1 {
+		return fmt.Errorf("train: failure budget %g outside [0,1]", c.FailureBudget)
+	}
 	return nil
 }
 
 // evalSeedOffset separates a run's evaluation environments from its training
-// environment, preserving the historical rl.TrainPolicy assignment
-// (train seed s, eval seed s+1000).
+// environment: train seed s, eval seed s+1000, the assignment every pinned
+// Phase-1 result was produced with.
 const evalSeedOffset = 1000
 
 // JobSeed derives the per-policy training seed from the hyper-parameter
@@ -179,8 +183,7 @@ type Engine struct {
 }
 
 // New returns an engine that builds algorithms with factory under cfg.
-// Progress flows through the obs event stream (Config.Obs.Events); legacy
-// Sinks attach by adapting over it with SinkEvents.
+// Progress flows through the obs event stream (Config.Obs.Events).
 func New(factory Factory, cfg Config) *Engine {
 	e := &Engine{factory: factory, cfg: cfg}
 	if cfg.Obs != nil {

@@ -7,6 +7,7 @@ package train_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,6 +48,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := (train.Config{Episodes: 1, EvalEpisodes: 0}).Validate(); err == nil {
 		t.Fatal("want error for zero eval episodes")
 	}
+	for _, budget := range []float64{-0.1, 1.5, math.NaN()} {
+		if err := (train.Config{Episodes: 1, EvalEpisodes: 1, FailureBudget: budget}).Validate(); err == nil {
+			t.Errorf("failure budget %g accepted", budget)
+		}
+	}
 }
 
 // TestJobSeedMatchesSequentialAssignment pins the determinism contract's
@@ -62,10 +68,13 @@ func TestJobSeedMatchesSequentialAssignment(t *testing.T) {
 	}
 }
 
-// sinkObserver adapts a legacy progress sink onto an Observer's event stream
-// — the supported way to watch training after the WithSink option's removal.
-func sinkObserver(s train.Sink) *obs.Observer {
-	return &obs.Observer{Events: train.SinkEvents(s)}
+// sinkObserver hands every progress event's payload to f.
+func sinkObserver(f func(train.Progress)) *obs.Observer {
+	return &obs.Observer{Events: obs.EventFunc(func(e obs.Event) {
+		if p, ok := e.Payload.(train.Progress); ok {
+			f(p)
+		}
+	})}
 }
 
 func sweep(t *testing.T, cfg train.Config) *airlearning.Database {
@@ -99,11 +108,11 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.Checkpoint = ckpt
 	icfg := cfg
-	icfg.Obs = sinkObserver(train.SinkFunc(func(p train.Progress) {
+	icfg.Obs = sinkObserver(func(p train.Progress) {
 		if p.Done {
 			cancel()
 		}
-	}))
+	})
 	interrupted := train.New(testFactory(), icfg)
 	db1 := airlearning.NewDatabase()
 	_, err := interrupted.Sweep(ctx, testHypers, airlearning.LowObstacle, db1)
@@ -173,11 +182,11 @@ func TestSweepSkipsRecordsAlreadyInDatabase(t *testing.T) {
 func TestTrainCancelledBetweenEpisodes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := train.Config{Episodes: 1_000_000, EvalEpisodes: 3, Seed: 1, Workers: 1, ProgressEvery: 1}
-	cfg.Obs = sinkObserver(train.SinkFunc(func(p train.Progress) {
+	cfg.Obs = sinkObserver(func(p train.Progress) {
 		if p.Episode >= 2 {
 			cancel() // mid-run: training loop must notice before the budget ends
 		}
-	}))
+	})
 	eng := train.New(testFactory(), cfg)
 	_, _, err := eng.Train(ctx, testHypers[0], airlearning.LowObstacle)
 	if !errors.Is(err, context.Canceled) {
@@ -189,9 +198,9 @@ func TestProgressSinkReports(t *testing.T) {
 	var got []train.Progress
 	cfg := testConfig(1)
 	cfg.ProgressEvery = 1
-	cfg.Obs = sinkObserver(train.SinkFunc(func(p train.Progress) {
+	cfg.Obs = sinkObserver(func(p train.Progress) {
 		got = append(got, p)
-	}))
+	})
 	eng := train.New(testFactory(), cfg)
 	rec, _, err := eng.Train(context.Background(), testHypers[0], airlearning.LowObstacle)
 	if err != nil {

@@ -169,13 +169,3 @@ func ZhangNano() Platform { return fromAirframe("nano") }
 func Platforms() []Platform {
 	return []Platform{AscTecPelican(), DJISpark(), ZhangNano()}
 }
-
-// ByClass returns the Table IV platform of the given class.
-func ByClass(c Class) (Platform, error) {
-	for _, p := range Platforms() {
-		if p.Class == c {
-			return p, nil
-		}
-	}
-	return Platform{}, fmt.Errorf("uav: no platform for class %v", c)
-}

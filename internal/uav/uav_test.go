@@ -3,6 +3,8 @@ package uav
 import (
 	"math"
 	"testing"
+
+	"autopilot/internal/catalog"
 )
 
 func TestPlatformsMatchTableIV(t *testing.T) {
@@ -38,21 +40,6 @@ func TestValidateRejectsBadPlatform(t *testing.T) {
 	heavy.BaseWeightG = 100000
 	if err := heavy.Validate(); err == nil {
 		t.Error("platform that cannot lift itself must be invalid")
-	}
-}
-
-func TestByClass(t *testing.T) {
-	for _, c := range []Class{Mini, Micro, Nano} {
-		p, err := ByClass(c)
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if p.Class != c {
-			t.Fatalf("ByClass(%v) returned %v", c, p.Class)
-		}
-	}
-	if _, err := ByClass(Class(9)); err == nil {
-		t.Fatal("expected error for unknown class")
 	}
 }
 
@@ -157,7 +144,10 @@ func TestTX2HeavierThanNanoCanCarryComfortably(t *testing.T) {
 }
 
 func TestOV9755MatchesTableIII(t *testing.T) {
-	s := OV9755()
+	s, err := catalog.SensorByName("ov9755")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.PowerW != 0.1 {
 		t.Errorf("power = %g, want 0.1 (Table III: 100 mW)", s.PowerW)
 	}
@@ -166,33 +156,5 @@ func TestOV9755MatchesTableIII(t *testing.T) {
 	}
 	if len(s.Modes) != 3 {
 		t.Errorf("modes = %d", len(s.Modes))
-	}
-}
-
-func TestSensorModeAt(t *testing.T) {
-	s := OV9755()
-	m, err := s.ModeAt(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Width != 1280 || m.Height != 720 {
-		t.Fatalf("60 FPS mode = %+v", m)
-	}
-	if _, err := s.ModeAt(120); err == nil {
-		t.Fatal("expected error for missing mode")
-	}
-}
-
-func TestSensorPixelRate(t *testing.T) {
-	m := SensorMode{Width: 100, Height: 10, FPS: 30}
-	if m.PixelRate() != 30000 {
-		t.Fatalf("pixel rate = %g", m.PixelRate())
-	}
-	// faster modes must push more pixels unless the resolution drops
-	s := OV9755()
-	m30, _ := s.ModeAt(30)
-	m60, _ := s.ModeAt(60)
-	if m60.PixelRate() <= m30.PixelRate() {
-		t.Fatal("60 FPS 720p must out-stream 30 FPS 720p")
 	}
 }
