@@ -43,7 +43,6 @@ func benchConfig() experiments.Config {
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 10, 14, 96
 	return experiments.Config{
 		Phase2: dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true},
-		Seed:   1,
 	}
 }
 

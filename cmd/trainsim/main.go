@@ -21,10 +21,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"flag"
 
@@ -49,9 +51,9 @@ func main() {
 	all := flag.Bool("all", false, "sweep the full Table II template family (resumable via -db)")
 	progress := flag.Int("progress", 0, "report training progress every N episodes (0 = per-run only)")
 	dbPath := flag.String("db", "", "Air Learning database file to update; with -all it doubles as the resume checkpoint")
-	retries := flag.Int("retries", 1, "attempt budget per training job (1 = no retries)")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt timeout for training jobs (0 = unbounded)")
-	failureBudget := flag.Float64("failure-budget", 0, "fraction of sweep jobs allowed to fail after retries (0 = fail-fast)")
+	retries := flag.Int("retries", 1, "attempt budget per sweep training job, with -all (1 = no retries)")
+	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt timeout for sweep training jobs, with -all (0 = unbounded)")
+	failureBudget := flag.Float64("failure-budget", 0, "fraction of sweep jobs allowed to fail after retries, with -all (0 = fail-fast)")
 	var obsFlags obs.Flags
 	obsFlags.Register()
 	flag.Parse()
@@ -68,6 +70,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(2)
+	}
+	if !*all {
+		if err := sweepOnly(*retries, *jobTimeout, *failureBudget); err != nil {
+			fmt.Fprintln(os.Stderr, "trainsim:", err)
+			os.Exit(2)
+		}
 	}
 	cfg := rl.TrainConfig{Algorithm: algorithm, Episodes: *episodes, EvalEpisodes: *evalEps, Seed: *seed}
 
@@ -115,8 +123,8 @@ func main() {
 		os.Exit(2)
 	}
 	// Progress rides the obs event stream; printProgress renders it to
-	// stdout alongside whatever the -trace/-manifest flags attached.
-	run.Obs.Events = obs.MultiSink(run.Obs.Events, printProgress)
+	// stdout.
+	run.Obs.Events = printProgress
 	eng := train.New(rl.Factory(cfg), train.Config{
 		Episodes:      cfg.Episodes,
 		EvalEpisodes:  cfg.EvalEpisodes,
@@ -159,7 +167,7 @@ func main() {
 // retry policy; a positive failure budget lets the sweep finish with a
 // failure report instead of aborting on the first exhausted job.
 func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlearning.Scenario, cfg rl.TrainConfig, workers, progress int, dbPath string, retry fault.Policy, failureBudget float64) {
-	run.Obs.Events = obs.MultiSink(run.Obs.Events, printProgress)
+	run.Obs.Events = printProgress
 	eng := train.New(rl.Factory(cfg), train.Config{
 		Episodes:      cfg.Episodes,
 		EvalEpisodes:  cfg.EvalEpisodes,
@@ -211,6 +219,21 @@ func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlea
 		fmt.Printf("database saved to %s\n", dbPath)
 	}
 	finish(nil)
+}
+
+// sweepOnly rejects a fault-tolerance flag set away from its default
+// without -all: the flags drive the sweep's retry loop and failure budget,
+// and a single run has neither.
+func sweepOnly(retries int, jobTimeout time.Duration, failureBudget float64) error {
+	switch {
+	case retries != 1:
+		return errors.New("-retries needs -all: a single run has no retry loop")
+	case jobTimeout != 0:
+		return errors.New("-job-timeout needs -all: a single run has no retry loop")
+	case failureBudget != 0:
+		return errors.New("-failure-budget needs -all: a single run has no failure budget")
+	}
+	return nil
 }
 
 // printProgress renders each training progress event as one line on stdout.

@@ -69,16 +69,15 @@ func main() {
 	}
 
 	// The same SPA op-count, lowered into the unified hardware cost-model
-	// layer: an hw.SPAWorkload priced on every catalog CPU through the same
-	// Backend seam and full-system (F-1 + mission) path the systolic designs
-	// use.
+	// layer: an hw.SPAWorkload priced on every catalog CPU and run through
+	// the full-system (F-1 + mission) path the systolic designs use.
 	fmt.Println()
 	fmt.Println("SPA workload through the hw cost-model layer (nano-UAV, dense):")
 	wl := hw.SPAWorkload("spa/dense", opsPerDecision[airlearning.DenseObstacle])
 	spec := core.DefaultSpec(nano, airlearning.DenseObstacle)
 	fmt.Printf("  %-28s %10s %8s %9s %9s\n", "backend", "action Hz", "SoC W", "v_safe", "missions")
 	for _, c := range cpu.Catalog() {
-		be := hw.SPABackend{Compute: hw.CPUBackend{Config: c, Power: pm}}
+		be := hw.CPUBackend{Config: c, Power: pm}
 		est, err := be.Estimate(wl)
 		if err != nil {
 			fmt.Printf("  %-28s %v\n", be.Name(), err)

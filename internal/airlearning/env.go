@@ -80,20 +80,12 @@ type Env struct {
 	outcome    Outcome
 	totalDist0 float64
 
-	movers []mover // dynamic obstacles
-
 	// Breadth-first-search scratch, sized on first use: prev holds each
 	// cell's predecessor (-1 for the search's start, -2 unvisited) and
 	// queue the cells in the order the search visits them, both as cell
 	// indices y*ArenaW+x.
 	prev  []int32
 	queue []int32
-}
-
-// mover is a bouncing single-cell dynamic obstacle.
-type mover struct {
-	pos Point
-	vel Point
 }
 
 // NewEnv returns an environment for the scenario seeded deterministically.
@@ -129,46 +121,13 @@ func (e *Env) Goal() Point { return e.goal }
 // OutcomeNow returns the current episode outcome.
 func (e *Env) OutcomeNow() Outcome { return e.outcome }
 
-// Blocked reports whether a cell is outside the arena or occupied by a
-// static or dynamic obstacle.
+// Blocked reports whether a cell is outside the arena or occupied by an
+// obstacle.
 func (e *Env) Blocked(p Point) bool {
-	if e.staticBlocked(p) {
-		return true
-	}
-	for _, m := range e.movers {
-		if m.pos == p {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *Env) staticBlocked(p Point) bool {
 	if p.X < 0 || p.X >= e.cfg.ArenaW || p.Y < 0 || p.Y >= e.cfg.ArenaH {
 		return true
 	}
 	return e.grid[p.Y*e.cfg.ArenaW+p.X]
-}
-
-// stepMovers advances the dynamic obstacles one cell along their velocity,
-// bouncing off walls, static obstacles and each other.
-func (e *Env) stepMovers() {
-	for i := range e.movers {
-		m := &e.movers[i]
-		next := Point{m.pos.X + m.vel.X, m.pos.Y + m.vel.Y}
-		blocked := e.staticBlocked(next) || next == e.goal
-		for j := range e.movers {
-			if j != i && e.movers[j].pos == next {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			m.vel = Point{-m.vel.X, -m.vel.Y}
-			continue
-		}
-		m.pos = next
-	}
 }
 
 func (e *Env) placeBlock(topLeft Point) {
@@ -270,7 +229,6 @@ func (e *Env) tryLayout(rng *tensor.RNG) bool {
 	if !ok {
 		return false
 	}
-	e.movers = e.movers[:0]
 	return e.reachable(e.pos, e.goal)
 }
 
@@ -307,18 +265,6 @@ func (e *Env) TryReset() (Observation, error) {
 	}
 	if !solved {
 		return Observation{}, &LayoutError{Scenario: e.Scenario, Attempts: maxLayoutAttempts + rescueLayoutAttempts}
-	}
-	// spawn dynamic obstacles on free cells away from the start and goal
-	for i := 0; i < e.cfg.Dynamic; i++ {
-		for tries := 0; tries < 50; tries++ {
-			p := Point{e.rng.Intn(e.cfg.ArenaW), e.rng.Intn(e.cfg.ArenaH)}
-			if e.Blocked(p) || p == e.goal || manhattan(p, e.pos) < 4 {
-				continue
-			}
-			vel := dirs[e.rng.Intn(4)*2] // N/E/S/W
-			e.movers = append(e.movers, mover{pos: p, vel: vel})
-			break
-		}
 	}
 	e.steps = 0
 	e.outcome = Running
@@ -398,13 +344,6 @@ func (e *Env) Step(action int) (Observation, float64, bool) {
 	if e.pos == e.goal {
 		e.outcome = Success
 		return e.observe(), 10.0, true
-	}
-	e.stepMovers()
-	for _, m := range e.movers {
-		if m.pos == e.pos {
-			e.outcome = Collision
-			return e.observe(), -1.0, true
-		}
 	}
 	if e.steps >= e.cfg.MaxSteps {
 		e.outcome = Timeout

@@ -379,66 +379,6 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-func TestDynamicObstaclesSpawnAndMove(t *testing.T) {
-	cfg := LowObstacle.Config()
-	cfg.Dynamic = 3
-	env := NewEnvWithConfig(LowObstacle, cfg, 31)
-	env.Reset()
-	var before []Point
-	for _, m := range env.movers {
-		before = append(before, m.pos)
-	}
-	if len(before) != 3 {
-		t.Fatalf("movers = %d, want 3", len(before))
-	}
-	for i := 0; i < 6; i++ {
-		if env.OutcomeNow() != Running {
-			env.Reset()
-		}
-		env.Step(2) // move E if possible
-	}
-	moved := false
-	for i, m := range env.movers {
-		if m.pos != before[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("dynamic obstacles never moved")
-	}
-}
-
-func TestDynamicObstaclesBlockCells(t *testing.T) {
-	cfg := LowObstacle.Config()
-	cfg.Dynamic = 2
-	env := NewEnvWithConfig(LowObstacle, cfg, 33)
-	env.Reset()
-	for _, m := range env.movers {
-		if !env.Blocked(m.pos) {
-			t.Fatalf("mover cell %v not blocked", m.pos)
-		}
-	}
-}
-
-func TestExpertHandlesDynamicObstacles(t *testing.T) {
-	cfg := LowObstacle.Config()
-	cfg.Dynamic = 2
-	env := NewEnvWithConfig(LowObstacle, cfg, 35)
-	rate := SuccessRate(env, ExpertPolicy{Env: env}, 25)
-	if rate < 0.5 {
-		t.Fatalf("expert success with dynamic obstacles = %.2f, want >= 0.5", rate)
-	}
-}
-
-func TestStaticScenariosHaveNoMovers(t *testing.T) {
-	env := NewEnv(DenseObstacle, 1)
-	env.Reset()
-	if len(env.movers) != 0 {
-		t.Fatal("paper scenarios are static; no movers expected")
-	}
-}
-
 func TestSuccessRateCI(t *testing.T) {
 	env := NewEnv(LowObstacle, 41)
 	rate, lo, hi := SuccessRateCI(env, ExpertPolicy{Env: env}, 30)

@@ -42,7 +42,6 @@ type EnvConfig struct {
 	RandomMax      int // up to this many randomly placed obstacles per episode
 	ObstacleSize   int // obstacles are ObstacleSize×ObstacleSize cell blocks
 	MaxSteps       int // episode step budget
-	Dynamic        int // moving single-cell obstacles that bounce around the arena
 }
 
 // Config returns the environment-generator parameters for the scenario,

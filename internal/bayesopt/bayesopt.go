@@ -18,18 +18,17 @@
 // candidate pool. Every posterior and every kernel value is bitwise what a
 // refit from scratch computes.
 //
-// One screening loop serves both acquisitions. It cuts the screened
-// candidates into blocks of gp.BlockSize and scores them on up to
-// Config.Workers of internal/pool's goroutines, each of which claims the
-// next unscored block in screen order. Before the fan-out the kernel cache
-// gives each screened candidate its slot, in screen order, so a worker
-// writes only its own candidates' slots. A worker predicts a block with one
-// forward solve and scores it against its own copy of the front, sorted
-// once per iteration, over scratch it keeps for the optimizer's lifetime,
-// so scoring a candidate allocates nothing. Every score is bitwise what
-// scoring the candidate alone gives, each block keeps its first best, and
-// the blocks' bests are reduced in screen order, so the proposal is bitwise
-// the same at every worker count.
+// The screening loop cuts the screened candidates into blocks of
+// gp.BlockSize and scores them on up to Config.Workers of internal/pool's
+// goroutines, each of which claims the next unscored block in screen order.
+// Before the fan-out the kernel cache gives each screened candidate its
+// slot, in screen order, so a worker writes only its own candidates' slots.
+// A worker predicts a block with one forward solve and scores it against its
+// own copy of the front, sorted once per iteration, over scratch it keeps
+// for the optimizer's lifetime, so scoring a candidate allocates nothing.
+// Every score is bitwise what scoring the candidate alone gives, each block
+// keeps its first best, and the blocks' bests are reduced in screen order,
+// so the proposal is bitwise the same at every worker count.
 //
 // The optimizer is an ask/tell proposer (BO): it proposes candidates and is
 // told their objectives, and leaves evaluation, caching, budgets and failure
@@ -49,30 +48,6 @@ import (
 	"autopilot/internal/tensor"
 )
 
-// Acquisition selects the candidate-scoring strategy. The paper uses
-// SMS-EGO and notes it outperforms "other acquisition strategies such as
-// expected improvement" for multi-objective DSE; the scalarized-EI
-// alternative is provided for that comparison.
-type Acquisition int
-
-// Available acquisition functions.
-const (
-	AcqSMSEGO Acquisition = iota
-	AcqScalarizedEI
-)
-
-// String names the acquisition function.
-func (a Acquisition) String() string {
-	switch a {
-	case AcqSMSEGO:
-		return "sms-ego"
-	case AcqScalarizedEI:
-		return "scalarized-ei"
-	default:
-		return fmt.Sprintf("Acquisition(%d)", int(a))
-	}
-}
-
 // Config controls the optimization loop.
 type Config struct {
 	InitSamples int     // random evaluations before the model-guided phase
@@ -81,7 +56,6 @@ type Config struct {
 	Gain        float64 // LCB gain (how optimistic the acquisition is)
 	Noise       float64 // GP observation noise
 	LengthScale float64 // SE kernel length scale in normalized feature space
-	Acquisition Acquisition
 	Seed        int64
 	// Workers bounds the goroutines that score the screened candidates;
 	// <= 0 means runtime.NumCPU(). Proposals are bitwise the same for any
@@ -179,11 +153,6 @@ func (b *BO) Propose() ([]space.Point, error) {
 	if len(screened) == 0 {
 		return nil, nil
 	}
-	var weights []float64
-	var bestScalar float64
-	if b.cfg.Acquisition == AcqScalarizedEI {
-		weights, bestScalar = eiSetup(b.rng, b.objs, b.ref, len(b.ref))
-	}
 	b.cache.reserve(screened, len(b.feats))
 	blocks := (len(screened) + gp.BlockSize - 1) / gp.BlockSize
 	for len(b.picks) < blocks {
@@ -196,7 +165,7 @@ func (b *BO) Propose() ([]space.Point, error) {
 	scorers := b.scorers[:w]
 	var next atomic.Int64 // the next block to score
 	err := pool.ForEach(context.TODO(), len(scorers), scorers, func(_ context.Context, s *scorer) error {
-		b.score(s, screened, &next, front, weights, bestScalar)
+		b.score(s, screened, &next, front)
 		return nil
 	})
 	if err != nil {
@@ -219,14 +188,12 @@ type scorer struct {
 // depend on which scorer claims it. score writes only s, the picks of the
 // blocks it claims and the kernel cache's slots of their candidates, so
 // scorers may share a screen concurrently.
-func (b *BO) score(s *scorer, screened []int, next *atomic.Int64, front [][]float64, weights []float64, bestScalar float64) {
+func (b *BO) score(s *scorer, screened []int, next *atomic.Int64, front [][]float64) {
 	blk := s.blk
 	for len(blk.scratch) < len(b.feats) {
 		blk.scratch = append(blk.scratch, [gp.BlockSize]float64{})
 	}
-	if b.cfg.Acquisition != AcqScalarizedEI {
-		s.front.Prepare(front, b.ref)
-	}
+	s.front.Prepare(front, b.ref)
 	for {
 		k := int(next.Add(1)) - 1
 		start := k * gp.BlockSize
@@ -241,13 +208,7 @@ func (b *BO) score(s *scorer, screened []int, next *atomic.Int64, front [][]floa
 		b.mod.predict(blk, len(cands))
 		best := newPick()
 		for c, ci := range cands {
-			var score float64
-			if b.cfg.Acquisition == AcqScalarizedEI {
-				score = expectedImprovement(blk.mu[c], blk.sd[c], weights, bestScalar, b.ref)
-			} else {
-				score = smsEGO(blk.mu[c], blk.sd[c], front, &s.front, b.ref, b.cfg.Gain)
-			}
-			best.offer(ci, score)
+			best.offer(ci, smsEGO(blk.mu[c], blk.sd[c], front, &s.front, b.ref, b.cfg.Gain))
 		}
 		b.picks[k] = best
 	}
@@ -526,62 +487,4 @@ func smsEGO(mu, sd []float64, front [][]float64, prepared *pareto.Front, ref []f
 		return -penalty
 	}
 	return prepared.Contribution(lcb)
-}
-
-// eiSetup draws a random scalarization weight vector (normalized by the
-// reference point) and returns it with the best scalarized observation.
-func eiSetup(rng *tensor.RNG, objs [][]float64, ref []float64, m int) ([]float64, float64) {
-	w := make([]float64, m)
-	sum := 0.0
-	for i := range w {
-		w[i] = rng.Float64() + 1e-3
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	best := math.Inf(1)
-	for _, y := range objs {
-		if s := scalarize(w, y, ref); s < best {
-			best = s
-		}
-	}
-	return w, best
-}
-
-func scalarize(w, y, ref []float64) float64 {
-	s := 0.0
-	for i := range y {
-		s += w[i] * y[i] / math.Max(math.Abs(ref[i]), 1e-9)
-	}
-	return s
-}
-
-// expectedImprovement is the classic single-objective EI applied to the
-// weighted scalarization of the per-objective GP posteriors, with means ms
-// and standard deviations sds (independence assumed across objectives).
-func expectedImprovement(ms, sds, w []float64, best float64, ref []float64) float64 {
-	mu, varSum := 0.0, 0.0
-	for j, m := range ms {
-		norm := math.Max(math.Abs(ref[j]), 1e-9)
-		mu += w[j] * m / norm
-		varSum += (w[j] * sds[j] / norm) * (w[j] * sds[j] / norm)
-	}
-	sd := math.Sqrt(varSum)
-	if sd < 1e-12 {
-		if mu < best {
-			return best - mu
-		}
-		return 0
-	}
-	z := (best - mu) / sd
-	return (best-mu)*stdNormalCDF(z) + sd*stdNormalPDF(z)
-}
-
-func stdNormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
-}
-
-func stdNormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }

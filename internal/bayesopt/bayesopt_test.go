@@ -306,41 +306,6 @@ func TestOptimizeSingleObjectiveFindsMinimum(t *testing.T) {
 	}
 }
 
-func TestAcquisitionStrings(t *testing.T) {
-	if AcqSMSEGO.String() != "sms-ego" || AcqScalarizedEI.String() != "scalarized-ei" {
-		t.Fatal("bad acquisition names")
-	}
-}
-
-func TestScalarizedEIOptimizes(t *testing.T) {
-	p := zdt1Grid(12)
-	cfg := DefaultConfig()
-	cfg.Acquisition = AcqScalarizedEI
-	cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 8, 24, 64
-	evs, err := drive(t, p, cfg, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pareto.NonDominated(objectives(evs))) == 0 {
-		t.Fatal("empty front from EI")
-	}
-	if hv := pareto.Hypervolume(objectives(evs), p.ref); hv <= 0 {
-		t.Fatalf("EI hypervolume %g", hv)
-	}
-}
-
-func TestStdNormalHelpers(t *testing.T) {
-	if math.Abs(stdNormalCDF(0)-0.5) > 1e-12 {
-		t.Fatalf("Phi(0) = %g", stdNormalCDF(0))
-	}
-	if stdNormalCDF(5) < 0.999 || stdNormalCDF(-5) > 0.001 {
-		t.Fatal("CDF tails wrong")
-	}
-	if math.Abs(stdNormalPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-12 {
-		t.Fatalf("phi(0) = %g", stdNormalPDF(0))
-	}
-}
-
 // threeObjective is zdt1Grid(n) with a third objective that conflicts with
 // the first two.
 func threeObjective(n int) problem {
@@ -466,40 +431,36 @@ func lockstep(t *testing.T, p problem, cfg Config, workers, budget int, check fu
 var screenWorkers = []int{1, 2, 3, 8}
 
 // TestCachedPosteriorMatchesRefit pins the kept posterior and the kernel
-// cache over a whole default-budget run on a three-objective problem, for
-// both acquisitions and with the screen split over every worker count of
-// screenWorkers: every proposal, factor row and weight is bitwise a
-// one-worker refit's, and the run fits its posterior once and extends it
-// after that.
+// cache over a whole default-budget run on a three-objective problem, with
+// the screen split over every worker count of screenWorkers: every proposal,
+// factor row and weight is bitwise a one-worker refit's, and the run fits
+// its posterior once and extends it after that.
 func TestCachedPosteriorMatchesRefit(t *testing.T) {
 	p := threeObjective(64) // 4096 candidates
-	for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
-		t.Run(acq.String(), func(t *testing.T) {
-			for _, workers := range screenWorkers {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Acquisition = acq
-					models := lockstep(t, p, cfg, workers, cfg.InitSamples+cfg.Iterations, nil)
-					if len(models) != cfg.Iterations {
-						t.Fatalf("%d model-guided proposals, want %d", len(models), cfg.Iterations)
+	t.Run("sms-ego", func(t *testing.T) {
+		for _, workers := range screenWorkers {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				cfg := DefaultConfig()
+				models := lockstep(t, p, cfg, workers, cfg.InitSamples+cfg.Iterations, nil)
+				if len(models) != cfg.Iterations {
+					t.Fatalf("%d model-guided proposals, want %d", len(models), cfg.Iterations)
+				}
+				for i, m := range models {
+					if m != models[0] {
+						t.Fatalf("proposal %d refitted the posterior; Append should have extended it", i)
 					}
-					for i, m := range models {
-						if m != models[0] {
-							t.Fatalf("proposal %d refitted the posterior; Append should have extended it", i)
-						}
-					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestScreenSplitsMatchSerial runs screens that split unevenly: a screen
 // size that is not a multiple of gp.BlockSize, so the last block is
 // partial, and screens of fewer blocks than workers, so some workers get no
-// block. Each must propose bitwise what the one-worker reference does, for
-// both acquisitions, to the end of a run that exhausts the pool, whose last
-// screens are smaller still.
+// block. Each must propose bitwise what the one-worker reference does, to
+// the end of a run that exhausts the pool, whose last screens are smaller
+// still.
 func TestScreenSplitsMatchSerial(t *testing.T) {
 	p := threeObjective(8) // 64 candidates
 	for _, tc := range []struct{ screen, workers int }{
@@ -508,16 +469,14 @@ func TestScreenSplitsMatchSerial(t *testing.T) {
 		{6, 8},  // 2 blocks, so 2 of 8 workers score
 		{3, 2},  // one partial block, so one worker scores
 	} {
-		for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
-			t.Run(fmt.Sprintf("screen=%d/workers=%d/%v", tc.screen, tc.workers, acq), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.InitSamples, cfg.Iterations, cfg.ScreenSize, cfg.Acquisition = 6, 80, tc.screen, acq
-				models := lockstep(t, p, cfg, tc.workers, len(p.points), nil)
-				if want := len(p.points) - cfg.InitSamples; len(models) != want {
-					t.Fatalf("%d model-guided proposals, want %d", len(models), want)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("screen=%d/workers=%d/sms-ego", tc.screen, tc.workers), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.InitSamples, cfg.Iterations, cfg.ScreenSize = 6, 80, tc.screen
+			models := lockstep(t, p, cfg, tc.workers, len(p.points), nil)
+			if want := len(p.points) - cfg.InitSamples; len(models) != want {
+				t.Fatalf("%d model-guided proposals, want %d", len(models), want)
+			}
+		})
 	}
 }
 
@@ -767,16 +726,15 @@ func TestKernelCacheGrowsWithScreening(t *testing.T) {
 }
 
 // TestProposeAllocationsIndependentOfScreen pins that scoring a screened
-// candidate allocates nothing and that each worker's scratch is made once:
-// a warm model-guided Propose keeps every worker's block and makes as many
-// allocations when it screens 1024 candidates as when it screens 64, for
-// both acquisitions, on a three-objective problem, at one, two and eight
-// workers. The count is the mean over 40 proposals, because the runtime now
-// and then allocates a goroutine or wait-queue record of its own when the
-// pool's goroutines are scheduled differently; an allocation per block or
-// per candidate would still add at least one per proposal. Forty-two
-// proposals of 64 fill fewer cache slots than the rows start with, so the
-// cache never grows here.
+// candidate allocates nothing and that each worker's scratch is made once: a
+// warm model-guided Propose keeps every worker's block and makes as many
+// allocations when it screens 1024 candidates as when it screens 64, on a
+// three-objective problem, at one, two and eight workers. The count is the
+// mean over 40 proposals, because the runtime now and then allocates a
+// goroutine or wait-queue record of its own when the pool's goroutines are
+// scheduled differently; an allocation per block or per candidate would
+// still add at least one per proposal. Forty-two proposals of 64 fill fewer
+// cache slots than the rows start with, so the cache never grows here.
 func TestProposeAllocationsIndependentOfScreen(t *testing.T) {
 	p := zdt1Grid(64) // 4096 candidates
 	p.ref = []float64{2, 3, 3}
@@ -786,45 +744,43 @@ func TestProposeAllocationsIndependentOfScreen(t *testing.T) {
 		return append(f, (1-f[0])*(1-f[0])+f[1]*f[1])
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, acq := range []Acquisition{AcqSMSEGO, AcqScalarizedEI} {
-			allocs := map[int]float64{}
-			for _, screen := range []int{64, 1024} {
-				cfg := DefaultConfig()
-				cfg.InitSamples, cfg.ScreenSize, cfg.Acquisition, cfg.Workers = 24, screen, acq, workers
-				bo, err := New(p.points, p.feats, p.ref, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pts, err := bo.Propose()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ys := make([][]float64, len(pts))
-				for j, pt := range pts {
-					ys[j] = p.eval(pt[0]*64 + pt[1])
-				}
-				bo.Observe(ys)
+		allocs := map[int]float64{}
+		for _, screen := range []int{64, 1024} {
+			cfg := DefaultConfig()
+			cfg.InitSamples, cfg.ScreenSize, cfg.Workers = 24, screen, workers
+			bo, err := New(p.points, p.feats, p.ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := bo.Propose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys := make([][]float64, len(pts))
+			for j, pt := range pts {
+				ys[j] = p.eval(pt[0]*64 + pt[1])
+			}
+			bo.Observe(ys)
+			if _, err := bo.Propose(); err != nil {
+				t.Fatal(err)
+			}
+			kept := map[*block]bool{}
+			for _, sc := range bo.scorers {
+				kept[sc.blk] = true
+			}
+			allocs[screen] = testing.AllocsPerRun(40, func() {
 				if _, err := bo.Propose(); err != nil {
 					t.Fatal(err)
 				}
-				kept := map[*block]bool{}
-				for _, sc := range bo.scorers {
-					kept[sc.blk] = true
-				}
-				allocs[screen] = testing.AllocsPerRun(40, func() {
-					if _, err := bo.Propose(); err != nil {
-						t.Fatal(err)
-					}
-				})
-				for _, sc := range bo.scorers {
-					if !kept[sc.blk] {
-						t.Errorf("workers=%d, %v, screen %d: a warm Propose made a worker new scratch", workers, acq, screen)
-					}
+			})
+			for _, sc := range bo.scorers {
+				if !kept[sc.blk] {
+					t.Errorf("workers=%d, screen %d: a warm Propose made a worker new scratch", workers, screen)
 				}
 			}
-			if allocs[64] != allocs[1024] {
-				t.Errorf("workers=%d, %v: %v allocations per Propose screening 64 candidates, %v screening 1024", workers, acq, allocs[64], allocs[1024])
-			}
+		}
+		if allocs[64] != allocs[1024] {
+			t.Errorf("workers=%d: %v allocations per Propose screening 64 candidates, %v screening 1024", workers, allocs[64], allocs[1024])
 		}
 	}
 }

@@ -95,9 +95,6 @@ type Spec struct {
 	// retries) before it errors. 0 preserves fail-fast; a positive budget
 	// lets sweeps complete with the failures reported.
 	FailureBudget float64
-	// ChaosInjector deterministically injects faults into training jobs and
-	// hardware evaluations for chaos testing; nil injects nothing.
-	ChaosInjector *fault.Injector
 
 	// Obs, when non-nil, instruments the whole pipeline: the three phases
 	// become trace spans (cat "phase" — what run manifests report as phase
@@ -270,7 +267,6 @@ func Phase1Report(ctx context.Context, spec Spec) (*airlearning.Database, *train
 			Checkpoint:    spec.TrainCheckpoint,
 			Retry:         spec.retryPolicy(),
 			FailureBudget: spec.FailureBudget,
-			Injector:      spec.ChaosInjector,
 			Obs:           spec.Obs,
 		})
 		rep, err := eng.Sweep(ctx, hypers, spec.Scenario, db)
@@ -301,7 +297,6 @@ func Phase2(ctx context.Context, spec Spec, db *airlearning.Database) (*dse.Resu
 		Retry:         spec.retryPolicy(),
 		JobTimeout:    spec.JobTimeout,
 		FailureBudget: spec.FailureBudget,
-		Injector:      spec.ChaosInjector,
 		Obs:           spec.Obs,
 	})
 }

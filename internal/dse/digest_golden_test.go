@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"autopilot/internal/airlearning"
-	"autopilot/internal/bayesopt"
 	"autopilot/internal/fault"
 	"autopilot/internal/power"
 )
@@ -56,14 +55,13 @@ func resultDigest(res *Result) string {
 }
 
 // TestSearchDigestGolden pins every Phase-2 optimizer bit for bit, at one
-// and at eight workers: the five optimizers at the small test budget, all
-// of them again at DefaultConfig's budget, plus scalarized EI at both, the
-// algorithm co-search space, the vehicle space and a seeded chaos run under
-// a failure budget. The digests were captured before the optimizers were
-// rewritten as ask/tell proposers, and the two default-budget Bayesian ones
-// before the acquisition shared one GP solve and swept its contributions, so
-// any drift in a search trajectory, a scored-design count, a failure or a
-// skip record fails here.
+// and at eight workers: the five optimizers at the small test budget, all of
+// them again at DefaultConfig's budget, the algorithm co-search space, the
+// vehicle space and a seeded chaos run under a failure budget. The digests
+// were captured before the optimizers were rewritten as ask/tell proposers,
+// and the two default-budget Bayesian ones before the acquisition shared one
+// GP solve and swept its contributions, so any drift in a search trajectory,
+// a scored-design count, a failure or a skip record fails here.
 func TestSearchDigestGolden(t *testing.T) {
 	base := func(opt Optimizer, cfg Config) Request {
 		return Request{
@@ -72,10 +70,6 @@ func TestSearchDigestGolden(t *testing.T) {
 		}
 	}
 	small, def := smallConfig(), DefaultConfig()
-	ei := base(OptBayesian, small)
-	ei.Config.BO.Acquisition = bayesopt.AcqScalarizedEI
-	eiDef := base(OptBayesian, def)
-	eiDef.Config.BO.Acquisition = bayesopt.AcqScalarizedEI
 	cosearch := base(OptBayesian, small)
 	cosearch.Space = coSearchSpace()
 	vehicle := base(OptBayesian, small)
@@ -99,8 +93,6 @@ func TestSearchDigestGolden(t *testing.T) {
 		{"annealing/default", base(OptAnnealing, def), "8730c29baedee0f9"},
 		{"reinforce/default", base(OptReinforce, def), "10fbf7f4aa787571"},
 		{"random/default", base(OptRandom, def), "233b5c72ac9cc110"},
-		{"scalarized-ei/small", ei, "530d334e34e5be46"},
-		{"scalarized-ei/default", eiDef, "b444e50cb9cdd94d"},
 		{"cosearch/small", cosearch, "66f0a819da768d97"},
 		{"vehicle/small", vehicle, "ba9528ffa83a6550"},
 		{"chaos/small", chaos, "1142d8b0566c457e"},

@@ -64,7 +64,6 @@ func (t Table) String() string {
 // runs in seconds while still exercising BO properly.
 type Config struct {
 	Phase2 dse.Config
-	Seed   int64
 }
 
 // DefaultConfig returns the standard experiment budget.
@@ -73,7 +72,6 @@ func DefaultConfig() Config {
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 16, 48, 256
 	return Config{
 		Phase2: dse.Config{CandidatePool: 1024, BO: bo, Seed: 1, ProbeCorners: true},
-		Seed:   1,
 	}
 }
 

@@ -16,7 +16,6 @@ func testConfig() Config {
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 10, 14, 96
 	return Config{
 		Phase2: dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true},
-		Seed:   1,
 	}
 }
 

@@ -114,9 +114,8 @@ func (s *Suite) ExtBaselines() (Table, error) {
 }
 
 // ExtSPA demonstrates the §VII extension end to end: the measured
-// Sense-Plan-Act op-count lowers into an hw.SPAWorkload, prices on embedded
-// CPU backends through the same hw.Backend seam as the systolic designs, and
-// maps onto the F-1/mission back end unchanged.
+// Sense-Plan-Act op-count lowers into an hw.SPAWorkload, prices on the
+// embedded CPU backend, and maps onto the F-1/mission back end unchanged.
 func (s *Suite) ExtSPA() (Table, error) {
 	t := Table{
 		ID:     "ExtSPA",
@@ -128,7 +127,7 @@ func (s *Suite) ExtSPA() (Table, error) {
 	spec := core.DefaultSpec(uav.ZhangNano(), airlearning.DenseObstacle)
 	model := f1.ForScenario(spec.Scenario)
 	for _, c := range cpu.Catalog() {
-		be := hw.SPABackend{Compute: hw.CPUBackend{Config: c, Power: cpu.DefaultPowerModel()}}
+		be := hw.CPUBackend{Config: c, Power: cpu.DefaultPowerModel()}
 		est, err := be.Estimate(wl)
 		if err != nil {
 			return Table{}, err

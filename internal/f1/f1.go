@@ -30,7 +30,6 @@ type Model struct {
 	SenseRangeM      float64 // d: obstacle detection range of the RGB pipeline
 	DecisionSpacingM float64 // Δ: travel budget per decision in this clutter
 	MinCreepMS       float64 // v₀: crawl speed safe at any decision rate
-	PipeStages       int     // sensor→compute→control pipeline depth in frames (0/1 = single stage)
 }
 
 // spacingK calibrates Δ = K/sqrt(density) so the nano-UAV knee in the dense
@@ -69,11 +68,7 @@ func (m Model) PhysicsVelocity(throughputHz, accelMS2 float64) float64 {
 	if throughputHz <= 0 || accelMS2 <= 0 {
 		return 0
 	}
-	stages := m.PipeStages
-	if stages < 1 {
-		stages = 1
-	}
-	t := float64(stages) / throughputHz
+	t := 1 / throughputHz
 	return accelMS2 * (-t + math.Sqrt(t*t+2*m.SenseRangeM/accelMS2))
 }
 

@@ -240,33 +240,3 @@ func TestKneeDegenerateDenseClutter(t *testing.T) {
 		t.Fatalf("degenerate knee = %g", knee)
 	}
 }
-
-func TestPipelineDepthLowersVelocity(t *testing.T) {
-	shallow := denseModel(t)
-	deep := shallow
-	deep.PipeStages = 3
-	a := 20.0
-	for _, f := range []float64{10, 30, 60} {
-		if deep.PhysicsVelocity(f, a) >= shallow.PhysicsVelocity(f, a) {
-			t.Fatalf("3-stage pipeline must be slower at %g Hz", f)
-		}
-	}
-	// ceilings are latency-free and must agree
-	if deep.CeilingVelocity(a) != shallow.CeilingVelocity(a) {
-		t.Fatal("pipeline depth must not change the physics ceiling")
-	}
-}
-
-func TestPipelineDepthLowersKneeVelocity(t *testing.T) {
-	// a deeper pipeline weakens the physics curve, so the diagonal overtakes
-	// it earlier and the achievable velocity at the knee drops
-	shallow := denseModel(t)
-	deep := shallow
-	deep.PipeStages = 4
-	a := nanoAccel()
-	vShallow := shallow.SafeVelocity(shallow.KneePoint(a), a)
-	vDeep := deep.SafeVelocity(deep.KneePoint(a), a)
-	if vDeep >= vShallow {
-		t.Fatalf("knee velocity with 4-stage pipeline (%.2f) must be below single-stage (%.2f)", vDeep, vShallow)
-	}
-}

@@ -127,17 +127,11 @@ func CheckFinite(label string, vals ...float64) error {
 
 // TimeoutError reports that one attempt of a job exceeded its time budget.
 type TimeoutError struct {
-	Job string
 	Err error // the underlying context error
 }
 
 // Error renders the timeout.
-func (e *TimeoutError) Error() string {
-	if e.Job == "" {
-		return "fault: job timed out"
-	}
-	return fmt.Sprintf("fault: job %s timed out", e.Job)
-}
+func (e *TimeoutError) Error() string { return "fault: job timed out" }
 
 // Unwrap exposes the underlying context error.
 func (e *TimeoutError) Unwrap() error { return e.Err }

@@ -17,10 +17,6 @@ type injectedBackend struct {
 	b   hw.Backend
 }
 
-// Name identifies the wrapped backend family unchanged, so injection never
-// shows in a backend's name.
-func (f injectedBackend) Name() string { return f.b.Name() }
-
 // Estimate runs the wrapped backend under the key's fault decision: panics
 // and injected errors surface like real simulator crashes, delays stall the
 // estimate, and a NaN hit poisons the FPS — which the dse evaluator's

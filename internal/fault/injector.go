@@ -6,8 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"time"
-
-	"autopilot/internal/obs"
 )
 
 // ErrInjected is the sentinel cause of every injector-produced error; chaos
@@ -88,18 +86,6 @@ type Injector struct {
 	DropRate, DupRate, StaleRate float64
 	// Delay is slept on InjectDelay hits before the wrapped work runs.
 	Delay time.Duration
-	// Metrics, when non-nil, counts applied injections under
-	// "fault.injected.<kind>" so chaos runs report their fault pressure.
-	Metrics *obs.Registry
-}
-
-// count records one applied injection on the injector's registry; decisions
-// stay a pure function of (Seed, key) — only the bookkeeping is counted.
-func (in *Injector) count(inj Injection) {
-	if in == nil || in.Metrics == nil || inj == InjectNone {
-		return
-	}
-	in.Metrics.Counter("fault.injected." + inj.String()).Inc()
 }
 
 // uniform maps (Seed, key) to a uniform draw in [0,1) via FNV-1a with a
@@ -153,16 +139,12 @@ func (in *Injector) Decide(key string) Injection {
 // untouched. InjectStale is reported to the caller via StaleRPC, because only
 // the transport knows how to forge a stale-attempt re-delivery.
 func (in *Injector) RPC(key string, send func() error) error {
-	inj := in.Decide(key)
-	switch inj {
+	switch in.Decide(key) {
 	case InjectDrop:
-		in.count(inj)
 		return fmt.Errorf("%w rpc drop (%s)", ErrInjected, key)
 	case InjectDelay:
-		in.count(inj)
 		time.Sleep(in.Delay)
 	case InjectDup:
-		in.count(inj)
 		if err := send(); err != nil {
 			return err
 		}
@@ -171,14 +153,9 @@ func (in *Injector) RPC(key string, send func() error) error {
 }
 
 // StaleRPC reports whether the key draws a stale-attempt re-delivery; the
-// transport is responsible for forging the extra delivery (the decision is
-// counted here so chaos runs report their stale pressure).
+// transport is responsible for forging the extra delivery.
 func (in *Injector) StaleRPC(key string) bool {
-	if in.Decide(key) != InjectStale {
-		return false
-	}
-	in.count(InjectStale)
-	return true
+	return in.Decide(key) == InjectStale
 }
 
 // Invoke runs fn under the key's injection decision: InjectPanic panics
@@ -188,9 +165,7 @@ func (in *Injector) StaleRPC(key string) bool {
 // isolation is the caller's (Retry's / pool's) job, exactly as with a real
 // crashing worker.
 func (in *Injector) Invoke(key string, fn func() error) error {
-	inj := in.Decide(key)
-	in.count(inj)
-	switch inj {
+	switch in.Decide(key) {
 	case InjectPanic:
 		panic(fmt.Sprintf("fault: injected panic (%s)", key))
 	case InjectError:
@@ -205,7 +180,6 @@ func (in *Injector) Invoke(key string, fn func() error) error {
 // untouched otherwise — the hook numerical guardrails are tested through.
 func (in *Injector) Value(key string, v float64) float64 {
 	if in.Decide(key) == InjectNaN {
-		in.count(InjectNaN)
 		return math.NaN()
 	}
 	return v

@@ -42,9 +42,6 @@ type WorkerConfig struct {
 	// RPCs; nil injects nothing. Delivery chaos never alters payloads, so
 	// results stay bitwise identical under it.
 	Net *fault.Injector
-	// Backend injects evaluation faults (panic/error/NaN/delay) into this
-	// worker's backend, exactly as a local sweep's -chaos flags would.
-	Backend *fault.Injector
 	// Obs, when non-nil, instruments the worker's evaluator.
 	Obs *obs.Observer
 	// Client is the HTTP client; nil uses a 30s-timeout default.
@@ -121,7 +118,6 @@ func Run(ctx context.Context, cfg WorkerConfig) error {
 	if err != nil {
 		return fmt.Errorf("grid: worker %s: rebuild request: %w", cfg.ID, err)
 	}
-	p2.Injector = cfg.Backend
 	p2.Obs = cfg.Obs
 	w.ev = p2.NewEvaluator()
 

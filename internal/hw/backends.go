@@ -9,78 +9,38 @@ import (
 	"autopilot/internal/uav"
 )
 
-// SystolicBackend prices workloads on the paper's systolic-array NPU
-// template: networks through the SCALE-Sim-style analytical simulator plus
-// the calibrated power model, SPA op-counts through a heavily de-rated
-// scalar path (systolic arrays execute branchy code poorly).
+// SystolicBackend prices networks on the paper's systolic-array NPU
+// template, through the SCALE-Sim-style analytical simulator plus the
+// calibrated power model.
 type SystolicBackend struct {
 	Config systolic.Config
 	Power  power.Model
-
-	// SPAEfficiency is the fraction of peak MAC throughput available to
-	// branchy scalar SPA code; 0 selects DefaultSPAEfficiency.
-	SPAEfficiency float64
 }
-
-// DefaultSPAEfficiency is the scalar de-rating applied when an SPA workload
-// runs on a systolic array: dependent, branchy autonomy code keeps only a
-// few percent of the MAC array busy.
-const DefaultSPAEfficiency = 0.05
-
-// Name identifies the backend family.
-func (b SystolicBackend) Name() string { return "systolic" }
 
 // Estimate implements Backend.
 func (b SystolicBackend) Estimate(w Workload) (Estimate, error) {
-	switch w.Kind {
-	case WorkloadNetwork:
-		if w.Net == nil {
-			return Estimate{}, fmt.Errorf("hw: network workload %q has no layer stack", w.Name)
-		}
-		rep, err := systolic.Simulate(w.Net, b.Config)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("hw: simulate %q on %s: %w", w.Name, b.Config, err)
-		}
-		bd := b.Power.Accelerator(rep)
-		est := Estimate{
-			FPS:         rep.FPS,
-			RuntimeSec:  rep.RuntimeSec,
-			AccelPowerW: bd.Total(),
-			SoCPowerW:   power.SoCTotal(bd),
-			Breakdown:   bd,
-			SRAMBytes:   rep.SRAMBytes(),
-			DRAMBytes:   rep.DRAMBytes(),
-		}
-		est.EnergyPerInfJ = est.SoCPowerW * est.RuntimeSec
-		return est, nil
-	case WorkloadSPA:
-		return spaEstimate(b.Rating(), w)
-	default:
+	if w.Kind != WorkloadNetwork {
 		return Estimate{}, fmt.Errorf("hw: systolic backend cannot price %s workloads", w.Kind)
 	}
+	if w.Net == nil {
+		return Estimate{}, fmt.Errorf("hw: network workload %q has no layer stack", w.Name)
+	}
+	rep, err := systolic.Simulate(w.Net, b.Config)
+	if err != nil {
+		return Estimate{}, fmt.Errorf("hw: simulate %q on %s: %w", w.Name, b.Config, err)
+	}
+	bd := b.Power.Accelerator(rep)
+	return Estimate{
+		FPS:         rep.FPS,
+		RuntimeSec:  rep.RuntimeSec,
+		AccelPowerW: bd.Total(),
+		SoCPowerW:   power.SoCTotal(bd),
+		Breakdown:   bd,
+	}, nil
 }
 
-// Rating implements Rater: peak MAC throughput de-rated for scalar code,
-// priced at the array's static (leakage + background) power.
-func (b SystolicBackend) Rating() ComputeRating {
-	eff := b.SPAEfficiency
-	if eff <= 0 {
-		eff = DefaultSPAEfficiency
-	}
-	cfg := b.Config
-	static := power.Breakdown{
-		PEStatic:   float64(cfg.PEs()) * b.Power.PEStaticW,
-		SRAMStatic: float64(cfg.IfmapKB+cfg.FilterKB+cfg.OfmapKB) * b.Power.SRAMLeakWPerKB,
-		DRAMStatic: b.Power.DRAMStaticW + b.Power.DRAMPerGBps2W*cfg.BandwidthGBps*cfg.BandwidthGBps,
-	}
-	return ComputeRating{
-		OpsPerSec: float64(cfg.PEs()) * cfg.FreqMHz * 1e6 * eff,
-		PowerW:    static.Total(),
-	}
-}
-
-// BoardBackend prices workloads on a fixed commercial compute board (Jetson
-// TX2, Xavier NX, PULP-DroNet, Intel NCS): network throughput follows from
+// BoardBackend prices networks on a fixed commercial compute board (Jetson
+// TX2, Xavier NX, PULP-DroNet, Intel NCS): throughput follows from
 // streaming the weight footprint at the board's sustained bandwidth (or the
 // published pinned FPS), and the board is flown as-is, so its weight hint
 // replaces the thermal-model payload.
@@ -88,111 +48,53 @@ type BoardBackend struct {
 	Board uav.ComputeBaseline
 }
 
-// Name identifies the backend family plus the board.
-func (b BoardBackend) Name() string { return "board:" + b.Board.Name }
-
 // Estimate implements Backend. A network workload with no layer stack (no
 // validated model for the scenario) prices at zero throughput.
 func (b BoardBackend) Estimate(w Workload) (Estimate, error) {
-	switch w.Kind {
-	case WorkloadNetwork:
-		est := Estimate{
-			FPS:          b.Board.FPSFor(w.WeightBytes()),
-			AccelPowerW:  b.Board.PowerW,
-			SoCPowerW:    b.Board.PowerW + power.FixedComponentsW,
-			DRAMBytes:    w.WeightBytes(),
-			FlownWeightG: b.Board.WeightG,
-		}
-		if est.FPS > 0 {
-			est.RuntimeSec = 1 / est.FPS
-			est.EnergyPerInfJ = est.SoCPowerW * est.RuntimeSec
-		}
-		return est, nil
-	case WorkloadSPA:
-		return spaEstimate(b.Rating(), w)
-	default:
+	if w.Kind != WorkloadNetwork {
 		return Estimate{}, fmt.Errorf("hw: board backend cannot price %s workloads", w.Kind)
 	}
-}
-
-// boardBytesPerOp converts a board's sustained streaming bandwidth into a
-// scalar op rate: bandwidth-bound autonomy code touches ~4 bytes per op.
-const boardBytesPerOp = 4
-
-// Rating implements Rater. Pinned-FPS chips (PULP-DroNet) publish no
-// bandwidth figure, so their scalar throughput is unknown (zero).
-func (b BoardBackend) Rating() ComputeRating {
-	return ComputeRating{
-		OpsPerSec: b.Board.SustainedGBps * 1e9 / boardBytesPerOp,
-		PowerW:    b.Board.PowerW,
-		WeightG:   b.Board.WeightG,
+	est := Estimate{
+		FPS:          b.Board.FPSFor(w.WeightBytes()),
+		AccelPowerW:  b.Board.PowerW,
+		SoCPowerW:    b.Board.PowerW + power.FixedComponentsW,
+		FlownWeightG: b.Board.WeightG,
 	}
+	if est.FPS > 0 {
+		est.RuntimeSec = 1 / est.FPS
+	}
+	return est, nil
 }
 
-// CPUBackend prices workloads on an embedded multicore processor — the
+// CPUBackend prices SPA workloads on an embedded multicore processor — the
 // hardware template that replaces the systolic array when AutoPilot is
-// instantiated for the SPA paradigm (paper §VII). SPA op-counts are its
-// native currency; networks price through their MAC count on the same
-// sustained scalar throughput.
+// instantiated for the SPA paradigm (paper §VII). A decision takes its
+// measured op count at the CPU's sustained scalar throughput.
 type CPUBackend struct {
 	Config cpu.Config
 	Power  cpu.PowerModel
 }
 
-// Name identifies the backend family plus the operating point.
-func (b CPUBackend) Name() string { return "cpu:" + b.Config.String() }
+// Name labels SPA pricing on this CPU operating point.
+func (b CPUBackend) Name() string { return "spa+cpu:" + b.Config.String() }
 
 // Estimate implements Backend.
 func (b CPUBackend) Estimate(w Workload) (Estimate, error) {
 	if err := b.Config.Validate(); err != nil {
 		return Estimate{}, err
 	}
-	switch w.Kind {
-	case WorkloadSPA:
-		return spaEstimate(b.Rating(), w)
-	case WorkloadNetwork:
-		ops := w.Ops()
-		if ops <= 0 {
-			return Estimate{}, fmt.Errorf("hw: network workload %q has no op count", w.Name)
-		}
-		r := b.Rating()
-		est := Estimate{
-			FPS:         r.OpsPerSec / ops,
-			AccelPowerW: r.PowerW,
-			SoCPowerW:   r.PowerW + power.FixedComponentsW,
-		}
-		est.RuntimeSec = 1 / est.FPS
-		est.EnergyPerInfJ = est.SoCPowerW * est.RuntimeSec
-		return est, nil
-	default:
+	if w.Kind != WorkloadSPA {
 		return Estimate{}, fmt.Errorf("hw: cpu backend cannot price %s workloads", w.Kind)
 	}
-}
-
-// Rating implements Rater.
-func (b CPUBackend) Rating() ComputeRating {
-	return ComputeRating{
-		OpsPerSec: b.Config.SustainedOpsPerSec(),
-		PowerW:    b.Power.Power(b.Config),
+	if w.OpsPerDecision <= 0 {
+		return Estimate{}, fmt.Errorf("hw: spa workload %q has no op count", w.Name)
 	}
-}
-
-// SPABackend adapts any rated compute backend to SPA op-count workloads —
-// the seam §VII sketches where a Sense-Plan-Act stack replaces the E2E
-// policy but the Phase-2/3 machinery is unchanged.
-type SPABackend struct {
-	Compute Backend
-}
-
-// Name identifies the adapter plus its inner backend.
-func (b SPABackend) Name() string { return "spa+" + b.Compute.Name() }
-
-// Estimate implements Backend: it prices the SPA workload against the inner
-// backend's sustained scalar-compute rating.
-func (b SPABackend) Estimate(w Workload) (Estimate, error) {
-	r, ok := b.Compute.(Rater)
-	if !ok {
-		return Estimate{}, fmt.Errorf("hw: backend %s states no scalar throughput", b.Compute.Name())
+	p := b.Power.Power(b.Config)
+	est := Estimate{
+		FPS:         b.Config.SustainedOpsPerSec() / w.OpsPerDecision,
+		AccelPowerW: p,
+		SoCPowerW:   p + power.FixedComponentsW,
 	}
-	return spaEstimate(r.Rating(), w)
+	est.RuntimeSec = 1 / est.FPS
+	return est, nil
 }

@@ -6,7 +6,6 @@ import (
 	"autopilot/internal/cpu"
 	"autopilot/internal/policy"
 	"autopilot/internal/power"
-	"autopilot/internal/uav"
 )
 
 // BenchmarkSystolicEstimate measures one uncached network estimate through
@@ -26,22 +25,13 @@ func BenchmarkSystolicEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkSPAEstimate measures SPA op-count pricing through the adapter on
-// each rated backend family.
+// BenchmarkSPAEstimate measures SPA op-count pricing on a catalog CPU.
 func BenchmarkSPAEstimate(b *testing.B) {
 	w := SPAWorkload("spa/dense", 50_000)
-	backends := map[string]Backend{
-		"systolic": SPABackend{Compute: SystolicBackend{Config: testConfig(), Power: power.Default()}},
-		"board":    SPABackend{Compute: BoardBackend{Board: uav.JetsonTX2()}},
-		"cpu":      SPABackend{Compute: CPUBackend{Config: cpu.Catalog()[0], Power: cpu.DefaultPowerModel()}},
-	}
-	for name, be := range backends {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := be.Estimate(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	be := CPUBackend{Config: cpu.Catalog()[0], Power: cpu.DefaultPowerModel()}
+	for i := 0; i < b.N; i++ {
+		if _, err := be.Estimate(w); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package hw is the unified hardware cost-model layer: one seam between
-// AutoPilot's search phases and the compute hardware they evaluate
-// (paper §VII — the methodology is backend-agnostic; AutoSoC generalizes the
-// same loop across algorithm/SoC pairs). A Workload lowers either an E2E
-// policy network or an SPA stage op-count into one representation, a Backend
-// turns a Workload into an Estimate — latency/FPS, power breakdown, energy
-// per inference, on/off-chip traffic, and a flown-weight hint — and every
-// consumer (Phase-2 DSE, Phase-3 full-system evaluation, baseline
-// comparisons) scores hardware exclusively through this interface. Adding a
-// new accelerator template or autonomy workload means adding one Backend or
-// one Workload constructor; the F-1/mission back end is untouched.
+// AutoPilot's search phases and the compute hardware they evaluate (paper
+// §VII — the methodology is backend-agnostic; AutoSoC generalizes the same
+// loop across algorithm/SoC pairs). A Workload lowers either an E2E policy
+// network or an SPA stage op-count into one representation, a Backend turns
+// a Workload into an Estimate — latency/FPS, power breakdown and a
+// flown-weight hint — and every consumer (Phase-2 DSE, Phase-3 full-system
+// evaluation, baseline comparisons) scores hardware exclusively through this
+// interface. Adding a new accelerator template or autonomy workload means
+// adding one Backend or one Workload constructor; the F-1/mission back end
+// is untouched.
 package hw
 
 import (
@@ -24,8 +24,8 @@ type WorkloadKind int
 
 // Workload kinds.
 const (
-	// WorkloadNetwork is an E2E policy network: a layer stack lowered to
-	// GEMMs by accelerator backends and to MAC counts by scalar backends.
+	// WorkloadNetwork is an E2E policy network: a layer stack the systolic
+	// backend lowers to GEMMs and a board backend streams as weights.
 	WorkloadNetwork WorkloadKind = iota
 	// WorkloadSPA is a Sense-Plan-Act pipeline characterized by its mean
 	// scalar operations per decision.
@@ -77,22 +77,6 @@ func (w Workload) WeightBytes() int64 {
 	return w.Net.Params()
 }
 
-// Ops returns the scalar work per inference/decision: 2 ops per MAC for
-// networks (multiply + accumulate), the measured op count for SPA.
-func (w Workload) Ops() float64 {
-	switch w.Kind {
-	case WorkloadNetwork:
-		if w.Net == nil {
-			return 0
-		}
-		return 2 * float64(w.Net.MACs())
-	case WorkloadSPA:
-		return w.OpsPerDecision
-	default:
-		return 0
-	}
-}
-
 // Estimate is the common cost-model output every backend returns: what
 // Phase 2 scores and what the Phase-3 full-system path maps onto the F-1
 // roofline and the mission model.
@@ -104,11 +88,6 @@ type Estimate struct {
 	SoCPowerW   float64         // AccelPowerW plus the fixed Table III components
 	Breakdown   power.Breakdown // itemized accelerator power; zero if the backend cannot itemize
 
-	EnergyPerInfJ float64 // SoC energy per inference
-
-	SRAMBytes int64 // on-chip traffic per inference; 0 if unknown
-	DRAMBytes int64 // off-chip traffic per inference; 0 if unknown
-
 	// FlownWeightG is the flown mass hint: boards flown as-is report their
 	// module+carrier+cooling weight here; 0 means the consumer derives the
 	// payload from the thermal model and the accelerator TDP.
@@ -116,46 +95,9 @@ type Estimate struct {
 }
 
 // Backend estimates the cost of running a workload on one hardware
-// configuration. Name identifies the backend family; implementations must
-// be deterministic pure functions of the workload, so an estimate is
-// bit-identical however often and wherever it is computed.
+// configuration. Implementations must be deterministic pure functions of the
+// workload, so an estimate is bit-identical however often and wherever it is
+// computed.
 type Backend interface {
-	Name() string
 	Estimate(Workload) (Estimate, error)
-}
-
-// ComputeRating is a backend's sustained scalar-compute operating point on
-// branchy autonomy code — the currency SPA workloads are priced in.
-type ComputeRating struct {
-	OpsPerSec float64 // sustained scalar operations per second
-	PowerW    float64 // power while sustaining that rate
-	WeightG   float64 // flown weight hint; 0 = derive from the thermal model
-}
-
-// Rater is implemented by backends that can state a sustained scalar
-// throughput, which lets SPABackend run SPA op-counts on any of them.
-type Rater interface {
-	Rating() ComputeRating
-}
-
-// spaEstimate prices an SPA workload against a compute rating.
-func spaEstimate(r ComputeRating, w Workload) (Estimate, error) {
-	if w.Kind != WorkloadSPA {
-		return Estimate{}, fmt.Errorf("hw: workload %q is %s, not spa", w.Name, w.Kind)
-	}
-	if w.OpsPerDecision <= 0 {
-		return Estimate{}, fmt.Errorf("hw: spa workload %q has no op count", w.Name)
-	}
-	if r.OpsPerSec <= 0 {
-		return Estimate{}, fmt.Errorf("hw: backend has no sustained scalar throughput")
-	}
-	est := Estimate{
-		FPS:          r.OpsPerSec / w.OpsPerDecision,
-		AccelPowerW:  r.PowerW,
-		SoCPowerW:    r.PowerW + power.FixedComponentsW,
-		FlownWeightG: r.WeightG,
-	}
-	est.RuntimeSec = 1 / est.FPS
-	est.EnergyPerInfJ = est.SoCPowerW * est.RuntimeSec
-	return est, nil
 }

@@ -18,13 +18,10 @@ type instrumented struct {
 // histogram and counts calls and errors. The wrapper changes nothing about
 // the estimate itself — backends stay deterministic pure functions of the
 // workload — and with all instruments nil it still reads the clock, so only
-// wrap when observability is on. Name is forwarded unchanged.
+// wrap when observability is on.
 func Instrument(b Backend, seconds *obs.Histogram, calls, errors *obs.Counter) Backend {
 	return instrumented{b: b, seconds: seconds, calls: calls, errors: errors}
 }
-
-// Name forwards the wrapped backend's identity.
-func (i instrumented) Name() string { return i.b.Name() }
 
 // Estimate times the wrapped backend's estimate.
 func (i instrumented) Estimate(w Workload) (Estimate, error) {

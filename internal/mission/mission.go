@@ -18,30 +18,12 @@ import (
 type Params struct {
 	AirDensityKgM3 float64 // ρ
 	FigureOfMerit  float64 // rotor + drivetrain efficiency
-
-	// PeukertExponent models capacity derating at high discharge rates:
-	// effective energy = rated energy · (P_rated / P_draw)^(k−1) when the
-	// draw exceeds the rated power. 1.0 (the default) is an ideal battery;
-	// LiPo packs are typically 1.02–1.10.
-	PeukertExponent float64
-	// RatedDischargeW is the draw at which the battery delivers its rated
-	// energy; 0 disables derating.
-	RatedDischargeW float64
 }
 
-// DefaultParams returns standard sea-level air, a typical small-rotor
-// figure of merit, and an ideal battery.
+// DefaultParams returns standard sea-level air and a typical small-rotor
+// figure of merit.
 func DefaultParams() Params {
-	return Params{AirDensityKgM3: 1.225, FigureOfMerit: 0.5, PeukertExponent: 1.0}
-}
-
-// EffectiveBatteryJ applies Peukert-style capacity derating to the rated
-// battery energy for a given power draw.
-func (p Params) EffectiveBatteryJ(ratedJ, drawW float64) float64 {
-	if p.PeukertExponent <= 1.0 || p.RatedDischargeW <= 0 || drawW <= p.RatedDischargeW {
-		return ratedJ
-	}
-	return ratedJ * math.Pow(p.RatedDischargeW/drawW, p.PeukertExponent-1)
+	return Params{AirDensityKgM3: 1.225, FigureOfMerit: 0.5}
 }
 
 // RotorHoverPowerW returns the electrical power to hover at the given all-up
@@ -88,13 +70,13 @@ func Evaluate(p uav.Platform, params Params, spec Spec, payloadG, computeW, vSaf
 		return Profile{}, fmt.Errorf("mission: %s cannot lift %.0f g payload", p.Name, payloadG)
 	}
 	rotor := params.RotorHoverPowerW(p.TotalMassKg(payloadG), p.RotorDiscAreaM2)
-	return profileFor(params, spec, p.BatteryJ(), rotor, computeW, p.OtherPowerW, vSafe), nil
+	return profileFor(spec, p.BatteryJ(), rotor, computeW, p.OtherPowerW, vSafe), nil
 }
 
 // profileFor assembles Eq. 1–4 from the already-resolved power terms. Both
 // the legacy platform path and the catalog loadout path end here, so the
 // mission arithmetic (and its float expression order) lives in one place.
-func profileFor(params Params, spec Spec, batteryJ, rotor, computeW, othersW, vSafe float64) Profile {
+func profileFor(spec Spec, batteryJ, rotor, computeW, othersW, vSafe float64) Profile {
 	total := rotor + computeW + othersW
 	t := spec.DistanceM / vSafe
 	e := total * t
@@ -106,7 +88,7 @@ func profileFor(params Params, spec Spec, batteryJ, rotor, computeW, othersW, vS
 		TotalW:      total,
 		MissionTime: t,
 		MissionJ:    e,
-		Missions:    params.EffectiveBatteryJ(batteryJ, total) / e,
+		Missions:    batteryJ / e,
 	}
 }
 
@@ -127,5 +109,5 @@ func EvaluateLoadout(lo catalog.Loadout, params Params, spec Spec, payloadG, com
 	if err := lo.Feasible(payloadG, total); err != nil {
 		return Profile{}, err
 	}
-	return profileFor(params, spec, lo.Battery.EnergyJ(), rotor, computeW, lo.Airframe.OtherPowerW, vSafe), nil
+	return profileFor(spec, lo.Battery.EnergyJ(), rotor, computeW, lo.Airframe.OtherPowerW, vSafe), nil
 }

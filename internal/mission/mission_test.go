@@ -137,47 +137,3 @@ func TestRotorsDominateSoCPower(t *testing.T) {
 		t.Fatalf("rotor fraction = %.2f, want > 0.9 for the mini-UAV", frac)
 	}
 }
-
-func TestPeukertDeratingReducesEffectiveCapacity(t *testing.T) {
-	p := DefaultParams()
-	p.PeukertExponent = 1.1
-	p.RatedDischargeW = 10
-	rated := 1000.0
-	if got := p.EffectiveBatteryJ(rated, 5); got != rated {
-		t.Fatalf("below-rated draw must not derate: %g", got)
-	}
-	high := p.EffectiveBatteryJ(rated, 40)
-	if high >= rated {
-		t.Fatalf("high draw must derate: %g", high)
-	}
-	// ratio (10/40)^0.1 ≈ 0.871
-	if math.Abs(high/rated-math.Pow(0.25, 0.1)) > 1e-12 {
-		t.Fatalf("derating = %g", high/rated)
-	}
-}
-
-func TestPeukertDisabledByDefault(t *testing.T) {
-	p := DefaultParams()
-	if p.EffectiveBatteryJ(500, 1e6) != 500 {
-		t.Fatal("default params must behave as an ideal battery")
-	}
-}
-
-func TestPeukertLowersMissions(t *testing.T) {
-	ideal := DefaultParams()
-	real := DefaultParams()
-	real.PeukertExponent = 1.08
-	real.RatedDischargeW = 5 // nano draws ~10 W: derating bites
-	nano := uav.ZhangNano()
-	a, err := Evaluate(nano, ideal, DefaultSpec(), 24, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Evaluate(nano, real, DefaultSpec(), 24, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Missions >= a.Missions {
-		t.Fatalf("Peukert derating must cost missions: %g vs %g", b.Missions, a.Missions)
-	}
-}

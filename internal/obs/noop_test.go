@@ -123,29 +123,6 @@ func TestContextPlumbing(t *testing.T) {
 	}
 }
 
-func TestMultiSink(t *testing.T) {
-	var a, b []string
-	sa := EventFunc(func(e Event) { a = append(a, e.Name) })
-	sb := EventFunc(func(e Event) { b = append(b, e.Name) })
-
-	if MultiSink() != nil || MultiSink(nil, nil) != nil {
-		t.Fatal("empty MultiSink not nil")
-	}
-	one := MultiSink(nil, sa)
-	one.Emit(Event{Name: "solo"})
-	if len(a) != 1 || a[0] != "solo" {
-		t.Fatalf("single-sink fanout: %v", a)
-	}
-
-	a = nil
-	both := MultiSink(sa, nil, sb)
-	both.Emit(Event{Name: "x"})
-	both.Emit(Event{Name: "y"})
-	if len(a) != 2 || len(b) != 2 || a[1] != "y" || b[0] != "x" {
-		t.Fatalf("fanout a=%v b=%v", a, b)
-	}
-}
-
 func TestObserverEmit(t *testing.T) {
 	var got []Event
 	o := &Observer{Events: EventFunc(func(e Event) { got = append(got, e) })}

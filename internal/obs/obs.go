@@ -113,27 +113,6 @@ type EventFunc func(Event)
 // Emit calls f.
 func (f EventFunc) Emit(e Event) { f(e) }
 
-// MultiSink fans events out to several sinks in order, skipping nils.
-func MultiSink(sinks ...EventSink) EventSink {
-	var live []EventSink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return EventFunc(func(e Event) {
-		for _, s := range live {
-			s.Emit(e)
-		}
-	})
-}
-
 // observerKey and spanKey carry the observer and the current parent span
 // through context, so deeply nested layers (worker pools, the optimizer)
 // pick up instrumentation without new parameters on every signature.

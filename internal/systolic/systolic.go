@@ -132,12 +132,6 @@ type Report struct {
 	DRAMReads, DRAMWrites int64
 }
 
-// SRAMBytes returns the total on-chip scratchpad traffic per inference.
-func (r *Report) SRAMBytes() int64 { return r.SRAMReads + r.SRAMWrites }
-
-// DRAMBytes returns the total off-chip traffic per inference.
-func (r *Report) DRAMBytes() int64 { return r.DRAMReads + r.DRAMWrites }
-
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {
 		panic("systolic: ceilDiv by non-positive")

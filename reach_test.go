@@ -13,7 +13,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,7 +35,7 @@ var unreachedKeepers = map[string]string{
 	"f1.Model.Validate":             "checks the default F-1 model in the f1 tests",
 	"airlearning.ExpertPolicy":      "shortest-path teacher the airlearning and nn tests and the root benchmarks fly",
 	"dse.Space.Sample":              "random design points the dse and tuning tests evaluate",
-	"dse.Space.Enumerate":           "exhaustive enumeration of a small space, pinned by the dse tests",
+	"dse.Space.Enumerate":           "reference oracle: TestExhaustiveConfirmsBOFindings checks BO's pick against the exhaustive sweep",
 	"tensor.FromSlice":              "literal tensors for the tensor and nn tests",
 	"tensor.Equal":                  "tolerance comparison for the tensor, nn and rl tests",
 	"tensor.Tensor.Norm2":           "gradient norms in the tensor, nn and policy tests",
@@ -58,7 +60,7 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks both modules")
 	}
-	prog, err := loadProgram(".", "perfbench")
+	prog, err := loadBoth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +104,52 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	}
 }
 
+// unsetKeepers lists the exported fields in internal/ that no non-test code
+// writes but that stay, keyed "pkg.Type.Field" with pkg relative to
+// autopilot/internal/.
+var unsetKeepers = map[string]string{
+	"dse.Request.Injector":         "chaos seam the dse and core tests inject estimate faults through",
+	"train.Config.Injector":        "chaos seam the train tests inject training-job faults through",
+	"fault.Injector.PanicRate":     "chaos seam: the rate at which the fault tests' injectors panic",
+	"fault.Injector.ErrorRate":     "chaos seam: the rate at which the fault tests' injectors return errors",
+	"fault.Injector.NaNRate":       "chaos seam: the rate at which the fault tests' injectors corrupt results to NaN",
+	"airlearning.ExpertPolicy.Env": "the arena of the shortest-path teacher, which only tests fly (see unreachedKeepers)",
+}
+
+// TestNoUnsetFields fails on every exported field of a struct type declared
+// in internal/ that no non-test code in either module writes, unless it
+// carries a json tag (wire types are filled by decoding) or unsetKeepers
+// names it. A write is a keyed composite-literal element, the target of an
+// assignment, op-assignment or inc/dec, or taking the field's address.
+func TestNoUnsetFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	prog, err := loadBoth()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, f := range prog.fields {
+		declared[f.key] = true
+		_, keep := unsetKeepers[f.key]
+		switch {
+		case keep && prog.written[f.obj]:
+			t.Errorf("%s: %s is written by non-test code; drop it from unsetKeepers", f.pos, f.key)
+		case !keep && !prog.written[f.obj]:
+			t.Errorf("%s: %s is set by no program; delete it or add it to unsetKeepers with a reason", f.pos, f.key)
+		}
+	}
+	for key := range unsetKeepers {
+		if !declared[key] {
+			t.Errorf("unsetKeepers names %s, which is not an exported untagged field in internal/", key)
+		}
+	}
+}
+
+// loadBoth loads the root module and perfbench once for both guards.
+var loadBoth = sync.OnceValues(func() (*program, error) { return loadProgram(".", "perfbench") })
+
 // program is the type-checked non-test source of both modules, with the
 // references each top-level declaration makes.
 type program struct {
@@ -110,6 +158,8 @@ type program struct {
 	named    []*types.Named                  // every named non-interface type
 	ifaces   [][]string                      // method names of every interface, std included
 	internal []decl                          // declarations in autopilot/internal/...
+	fields   []decl                          // exported untagged struct fields in autopilot/internal/...
+	written  map[types.Object]bool           // fields non-test code writes
 }
 
 type decl struct {
@@ -171,7 +221,7 @@ func loadProgram(dirs ...string) (*program, error) {
 	})
 
 	// The universe's error interface is the one no source file declares.
-	prog := &program{refs: map[types.Object][]types.Object{}, ifaces: [][]string{{"Error"}}}
+	prog := &program{refs: map[types.Object][]types.Object{}, ifaces: [][]string{{"Error"}}, written: map[types.Object]bool{}}
 	// go list -deps prints every package after its dependencies.
 	for _, p := range listed {
 		var files []*ast.File
@@ -199,7 +249,11 @@ func loadProgram(dirs ...string) (*program, error) {
 		if p.Standard {
 			continue
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, err
@@ -208,6 +262,7 @@ func loadProgram(dirs ...string) (*program, error) {
 		prog.pkgs = append(prog.pkgs, pkg)
 		for _, f := range files {
 			prog.addFile(fset, pkg, f, info)
+			prog.addWrites(f, info)
 		}
 	}
 	return prog, nil
@@ -260,6 +315,7 @@ func (prog *program) addFile(fset *token.FileSet, pkg *types.Package, f *ast.Fil
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					add(s.Name, s)
+					prog.addFields(fset, pkg, info.Defs[s.Name])
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						add(id, s)
@@ -274,6 +330,69 @@ func (prog *program) addFile(fset *token.FileSet, pkg *types.Package, f *ast.Fil
 			}
 		}
 	}
+}
+
+// addFields records the exported fields of obj, a type declared in
+// autopilot/internal/..., that carry no json tag.
+func (prog *program) addFields(fset *token.FileSet, pkg *types.Package, obj types.Object) {
+	rel, ok := strings.CutPrefix(pkg.Path(), "autopilot/internal/")
+	if !ok || obj == nil {
+		return
+	}
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !tagged {
+			prog.fields = append(prog.fields, decl{f, rel + "." + obj.Name() + "." + f.Name(), fset.Position(f.Pos())})
+		}
+	}
+}
+
+// addWrites records the struct fields f writes: as a keyed composite-literal
+// element, as the target of an assignment, op-assignment or inc/dec, or by
+// taking the field's address. Writing an element of a field writes the field.
+func (prog *program) addWrites(f *ast.File, info *types.Info) {
+	write := func(x ast.Expr) {
+		for {
+			switch e := x.(type) {
+			case *ast.ParenExpr:
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+					prog.written[origin(sel.Obj())] = true
+				}
+				return
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					prog.written[origin(v)] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		}
+		return true
+	})
 }
 
 func usesIota(d *ast.GenDecl) bool {
