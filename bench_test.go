@@ -38,12 +38,10 @@ import (
 
 // benchConfig is the budget used by the figure benchmarks: small enough to
 // iterate, large enough to reproduce the paper's shapes.
-func benchConfig() experiments.Config {
+func benchConfig() dse.Config {
 	bo := bayesopt.DefaultConfig()
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 10, 14, 96
-	return experiments.Config{
-		Phase2: dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true},
-	}
+	return dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true}
 }
 
 // --- One benchmark per paper table/figure --------------------------------
@@ -132,7 +130,7 @@ func BenchmarkTableV(b *testing.B) {
 // the bench budget and reports the headline domain metric.
 func BenchmarkFullPipeline(b *testing.B) {
 	spec := core.DefaultSpec(uav.ZhangNano(), airlearning.DenseObstacle)
-	spec.Phase2 = benchConfig().Phase2
+	spec.Phase2 = benchConfig()
 	benchmarkPipeline(b, spec)
 }
 
@@ -168,7 +166,7 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
 	space := dse.DefaultSpace()
-	cfg := benchConfig().Phase2
+	cfg := benchConfig()
 	ref := []float64{0, 30, 1}
 	for _, opt := range []dse.Optimizer{dse.OptBayesian, dse.OptGenetic, dse.OptAnnealing, dse.OptReinforce, dse.OptRandom} {
 		b.Run(opt.String(), func(b *testing.B) {
@@ -199,7 +197,7 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 func BenchmarkAblationWorkers(b *testing.B) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
-	cfg := benchConfig().Phase2
+	cfg := benchConfig()
 	for _, workers := range []int{1, 2, 4, 0} {
 		name := "workers=all"
 		if workers > 0 {
@@ -255,7 +253,7 @@ func BenchmarkAblationDataflow(b *testing.B) {
 // (frequency + node scaling) buys at mission level.
 func BenchmarkAblationTuning(b *testing.B) {
 	spec := core.DefaultSpec(uav.ZhangNano(), airlearning.DenseObstacle)
-	spec.Phase2 = benchConfig().Phase2
+	spec.Phase2 = benchConfig()
 	db, err := core.Phase1(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)

@@ -88,6 +88,10 @@ func (m *multiFlag) Set(v string) error {
 }
 
 func (o options) request() (api.CoDesignRequest, error) {
+	timeoutMS, err := api.ParseJobTimeoutFlag(o.JobTimeout)
+	if err != nil {
+		return api.CoDesignRequest{}, err
+	}
 	req := api.CoDesignRequest{
 		UAVClass: o.UAV,
 		Scenario: o.Scenario,
@@ -98,7 +102,7 @@ func (o options) request() (api.CoDesignRequest, error) {
 			SensorFPS:     o.SensorFPS,
 			Workers:       o.Workers,
 			Retries:       o.Retries,
-			JobTimeoutMS:  o.JobTimeout.Milliseconds(),
+			JobTimeoutMS:  timeoutMS,
 			FailureBudget: o.FailureBudget,
 		},
 	}
@@ -250,15 +254,8 @@ func main() {
 	describe("HE", rep.HE)
 	fmt.Println()
 	fmt.Println("Baselines on this UAV:")
-	baselines := uav.AllBaselines()
-	sels, err := core.EvaluateBaselines(ctx, spec, rep.Database, baselines)
-	if err != nil {
-		finish(err)
-		fmt.Fprintln(os.Stderr, "autopilot:", err)
-		os.Exit(1)
-	}
-	for i, b := range baselines {
-		sel := sels[i]
+	for _, b := range uav.AllBaselines() {
+		sel := core.EvaluateBaseline(spec, rep.Database, b)
 		gain := core.MissionGain(rep.Selected, sel)
 		if sel.Missions() > 0 {
 			fmt.Printf("  %-12s %6.2f missions  (AutoPilot gain %.2fx)\n", b.Name, sel.Missions(), gain)

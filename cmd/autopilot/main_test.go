@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +44,20 @@ func TestOptionsRequest(t *testing.T) {
 	bad.Scenario = "urban"
 	if mustRequest(t, bad).Validate() == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+
+	timed := defaults
+	timed.JobTimeout = 1500 * time.Millisecond
+	if ms := mustRequest(t, timed).Constraints.JobTimeoutMS; ms != 1500 {
+		t.Fatalf("-job-timeout 1.5s became %d ms", ms)
+	}
+	// The request carries whole milliseconds, so a finer timeout would be
+	// rounded down, and one below 1 ms would silently mean no timeout.
+	for _, d := range []time.Duration{500 * time.Microsecond, 1500 * time.Microsecond, -time.Millisecond} {
+		timed.JobTimeout = d
+		if _, err := timed.request(); err == nil || !strings.Contains(err.Error(), "-job-timeout") {
+			t.Errorf("-job-timeout %v: err = %v, want a rejection naming the flag", d, err)
+		}
 	}
 }
 

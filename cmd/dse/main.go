@@ -39,7 +39,7 @@
 // Observability: -trace writes a Chrome trace_event JSON of the search and
 // evaluation spans, -manifest a machine-readable run manifest, and
 // -debug-addr serves live metrics/expvar/pprof over HTTP. A one-line metrics
-// summary (evaluations, simulations, retries) is printed on exit.
+// summary (evaluations, simulations) is printed on exit.
 //
 // In grid mode the trace is fleet-merged: each worker ships an evaluation
 // span on every result post, and the delivery that completes a job puts its
@@ -87,8 +87,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "evaluation worker pool size, which also bounds the candidate screen (0 = all CPUs)")
 	dbPath := flag.String("db", "", "Air Learning database file (default: built-in surrogate)")
-	retries := flag.Int("retries", 1, "attempt budget per design evaluation (1 = no retries)")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt evaluation timeout (0 = unbounded)")
 	failureBudget := flag.Float64("failure-budget", 0, "fraction of evaluations allowed to fail after retries (0 = fail-fast)")
 	algorithms := flag.String("algorithms", "", "comma-separated training algorithms to co-search (e.g. dqn,reinforce)")
 	var axes multiFlag
@@ -124,8 +122,6 @@ func main() {
 			CandidatePool: *pool,
 			BOIterations:  *iters,
 			Workers:       *workers,
-			Retries:       *retries,
-			JobTimeoutMS:  jobTimeout.Milliseconds(),
 			FailureBudget: *failureBudget,
 		},
 	}
@@ -206,12 +202,6 @@ func main() {
 		os.Exit(1)
 	}
 	p2.Obs = run.Obs
-	// Preserve sub-millisecond precision the duration flag allows but the
-	// millisecond-granular wire contract rounds away.
-	if *jobTimeout > 0 {
-		p2.JobTimeout = *jobTimeout
-		p2.Retry.Timeout = *jobTimeout
-	}
 	fmt.Printf("design space: %d joint points; exploring %d candidates with %d+%d evaluations\n",
 		p2.Space.Size(), p2.Config.CandidatePool, p2.Config.BO.InitSamples, p2.Config.BO.Iterations)
 

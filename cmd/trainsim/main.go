@@ -77,6 +77,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	timeoutMS, err := api.ParseJobTimeoutFlag(*jobTimeout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trainsim:", err)
+		os.Exit(2)
+	}
 	cfg := rl.TrainConfig{Algorithm: algorithm, Episodes: *episodes, EvalEpisodes: *evalEps, Seed: *seed}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -105,12 +110,7 @@ func main() {
 	run.SetConfig("retries", *retries)
 	run.SetConfig("failure_budget", *failureBudget)
 
-	// The retry policy comes from the shared contract; restore the exact
-	// duration afterwards since the wire field is millisecond-granular.
-	retry := api.Constraints{Retries: *retries, JobTimeoutMS: jobTimeout.Milliseconds()}.RetryPolicy()
-	if retry.Attempts > 0 && *jobTimeout > 0 {
-		retry.Timeout = *jobTimeout
-	}
+	retry := api.Constraints{Retries: *retries, JobTimeoutMS: timeoutMS}.RetryPolicy()
 
 	if *all {
 		runSweep(ctx, run, finish, scen, cfg, *workers, *progress, *dbPath, retry, *failureBudget)

@@ -311,18 +311,20 @@ func (c Constraints) JobTimeout() time.Duration {
 	return time.Duration(c.JobTimeoutMS) * time.Millisecond
 }
 
-// RetryPolicy assembles the request's fault.Policy: the default backoff
-// schedule clipped to the attempt budget and per-attempt timeout, or the
-// zero (single-attempt) policy when neither is set — the exact flag-level
-// semantics the CLIs have always had.
-func (c Constraints) RetryPolicy() fault.Policy {
-	if c.Retries <= 1 && c.JobTimeoutMS <= 0 {
-		return fault.Policy{}
+// ParseJobTimeoutFlag converts a CLI -job-timeout value to JobTimeoutMS. It
+// rejects a negative value and one that is not a whole number of
+// milliseconds, which the field would round down (below 1 ms, to 0: no
+// timeout at all).
+func ParseJobTimeoutFlag(d time.Duration) (int64, error) {
+	if d < 0 || d%time.Millisecond != 0 {
+		return 0, fmt.Errorf("api: -job-timeout %v is not a whole, non-negative number of milliseconds", d)
 	}
-	p := fault.DefaultPolicy()
-	p.Attempts = c.Retries
-	p.Timeout = c.JobTimeout()
-	return p
+	return d.Milliseconds(), nil
+}
+
+// RetryPolicy assembles the request's fault.Policy (see fault.NewPolicy).
+func (c Constraints) RetryPolicy() fault.Policy {
+	return fault.NewPolicy(c.Retries, c.JobTimeout())
 }
 
 // TrainHypers is the representative slice of the template family trained

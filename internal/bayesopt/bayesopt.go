@@ -162,10 +162,9 @@ func (b *BO) Propose() ([]space.Point, error) {
 	for len(b.scorers) < w {
 		b.scorers = append(b.scorers, &scorer{blk: newBlock(len(b.ref))})
 	}
-	scorers := b.scorers[:w]
 	var next atomic.Int64 // the next block to score
-	err := pool.ForEach(context.TODO(), len(scorers), scorers, func(_ context.Context, s *scorer) error {
-		b.score(s, screened, &next, front)
+	err := pool.Run(context.TODO(), w, w, func(i int) error {
+		b.score(b.scorers[i], screened, &next, front)
 		return nil
 	})
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"autopilot/internal/mission"
 	"autopilot/internal/obs"
 	"autopilot/internal/policy"
-	"autopilot/internal/pool"
 	"autopilot/internal/power"
 	"autopilot/internal/rl"
 	"autopilot/internal/thermal"
@@ -75,9 +74,9 @@ type Spec struct {
 
 	Tuning tuning.Options
 
-	// Workers bounds the evaluation worker pool shared by the Phase-1
-	// training sweep, the Phase-2 search (its evaluations and its candidate
-	// screen), and the baseline evaluations; <= 0 selects runtime.NumCPU().
+	// Workers bounds the worker pool shared by the Phase-1 training sweep
+	// and the Phase-2 search (its evaluations and its candidate screen);
+	// <= 0 selects runtime.NumCPU().
 	// Results are bitwise deterministic regardless of the worker count:
 	// per-policy training seeds derive from the hyper-parameter identity,
 	// parallel evaluations are re-assembled in submission order, and the
@@ -89,7 +88,9 @@ type Spec struct {
 	// the pre-retry pipeline). Retried attempts derive fresh seeds from the
 	// job identity and attempt index, so results stay deterministic.
 	Retries int
-	// JobTimeout bounds each attempt; 0 means unbounded.
+	// JobTimeout bounds each attempt; 0 means unbounded. The bound is
+	// cooperative: Phase-1 training attempts observe it, while a Phase-2
+	// evaluation never reads its context and so never times out.
 	JobTimeout time.Duration
 	// FailureBudget is the fraction of jobs a phase may lose (after
 	// retries) before it errors. 0 preserves fail-fast; a positive budget
@@ -102,18 +103,6 @@ type Spec struct {
 	// records its counters and spans through the same observer. nil runs
 	// uninstrumented at zero cost; all results are bitwise identical.
 	Obs *obs.Observer
-}
-
-// retryPolicy assembles the spec's fault.Policy: the default backoff
-// schedule clipped to the spec's attempt budget and per-attempt timeout.
-func (s Spec) retryPolicy() fault.Policy {
-	if s.Retries <= 1 && s.JobTimeout <= 0 {
-		return fault.Policy{}
-	}
-	p := fault.DefaultPolicy()
-	p.Attempts = s.Retries
-	p.Timeout = s.JobTimeout
-	return p
 }
 
 // DefaultSpec returns a complete specification for a platform and scenario
@@ -265,7 +254,7 @@ func Phase1Report(ctx context.Context, spec Spec) (*airlearning.Database, *train
 			Seed:          spec.TrainCfg.Seed,
 			Workers:       spec.Workers,
 			Checkpoint:    spec.TrainCheckpoint,
-			Retry:         spec.retryPolicy(),
+			Retry:         fault.NewPolicy(spec.Retries, spec.JobTimeout),
 			FailureBudget: spec.FailureBudget,
 			Obs:           spec.Obs,
 		})
@@ -294,7 +283,7 @@ func Phase2(ctx context.Context, spec Spec, db *airlearning.Database) (*dse.Resu
 		Config:        spec.Phase2,
 		Workers:       spec.Workers,
 		Vehicle:       dse.VehicleParams{Mission: spec.Mission, Params: spec.MissionParams, Thermal: spec.Thermal},
-		Retry:         spec.retryPolicy(),
+		Retry:         fault.NewPolicy(spec.Retries, spec.JobTimeout),
 		JobTimeout:    spec.JobTimeout,
 		FailureBudget: spec.FailureBudget,
 		Obs:           spec.Obs,
@@ -408,8 +397,6 @@ func EvaluateOnPlatform(spec Spec, e dse.Evaluated, model f1.Model) Selection {
 
 // Phase3 is the domain-specific back end: filter top-success designs, map
 // them to the F-1 model, fine-tune, and select the mission-optimal design.
-// The per-candidate full-system evaluations fan out over the spec's worker
-// pool and are re-assembled in candidate order before selection.
 func Phase3(ctx context.Context, spec Spec, res *dse.Result) (*Report, error) {
 	ctx = obs.NewContext(ctx, spec.Obs)
 	sp := obs.StartStep(ctx, "phase3", "phase")
@@ -422,14 +409,9 @@ func Phase3(ctx context.Context, spec Spec, res *dse.Result) (*Report, error) {
 	if len(top) == 0 {
 		return nil, fmt.Errorf("core: phase 2 produced no designs")
 	}
-	sels, err := pool.Map(ctx, spec.Workers, top, func(_ context.Context, i int) (Selection, error) {
-		return EvaluateOnPlatform(spec, res.Evaluated[i], model), nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	best := Selection{}
-	for _, sel := range sels {
+	for _, i := range top {
+		sel := EvaluateOnPlatform(spec, res.Evaluated[i], model)
 		rep.Candidates = append(rep.Candidates, sel)
 		if preferable(sel, best) {
 			best = sel
@@ -515,15 +497,6 @@ func EvaluateBaseline(spec Spec, db *airlearning.Database, b uav.ComputeBaseline
 		return Selection{NodeNM: 28, PayloadG: b.WeightG}
 	}
 	return EvaluateEstimate(spec, est, success, model)
-}
-
-// EvaluateBaselines scores every baseline board concurrently on the spec's
-// worker pool, returning selections in the same order as the input slice.
-func EvaluateBaselines(ctx context.Context, spec Spec, db *airlearning.Database, baselines []uav.ComputeBaseline) ([]Selection, error) {
-	return pool.Map(ctx, spec.Workers, baselines,
-		func(_ context.Context, b uav.ComputeBaseline) (Selection, error) {
-			return EvaluateBaseline(spec, db, b), nil
-		})
 }
 
 // MissionGain returns how many times more missions `a` achieves than `b`,

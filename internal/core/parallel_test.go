@@ -72,26 +72,3 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			seq.Selected.Design.Design, par.Selected.Design.Design)
 	}
 }
-
-func TestEvaluateBaselinesMatchesSequential(t *testing.T) {
-	spec := fastSpec(uav.AscTecPelican(), airlearning.DenseObstacle)
-	db, err := Phase1(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselines := uav.Baselines()
-	spec.Workers = 4
-	sels, err := EvaluateBaselines(context.Background(), spec, db, baselines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sels) != len(baselines) {
-		t.Fatalf("got %d selections, want %d", len(sels), len(baselines))
-	}
-	for i, b := range baselines {
-		want := EvaluateBaseline(spec, db, b)
-		if !reflect.DeepEqual(sels[i], want) {
-			t.Fatalf("baseline %s differs from sequential evaluation", b.Name)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,11 +99,8 @@ func (r *Report) Summary() ReportSummary {
 	}
 	if r.Database != nil {
 		out.Policies = r.Database.Len()
-		baselines := uav.AllBaselines()
-		// EvaluateBaselines never returns an error with an uncancelled ctx.
-		sels, _ := EvaluateBaselines(context.Background(), r.Spec, r.Database, baselines)
-		for i, b := range baselines {
-			sel := sels[i]
+		for _, b := range uav.AllBaselines() {
+			sel := EvaluateBaseline(r.Spec, r.Database, b)
 			out.Baselines = append(out.Baselines, BaselineSummary{
 				Name:     b.Name,
 				Missions: sel.Missions(),

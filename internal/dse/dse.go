@@ -551,14 +551,18 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, d DesignPoint) (Evalua
 // attempt n re-keys the design's fault surfaces deterministically; a
 // re-leased design is simply scored again. base 0 is exactly
 // EvaluateContext. The design is scored locally under the retry policy, or
-// through the delegate when one is installed, and the terminal-failure
-// accounting is identical either way: skips are answers, not faults, so
-// only real failures count.
+// through the delegate when one is installed. Either way a panic becomes
+// this design's *fault.PanicError, and the terminal-failure accounting is
+// identical: skips are answers, not faults, so only real failures count.
 func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base int) (Evaluated, error) {
 	var e Evaluated
 	var err error
 	if ev.delegate != nil {
-		e, err = ev.delegate(ctx, d)
+		err = fault.Call(func() error {
+			var derr error
+			e, derr = ev.delegate(ctx, d)
+			return derr
+		})
 	} else {
 		e, err = ev.evaluateRetry(ctx, d, base)
 	}
@@ -577,9 +581,16 @@ func (ev *Evaluator) EvaluateAttempt(ctx context.Context, d DesignPoint, base in
 // returns a terminal error, wrapping ctx.Err(). Every Phase-2 design is
 // scored through it.
 func (ev *Evaluator) EvaluateEach(ctx context.Context, ds []DesignPoint) ([]Evaluated, []error, error) {
-	return pool.MapEach(ctx, ev.workers, ds, func(ctx context.Context, d DesignPoint) (Evaluated, error) {
-		return ev.EvaluateContext(ctx, d)
+	es := make([]Evaluated, len(ds))
+	errs := make([]error, len(ds))
+	err := pool.Run(ctx, ev.workers, len(ds), func(i int) error {
+		es[i], errs[i] = ev.EvaluateContext(ctx, ds[i])
+		return nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return es, errs, nil
 }
 
 // Config controls a Phase-2 run.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/fault"
 	"autopilot/internal/power"
 )
 
@@ -128,6 +129,53 @@ func TestEvaluateEachPreservesOrder(t *testing.T) {
 		if want, _ := ev.Evaluate(ds[i]); es[i] != want {
 			t.Fatalf("design %d: batch and single evaluation differ", i)
 		}
+	}
+}
+
+// TestEvaluateEachIsolatesPanics: a delegate that panics on a seeded subset
+// of designs fails those designs alone, each with a *fault.PanicError, and
+// the batch's results and failures are identical at workers 1 and 8.
+func TestEvaluateEachIsolatesPanics(t *testing.T) {
+	in := &fault.Injector{Seed: 99, PanicRate: 0.25}
+	ds := DefaultSpace().Sample(64, 3)
+	run := func(workers int) ([]Evaluated, []error) {
+		t.Helper()
+		req := Request{Space: DefaultSpace(), DB: surrogateDB(), Scenario: airlearning.DenseObstacle,
+			Power: power.Default(), Workers: workers}
+		local := req.NewEvaluator()
+		req.Delegate = func(ctx context.Context, d DesignPoint) (Evaluated, error) {
+			if in.Decide(d.String()) == fault.InjectPanic {
+				panic(d.String())
+			}
+			return local.EvaluateContext(ctx, d)
+		}
+		es, errs, err := req.NewEvaluator().EvaluateEach(context.Background(), ds)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return es, errs
+	}
+	es1, errs1 := run(1)
+	es8, errs8 := run(8)
+	panics := 0
+	for i, d := range ds {
+		if (errs1[i] == nil) != (errs8[i] == nil) {
+			t.Fatalf("design %d: workers=1 err %v, workers=8 err %v", i, errs1[i], errs8[i])
+		}
+		if errs1[i] != nil {
+			panics++
+			var pe *fault.PanicError
+			if !errors.As(errs1[i], &pe) || pe.Value != d.String() {
+				t.Fatalf("design %d: err = %v, want its own *fault.PanicError", i, errs1[i])
+			}
+			continue
+		}
+		if es1[i] != es8[i] || es1[i].Design != d {
+			t.Fatalf("design %d: survivors differ between worker counts", i)
+		}
+	}
+	if panics == 0 || panics == len(ds) {
+		t.Fatalf("injected panics = %d of %d, want a proper subset", panics, len(ds))
 	}
 }
 

@@ -42,7 +42,9 @@ type Request struct {
 	// attempt per design (identical to the pre-retry engine).
 	Retry fault.Policy
 	// JobTimeout bounds each evaluation attempt; 0 means unbounded. It
-	// composes with Retry (a timed-out attempt is retryable).
+	// composes with Retry (a timed-out attempt is retryable). The bound is
+	// cooperative, and a local evaluation never reads its context, so it
+	// never times out.
 	JobTimeout time.Duration
 	// FailureBudget is the fraction of evaluations allowed to fail (after
 	// retries) before the run errors. 0 preserves fail-fast: the batch that
@@ -150,15 +152,9 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	}
 	res.ParetoIdx = pareto.NonDominated(objs)
 	res.labelConventional()
-	if req.FailureBudget > 0 {
-		attempted := len(res.Evaluated) + len(res.Failures)
-		if attempted > 0 {
-			if frac := float64(len(res.Failures)) / float64(attempted); frac > req.FailureBudget {
-				return res, fmt.Errorf("dse: %d/%d evaluations failed (%.0f%% > budget %.0f%%)\n%s",
-					len(res.Failures), attempted, frac*100, req.FailureBudget*100,
-					fault.Summarize(res.Failures))
-			}
-		}
+	attempted := len(res.Evaluated) + len(res.Failures)
+	if err := fault.CheckBudget(res.Failures, attempted, req.FailureBudget, "evaluations"); err != nil {
+		return res, fmt.Errorf("dse: %w", err)
 	}
 	return res, nil
 }

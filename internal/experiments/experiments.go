@@ -60,31 +60,26 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// Config sets the experiment budget; the default is sized so the full suite
-// runs in seconds while still exercising BO properly.
-type Config struct {
-	Phase2 dse.Config
-}
-
-// DefaultConfig returns the standard experiment budget.
-func DefaultConfig() Config {
+// DefaultConfig returns the standard experiment budget, the Phase-2 config
+// every suite run uses: sized so the full suite runs in seconds while still
+// exercising BO properly.
+func DefaultConfig() dse.Config {
 	bo := bayesopt.DefaultConfig()
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 16, 48, 256
-	return Config{
-		Phase2: dse.Config{CandidatePool: 1024, BO: bo, Seed: 1, ProbeCorners: true},
-	}
+	return dse.Config{CandidatePool: 1024, BO: bo, Seed: 1, ProbeCorners: true}
 }
 
 // Suite caches pipeline runs so figures sharing a (UAV, scenario) pair reuse
 // the same report, exactly as the paper derives multiple figures from one
 // DSE run.
 type Suite struct {
-	cfg     Config
+	cfg     dse.Config
 	reports map[string]*core.Report
 }
 
-// NewSuite returns an experiment suite with the given budget.
-func NewSuite(cfg Config) *Suite {
+// NewSuite returns an experiment suite whose pipeline runs use the given
+// Phase-2 budget.
+func NewSuite(cfg dse.Config) *Suite {
 	return &Suite{cfg: cfg, reports: map[string]*core.Report{}}
 }
 
@@ -95,7 +90,7 @@ func (s *Suite) report(p uav.Platform, scen airlearning.Scenario) (*core.Report,
 		return r, nil
 	}
 	spec := core.DefaultSpec(p, scen)
-	spec.Phase2 = s.cfg.Phase2
+	spec.Phase2 = s.cfg
 	rep, err := core.Run(context.Background(), spec)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", key, err)

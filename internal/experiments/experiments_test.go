@@ -11,12 +11,10 @@ import (
 )
 
 // testConfig shrinks the budget so the suite tests run fast.
-func testConfig() Config {
+func testConfig() dse.Config {
 	bo := bayesopt.DefaultConfig()
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 10, 14, 96
-	return Config{
-		Phase2: dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true},
-	}
+	return dse.Config{CandidatePool: 192, BO: bo, Seed: 1, ProbeCorners: true}
 }
 
 func parse(t *testing.T, s string) float64 {

@@ -55,7 +55,7 @@ func (s *Suite) ExtOptimizer() (Table, error) {
 	db := airlearning.NewDatabase()
 	airlearning.PopulateSurrogate(db)
 	space := dse.DefaultSpace()
-	cfg := s.cfg.Phase2
+	cfg := s.cfg
 	cfg.ProbeCorners = false // isolate the search methods from the seeding
 	ref := []float64{0, 30, 1}
 	for _, opt := range []dse.Optimizer{dse.OptBayesian, dse.OptGenetic, dse.OptAnnealing, dse.OptReinforce, dse.OptRandom} {

@@ -198,6 +198,22 @@ func Records(failures []Failure) []obs.FailureRecord {
 	return out
 }
 
+// CheckBudget is the failure-budget rule both phases share: it returns nil
+// when no job failed or len(failures) of attempted jobs is at most the
+// budget fraction, and otherwise an error counting the failed jobs, named by
+// what, followed by their Summarize report.
+func CheckBudget(failures []Failure, attempted int, budget float64, what string) error {
+	if len(failures) == 0 {
+		return nil
+	}
+	frac := float64(len(failures)) / float64(attempted)
+	if frac <= budget {
+		return nil
+	}
+	return fmt.Errorf("%d/%d %s failed (%.0f%% > budget %.0f%%)\n%s",
+		len(failures), attempted, what, frac*100, budget*100, Summarize(failures))
+}
+
 // Summarize renders a compact multi-line failure report, grouped by kind,
 // for CLI output. It returns "" when there are no failures.
 func Summarize(failures []Failure) string {

@@ -39,30 +39,6 @@ const (
 	InjectStale
 )
 
-// String names the injection.
-func (i Injection) String() string {
-	switch i {
-	case InjectNone:
-		return "none"
-	case InjectPanic:
-		return "panic"
-	case InjectError:
-		return "error"
-	case InjectNaN:
-		return "nan"
-	case InjectDelay:
-		return "delay"
-	case InjectDrop:
-		return "drop"
-	case InjectDup:
-		return "dup"
-	case InjectStale:
-		return "stale"
-	default:
-		return fmt.Sprintf("Injection(%d)", int(i))
-	}
-}
-
 // Injector deterministically injects faults into jobs for chaos testing:
 // whether a given job key draws a panic, an error, a NaN poison, or a delay
 // is a pure function of (Seed, key), never of scheduling — so an injected
@@ -162,8 +138,8 @@ func (in *Injector) StaleRPC(key string) bool {
 // before fn runs, InjectError returns a wrapped ErrInjected, InjectDelay
 // sleeps Delay then runs fn, and InjectNone/InjectNaN run fn untouched
 // (NaN poisoning applies to values, via Value). Panics escape Invoke —
-// isolation is the caller's (Retry's / pool's) job, exactly as with a real
-// crashing worker.
+// isolation is the caller's (Retry's) job, exactly as with a real crashing
+// worker.
 func (in *Injector) Invoke(key string, fn func() error) error {
 	switch in.Decide(key) {
 	case InjectPanic:

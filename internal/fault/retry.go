@@ -33,6 +33,20 @@ func DefaultPolicy() Policy {
 	return Policy{Attempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second}
 }
 
+// NewPolicy is the one place a retry policy is built from an attempt budget
+// and a per-attempt timeout: the zero (single-attempt) policy when attempts
+// <= 1 and timeout <= 0, else DefaultPolicy's backoff schedule with both
+// set.
+func NewPolicy(attempts int, timeout time.Duration) Policy {
+	if attempts <= 1 && timeout <= 0 {
+		return Policy{}
+	}
+	p := DefaultPolicy()
+	p.Attempts = attempts
+	p.Timeout = timeout
+	return p
+}
+
 // attempts resolves the attempt budget.
 func (p Policy) attempts() int {
 	if p.Attempts <= 1 {

@@ -1,27 +1,32 @@
 // Package pool provides the bounded worker pool behind AutoPilot's parallel
-// evaluation engine. Every fan-out in the pipeline — the Phase-1 training
-// sweep, the Phase-2 initial-sample batch, the Bayesian optimizer's
-// candidate screen, the deterministic probe sweep and the baseline
-// evaluations — funnels through Map, which guarantees:
+// stages. Every fan-out in the pipeline funnels through Run: the Phase-1
+// training sweep (one item per policy), the validation rollouts and the
+// Bayesian optimizer's candidate screen (one item per worker, each working
+// through its own share), and every Phase-2 evaluation batch (one item per
+// design). Run guarantees:
 //
 //   - bounded concurrency (default runtime.NumCPU());
-//   - results re-assembled in submission order, so downstream consumers
-//     (Pareto extraction, hypervolume traces) see exactly the sequence a
+//   - indices handed out once each, in increasing order, so a caller that
+//     writes slot i of its own slices from item i sees exactly what a
 //     sequential run would have produced;
-//   - prompt drain on context cancellation, returning an error that wraps
+//   - deterministic fail-fast: once an item fails no further index is handed
+//     out, items already handed out finish, and the lowest-index failure is
+//     returned — the same error at every worker count;
+//   - a prompt stop on context cancellation, returning an error that wraps
 //     ctx.Err();
-//   - panic isolation: a worker panic is recovered into a typed
-//     *fault.PanicError carrying the stack and item index, so a crashing job
-//     becomes an error — never a process death that discards the batch.
+//   - panic isolation: a panic is recovered into a typed *fault.PanicError
+//     carrying the stack and item index, so a crashing job becomes an error
+//     — never a process death that discards the batch.
 //
-// Map is fail-fast (the first error cancels the batch); MapEach isolates
-// per-item failures for sweeps that degrade gracefully instead of aborting.
+// Run never cancels an item in flight: an item sees cancellation only
+// through the caller's own context. A caller that must survive per-item
+// failures records them in its own slices and returns nil from the item.
 //
 // When the context carries an obs.Observer the pool reports per-batch
 // telemetry — completed jobs, recovered panics, and per-worker busy/idle
 // time — under the pool.* instruments; without one, no clocks are read.
 //
-// Work functions must be deterministic in their input alone (derive any
+// Work functions must be deterministic in their index alone (derive any
 // seeds from item identity, never from goroutine or completion order) for
 // the bitwise-determinism guarantee to hold across worker counts.
 package pool
@@ -33,6 +38,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autopilot/internal/fault"
@@ -48,7 +54,7 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// metrics are the pool's per-batch instruments, resolved once per Map call
+// metrics are the pool's per-batch instruments, resolved once per Run call
 // from the context's observer. The zero value (no observer) no-ops and skips
 // the clock reads entirely, keeping the uninstrumented fan-out path free of
 // timing overhead.
@@ -75,178 +81,84 @@ func poolMetrics(ctx context.Context) metrics {
 	}
 }
 
-// timed runs one item through call under the batch's instruments; with no
-// observer it is exactly call.
-func timed[I, O any](ctx context.Context, m metrics, i int, item I, fn func(context.Context, I) (O, error)) (O, error) {
+// lap adds the time since t to c and returns the current time; with no
+// observer it reads no clock and returns t.
+func (m metrics) lap(c *obs.Counter, t time.Time) time.Time {
 	if !m.on {
-		return call(ctx, i, item, fn)
+		return t
 	}
-	start := time.Now()
-	o, err := call(ctx, i, item, fn)
-	m.busyNS.Add(time.Since(start).Nanoseconds())
-	m.jobs.Inc()
-	var pe *fault.PanicError
-	if errors.As(err, &pe) {
-		m.panics.Inc()
-	}
-	return o, err
+	now := time.Now()
+	c.Add(now.Sub(t).Nanoseconds())
+	return now
 }
 
-// call runs fn on one item with panic isolation: a panic is recovered into a
-// *fault.PanicError recording the item index and stack.
-func call[I, O any](ctx context.Context, i int, item I, fn func(context.Context, I) (O, error)) (o O, err error) {
+// call runs item i with panic isolation: a panic is recovered into a
+// *fault.PanicError recording the index and stack.
+func (m metrics) call(i int, fn func(int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
+			m.panics.Inc()
 			err = fmt.Errorf("pool: item %d panicked: %w",
 				i, &fault.PanicError{Value: v, Stack: debug.Stack(), Index: i})
 		}
 	}()
-	return fn(ctx, item)
+	return fn(i)
 }
 
-// finish resolves Map's terminal error: when a worker failed *and* the
-// parent context was cancelled, the worker's error wins (it is the root
-// cause — cancellation may merely be its consequence) but the context error
-// is attached so errors.Is(err, context.Canceled) still reports correctly.
-func finish(ctx context.Context, firstErr error) error {
-	ctxErr := ctx.Err()
-	if firstErr != nil {
-		if ctxErr != nil && !errors.Is(firstErr, ctxErr) {
-			return fmt.Errorf("%w (context also cancelled: %w)", firstErr, ctxErr)
-		}
-		return firstErr
-	}
-	if ctxErr != nil {
-		return fmt.Errorf("pool: cancelled: %w", ctxErr)
-	}
-	return nil
-}
-
-// Map applies fn to every item on at most `workers` goroutines (<= 0 means
-// runtime.NumCPU()) and returns the outputs in submission order. The first
-// error (a worker panic counts, as a *fault.PanicError) cancels the
-// remaining work, drains the pool, and is returned; if the context is
-// cancelled first, the returned error wraps ctx.Err().
-func Map[I, O any](ctx context.Context, workers int, items []I, fn func(context.Context, I) (O, error)) ([]O, error) {
-	out := make([]O, len(items))
-	if len(items) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("pool: cancelled: %w", err)
-		}
-		return out, nil
-	}
-	workers = Workers(workers)
-	if workers > len(items) {
-		workers = len(items)
-	}
+// Run calls fn(i) for every i in [0, n) on at most workers goroutines (<= 0
+// means runtime.NumCPU()); with one worker the items run on the caller's
+// goroutine. Indices are handed out in increasing order. Once an item fails
+// (a panic counts, as a *fault.PanicError), no further index is handed out,
+// the items already handed out finish, and Run returns the lowest-index
+// failure. Every index below it was handed out before it, so that error is
+// the same at every worker count. If ctx is cancelled, no further index is
+// handed out and the returned error wraps ctx.Err().
+func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
+	workers = min(Workers(workers), n)
 	m := poolMetrics(ctx)
-	if workers == 1 {
-		for i, item := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("pool: cancelled: %w", err)
-			}
-			o, err := timed(ctx, m, i, item, fn)
-			if err != nil {
-				return nil, finish(ctx, err)
-			}
-			out[i] = o
-		}
-		return out, nil
-	}
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	// stop ends the hand-out; items never see it.
+	stop, halt := context.WithCancel(ctx)
+	defer halt()
 	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
+		mu     sync.Mutex // orders the writes of lowest and first
+		lowest atomic.Int64
+		first  error // the error of item lowest
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var idleStart time.Time
-			if m.on {
-				idleStart = time.Now()
+	lowest.Store(int64(n))
+	// work is the one worker loop: it runs the indices next hands it until
+	// they run out, ctx is cancelled, or an item fails. An index above a
+	// failure already recorded is not run; one below it was handed out
+	// before that failure, so it still runs and may lower it.
+	work := func(next func() (int, bool)) {
+		var t time.Time // start of the worker's current idle or busy stretch
+		if m.on {
+			t = time.Now()
+		}
+		for {
+			i, ok := next()
+			if !ok || ctx.Err() != nil || int64(i) > lowest.Load() {
+				return
 			}
-			for i := range idx {
-				if m.on {
-					m.idleNS.Add(time.Since(idleStart).Nanoseconds())
+			t = m.lap(m.idleNS, t)
+			err := m.call(i, fn)
+			t = m.lap(m.busyNS, t)
+			m.jobs.Inc()
+			if err != nil {
+				mu.Lock()
+				if int64(i) < lowest.Load() {
+					lowest.Store(int64(i))
+					first = err
 				}
-				if wctx.Err() != nil {
-					return
-				}
-				o, err := timed(wctx, m, i, items[i], fn)
-				if m.on {
-					idleStart = time.Now()
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = o // distinct slot per item: no lock needed
+				mu.Unlock()
+				halt()
+				return
 			}
-		}()
-	}
-	for i := range items {
-		if wctx.Err() != nil {
-			break
 		}
-		select {
-		case idx <- i:
-		case <-wctx.Done():
-		}
-	}
-	close(idx)
-	wg.Wait()
-
-	if err := finish(ctx, firstErr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapEach applies fn to every item like Map, but isolates failures instead
-// of failing fast: a failing (or panicking) item records its error in the
-// returned error slice and the rest of the batch keeps running. Outputs and
-// errors are index-aligned with items — errs[i] == nil means out[i] is
-// valid. Only context cancellation stops the batch early; the terminal
-// error is non-nil exactly in that case and wraps ctx.Err(). This is the
-// fan-out graceful-degradation sweeps build on.
-func MapEach[I, O any](ctx context.Context, workers int, items []I, fn func(context.Context, I) (O, error)) ([]O, []error, error) {
-	out := make([]O, len(items))
-	errs := make([]error, len(items))
-	if len(items) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("pool: cancelled: %w", err)
-		}
-		return out, errs, nil
-	}
-	workers = Workers(workers)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	m := poolMetrics(ctx)
-	run := func(i int) {
-		out[i], errs[i] = timed(ctx, m, i, items[i], fn)
 	}
 	if workers == 1 {
-		for i := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("pool: cancelled: %w", err)
-			}
-			run(i)
-		}
-		return out, errs, nil
+		i := -1
+		work(func() (int, bool) { i++; return i, i < n })
+		return finish(ctx, first)
 	}
 
 	var wg sync.WaitGroup
@@ -255,46 +167,36 @@ func MapEach[I, O any](ctx context.Context, workers int, items []I, fn func(cont
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var idleStart time.Time
-			if m.on {
-				idleStart = time.Now()
-			}
-			for i := range idx {
-				if m.on {
-					m.idleNS.Add(time.Since(idleStart).Nanoseconds())
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				run(i)
-				if m.on {
-					idleStart = time.Now()
-				}
-			}
+			work(func() (int, bool) { i, ok := <-idx; return i, ok })
 		}()
 	}
-	for i := range items {
-		if ctx.Err() != nil {
-			break
-		}
+feed:
+	for i := 0; i < n; i++ {
 		select {
 		case idx <- i:
-		case <-ctx.Done():
+		case <-stop.Done():
+			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("pool: cancelled: %w", err)
-	}
-	return out, errs, nil
+	return finish(ctx, first)
 }
 
-// ForEach is Map for side-effecting work without a result value.
-func ForEach[I any](ctx context.Context, workers int, items []I, fn func(context.Context, I) error) error {
-	_, err := Map(ctx, workers, items, func(ctx context.Context, item I) (struct{}, error) {
-		return struct{}{}, fn(ctx, item)
-	})
-	return err
+// finish resolves Run's terminal error: when an item failed *and* the
+// parent context was cancelled, the item's error wins (it is the root
+// cause — cancellation may merely be its consequence) but the context error
+// is attached so errors.Is(err, context.Canceled) still reports correctly.
+func finish(ctx context.Context, first error) error {
+	ctxErr := ctx.Err()
+	if first != nil {
+		if ctxErr != nil && !errors.Is(first, ctxErr) {
+			return fmt.Errorf("%w (context also cancelled: %w)", first, ctxErr)
+		}
+		return first
+	}
+	if ctxErr != nil {
+		return fmt.Errorf("pool: cancelled: %w", ctxErr)
+	}
+	return nil
 }

@@ -12,13 +12,11 @@ import (
 )
 
 func TestMapPreservesSubmissionOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
 	for _, workers := range []int{1, 2, 8, 200} {
-		out, err := Map(context.Background(), workers, items, func(_ context.Context, v int) (int, error) {
-			return v * v, nil
+		out := make([]int, 100)
+		err := Run(context.Background(), workers, len(out), func(i int) error {
+			out[i] = i * i
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -32,11 +30,12 @@ func TestMapPreservesSubmissionOrder(t *testing.T) {
 }
 
 func TestMapEmptyInput(t *testing.T) {
-	out, err := Map(context.Background(), 4, nil, func(_ context.Context, v int) (int, error) {
-		return v, nil
+	err := Run(context.Background(), 4, 0, func(int) error {
+		t.Error("fn called on an empty batch")
+		return nil
 	})
-	if err != nil || len(out) != 0 {
-		t.Fatalf("out = %v, err = %v", out, err)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -49,58 +48,99 @@ func TestMapDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestForEach checks that every index is handed out exactly once.
+func TestForEach(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		calls := make([]atomic.Int32, 50)
+		if err := Run(context.Background(), workers, len(calls), func(i int) error {
+			calls[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range calls {
+			if n := calls[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
+			}
+		}
+	}
+}
+
+// TestRunFailFastDeterministicAcrossWorkerCounts is the fail-fast contract:
+// item 0 fails 20 ms after item 1 has failed, and Run must still return item
+// 0's error at every worker count. Every other item waits for item 0, so
+// when item 1 fails nothing else has finished and no index past the first
+// `workers` can have started; none may start after that failure.
+func TestRunFailFastDeterministicAcrossWorkerCounts(t *testing.T) {
+	err0, err1 := errors.New("item 0"), errors.New("item 1")
+	for _, workers := range []int{1, 2, 8} {
+		var maxRan atomic.Int64
+		zeroDone := make(chan struct{})
+		err := Run(context.Background(), workers, 64, func(i int) error {
+			for {
+				m := maxRan.Load()
+				if int64(i) <= m || maxRan.CompareAndSwap(m, int64(i)) {
+					break
+				}
+			}
+			switch i {
+			case 0:
+				time.Sleep(20 * time.Millisecond)
+				close(zeroDone)
+				return err0
+			case 1:
+				return err1
+			}
+			<-zeroDone
+			return nil
+		})
+		if !errors.Is(err, err0) || errors.Is(err, err1) {
+			t.Errorf("workers=%d: err = %v, want item 0's error", workers, err)
+		}
+		if m := maxRan.Load(); m >= int64(workers) {
+			t.Errorf("workers=%d: index %d was handed out after item 1 failed", workers, m)
+		}
+	}
+}
+
 func TestMapFirstErrorWinsAndDrains(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	items := make([]int, 500)
-	for i := range items {
-		items[i] = i
-	}
-	deadline, stop := context.WithTimeout(context.Background(), 10*time.Second)
-	defer stop()
-	_, err := Map(context.Background(), 4, items, func(ctx context.Context, v int) (int, error) {
+	tenDone := make(chan struct{})
+	err := Run(context.Background(), 4, 500, func(i int) error {
 		calls.Add(1)
 		switch {
-		case v == 10:
-			return 0, fmt.Errorf("item %d: %w", v, boom)
-		case v > 10:
-			// Hold every later item until the failure cancels the batch, so
-			// the other workers cannot run all 500 items while the one
-			// holding item 10 is descheduled.
-			select {
-			case <-ctx.Done():
-			case <-deadline.Done():
-			}
+		case i == 10:
+			close(tenDone)
+			return fmt.Errorf("item %d: %w", i, boom)
+		case i > 10:
+			// Hold every later item until item 10 has failed, and give each
+			// a millisecond of work, so the other workers cannot run all 500
+			// items while the one holding item 10 is descheduled before it
+			// records the failure.
+			<-tenDone
+			time.Sleep(time.Millisecond)
 		}
-		return v, nil
+		return nil
 	})
-	if deadline.Err() != nil {
-		t.Fatal("the failure did not cancel the batch within 10 s")
-	}
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if n := calls.Load(); n == 500 {
-		t.Error("error did not cancel remaining work")
+		t.Error("the failure did not stop the hand-out")
 	}
 }
 
 func TestMapCancellationWrapsCtxErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	items := make([]int, 64)
-	started := make(chan struct{}, len(items))
-	_, err := Map(ctx, 4, items, func(ctx context.Context, v int) (int, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
+	err := Run(ctx, 4, 64, func(int) error {
 		cancel()
 		select {
 		case <-ctx.Done():
 		case <-time.After(5 * time.Second):
-			t.Error("worker not cancelled")
+			t.Error("item not cancelled")
 		}
-		return v, nil
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
@@ -110,35 +150,24 @@ func TestMapCancellationWrapsCtxErr(t *testing.T) {
 func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, 1, []int{1, 2, 3}, func(_ context.Context, v int) (int, error) {
-		return v, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int{1, 2, 3, 4, 5}
-	if err := ForEach(context.Background(), 3, items, func(_ context.Context, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d", sum.Load())
+	for _, workers := range []int{1, 2} {
+		err := Run(ctx, workers, 3, func(int) error {
+			t.Errorf("workers=%d: item ran under a cancelled context", workers)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want wrapped context.Canceled", workers, err)
+		}
 	}
 }
 
 func TestMapPanicBecomesTypedError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(context.Background(), workers, []int{0, 1, 2}, func(_ context.Context, v int) (int, error) {
-			if v == 1 {
+		err := Run(context.Background(), workers, 3, func(i int) error {
+			if i == 1 {
 				panic("kaboom")
 			}
-			return v, nil
+			return nil
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: panic did not surface as error", workers)
@@ -153,92 +182,25 @@ func TestMapPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
-// TestMapEachIsolatesPanics is the panic-isolation determinism check: a
-// seeded subset of jobs panics, the survivors' results come back in
-// submission order, and the output is identical at workers=1 and workers=8.
-func TestMapEachIsolatesPanics(t *testing.T) {
-	const n = 64
-	in := &fault.Injector{Seed: 99, PanicRate: 0.25}
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	run := func(workers int) ([]int, []error) {
-		t.Helper()
-		out, errs, err := MapEach(context.Background(), workers, items, func(_ context.Context, v int) (int, error) {
-			if in.Decide(fmt.Sprintf("job%d", v)) == fault.InjectPanic {
-				panic(v)
-			}
-			return v * v, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return out, errs
-	}
-	out1, errs1 := run(1)
-	out8, errs8 := run(8)
-	panics := 0
-	for i := range items {
-		if (errs1[i] == nil) != (errs8[i] == nil) {
-			t.Fatalf("item %d: workers=1 err %v, workers=8 err %v", i, errs1[i], errs8[i])
-		}
-		if errs1[i] != nil {
-			panics++
-			var pe *fault.PanicError
-			if !errors.As(errs1[i], &pe) || pe.Index != i {
-				t.Fatalf("item %d: err = %v, want *fault.PanicError at that index", i, errs1[i])
-			}
-			continue
-		}
-		if out1[i] != i*i || out8[i] != i*i {
-			t.Fatalf("item %d: survivors differ: %d vs %d (want %d)", i, out1[i], out8[i], i*i)
-		}
-	}
-	if panics == 0 || panics == n {
-		t.Fatalf("injected panics = %d of %d, want a proper subset", panics, n)
-	}
-}
-
 // TestMapWorkerErrorWinsOverCancellation is the lost-cancellation
-// regression: when a worker fails and the parent context is cancelled, the
-// worker's error must surface as the cause while errors.Is still reports the
+// regression: when an item fails and the parent context is cancelled, the
+// item's error must surface as the cause while errors.Is still reports the
 // cancellation.
 func TestMapWorkerErrorWinsOverCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Map(ctx, 4, []int{0, 1, 2, 3}, func(_ context.Context, v int) (int, error) {
-		if v == 0 {
+	err := Run(ctx, 4, 4, func(i int) error {
+		if i == 0 {
 			cancel()
-			return 0, boom
+			return boom
 		}
 		<-ctx.Done()
-		return v, nil
+		return nil
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the worker's error as cause", err)
+		t.Fatalf("err = %v, want the item's error as cause", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, must still report context.Canceled", err)
-	}
-}
-
-func TestMapEachCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := MapEach(ctx, 2, []int{1, 2, 3}, func(_ context.Context, v int) (int, error) {
-		return v, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-}
-
-func TestMapEachEmpty(t *testing.T) {
-	out, errs, err := MapEach(context.Background(), 2, nil, func(_ context.Context, v int) (int, error) {
-		return v, nil
-	})
-	if err != nil || len(out) != 0 || len(errs) != 0 {
-		t.Fatalf("MapEach(nil) = %v, %v, %v", out, errs, err)
 	}
 }

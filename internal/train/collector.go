@@ -71,11 +71,7 @@ func (c Collector) Collect(ctx context.Context, p airlearning.Policy, n int) ([]
 	if n <= 0 {
 		return nil, nil
 	}
-	type chunk struct{ start, end int }
-	chunks := make([]chunk, min(pool.Workers(c.Workers), n))
-	for w := range chunks {
-		chunks[w] = chunk{start: w * n / len(chunks), end: (w + 1) * n / len(chunks)}
-	}
+	k := min(pool.Workers(c.Workers), n) // chunks, one per worker
 	var m collectMetrics
 	if c.Obs != nil {
 		m = collectMetrics{
@@ -85,12 +81,12 @@ func (c Collector) Collect(ctx context.Context, p airlearning.Policy, n int) ([]
 	}
 	ctx = obs.NewContext(ctx, c.Obs)
 	results := make([]airlearning.EpisodeResult, n)
-	err := pool.ForEach(ctx, len(chunks), chunks, func(ctx context.Context, ch chunk) error {
+	err := pool.Run(ctx, k, k, func(w int) error {
 		pol := p
 		if r, ok := p.(replicator); ok {
 			pol = r.Replica()
 		}
-		for i := ch.start; i < ch.end; i++ {
+		for i := w * n / k; i < (w+1)*n/k; i++ {
 			env := airlearning.NewEnv(c.Scenario, c.Seed+int64(i))
 			res, err := airlearning.RunEpisodeContext(ctx, env, pol)
 			if err != nil {

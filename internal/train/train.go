@@ -338,10 +338,13 @@ func (e *Engine) trainJob(ctx context.Context, h policy.Hyper, s airlearning.Sce
 // run. A corrupt checkpoint is quarantined (renamed aside by the loader) and
 // the sweep restarts from scratch, reporting the quarantine path.
 //
-// Each job runs under the config's retry policy with panic isolation; with a
-// zero FailureBudget the first exhausted job aborts the sweep (fail-fast),
-// while a positive budget lets the sweep complete — failures recorded in the
-// report — as long as the failed fraction stays within budget.
+// Each job runs under the config's retry policy with panic isolation. With a
+// zero FailureBudget an exhausted job stops the sweep (fail-fast): no later
+// job starts, the jobs already running finish, and the error of the
+// lowest-index exhausted job, named by its airlearning.Key, is returned —
+// the same error at every worker count. A positive budget lets the sweep
+// complete — failures recorded in the report — as long as the failed
+// fraction stays within budget.
 func (e *Engine) Sweep(ctx context.Context, hypers []policy.Hyper, s airlearning.Scenario, db *airlearning.Database) (*SweepReport, error) {
 	if err := e.cfg.Validate(); err != nil {
 		return nil, err
@@ -379,34 +382,19 @@ func (e *Engine) Sweep(ctx context.Context, hypers []policy.Hyper, s airlearning
 	report.Skipped = len(hypers) - len(todo)
 	e.cfg.Obs.Counter("train.jobs.skipped").Add(int64(report.Skipped))
 
-	run := func(ctx context.Context, h policy.Hyper) error {
-		rec, err := e.trainJob(ctx, h, s)
-		if err != nil {
-			return err
-		}
-		db.Put(rec)
-		if e.cfg.Checkpoint != "" {
-			if err := db.Snapshot(e.cfg.Checkpoint); err != nil {
-				return err
+	errs := make([]error, len(todo))
+	err := pool.Run(ctx, e.cfg.Workers, len(todo), func(i int) error {
+		rec, err := e.trainJob(ctx, todo[i], s)
+		if err == nil {
+			db.Put(rec)
+			if e.cfg.Checkpoint != "" {
+				err = db.Snapshot(e.cfg.Checkpoint)
 			}
 		}
-		return nil
-	}
-
-	if e.cfg.FailureBudget <= 0 {
-		// Historical fail-fast semantics: the first exhausted job cancels
-		// the batch.
-		if err := pool.ForEach(ctx, e.cfg.Workers, todo, run); err != nil {
-			return nil, err
+		if errs[i] = err; err != nil && e.cfg.FailureBudget <= 0 {
+			return fmt.Errorf("train: %s: %w", airlearning.Key(todo[i], s), err)
 		}
-		report.Trained = len(todo)
-		e.cfg.Obs.Counter("train.jobs.trained").Add(int64(report.Trained))
-		return report, nil
-	}
-
-	// Graceful degradation: isolate per-job failures, then check the budget.
-	_, errs, err := pool.MapEach(ctx, e.cfg.Workers, todo, func(ctx context.Context, h policy.Hyper) (struct{}, error) {
-		return struct{}{}, run(ctx, h)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -420,11 +408,8 @@ func (e *Engine) Sweep(ctx context.Context, hypers []policy.Hyper, s airlearning
 	}
 	e.cfg.Obs.Counter("train.jobs.trained").Add(int64(report.Trained))
 	e.cfg.Obs.Counter("train.jobs.failed").Add(int64(len(report.Failures)))
-	if n := len(todo); n > 0 {
-		if frac := float64(len(report.Failures)) / float64(n); frac > e.cfg.FailureBudget {
-			return report, fmt.Errorf("train: %d/%d sweep jobs failed (%.0f%% > budget %.0f%%)\n%s",
-				len(report.Failures), n, frac*100, e.cfg.FailureBudget*100, fault.Summarize(report.Failures))
-		}
+	if err := fault.CheckBudget(report.Failures, len(todo), e.cfg.FailureBudget, "sweep jobs"); err != nil {
+		return report, fmt.Errorf("train: %w", err)
 	}
 	return report, nil
 }

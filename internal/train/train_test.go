@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/obs"
@@ -94,6 +96,34 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	eight := sweep(t, testConfig(8))
 	if !reflect.DeepEqual(one.All(), eight.All()) {
 		t.Fatalf("workers=1 and workers=8 databases differ:\n%+v\n%+v", one.All(), eight.All())
+	}
+}
+
+// TestSweepFailFastDeterministicAcrossWorkerCounts: without a failure
+// budget the sweep reports the lowest-index failing job, named by its key,
+// at every worker count, even when a later job fails first.
+func TestSweepFailFastDeterministicAcrossWorkerCounts(t *testing.T) {
+	scen := airlearning.LowObstacle
+	err0, err1 := errors.New("first hyper"), errors.New("second hyper")
+	real := testFactory()
+	factory := func(h policy.Hyper, seed int64) (train.Algorithm, error) {
+		switch h {
+		case testHypers[0]:
+			time.Sleep(20 * time.Millisecond)
+			return nil, err0
+		case testHypers[1]:
+			return nil, err1
+		}
+		return real(h, seed)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		_, err := train.New(factory, testConfig(workers)).Sweep(context.Background(), testHypers, scen, airlearning.NewDatabase())
+		if !errors.Is(err, err0) || errors.Is(err, err1) {
+			t.Errorf("workers=%d: err = %v, want the first hyper's failure", workers, err)
+		}
+		if key := airlearning.Key(testHypers[0], scen); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("workers=%d: err = %v does not name job %s", workers, err, key)
+		}
 	}
 }
 
