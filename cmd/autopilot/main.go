@@ -235,7 +235,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("AutoPilot DSSoC co-design: %s, %s scenario\n", spec.Platform.Name, spec.Scenario)
+	fmt.Printf("AutoPilot DSSoC co-design: %s, %s scenario\n", spec.Platform.Airframe.Label, spec.Scenario)
 	fmt.Printf("Phase 1: %d validated policies in the Air Learning database\n", rep.Database.Len())
 	fmt.Printf("Phase 2: %d designs evaluated, %d on the Pareto front\n",
 		len(rep.Phase2.Evaluated), len(rep.Phase2.ParetoIdx))
@@ -258,9 +258,9 @@ func main() {
 		sel := core.EvaluateBaseline(spec, rep.Database, b)
 		gain := core.MissionGain(rep.Selected, sel)
 		if sel.Missions() > 0 {
-			fmt.Printf("  %-12s %6.2f missions  (AutoPilot gain %.2fx)\n", b.Name, sel.Missions(), gain)
+			fmt.Printf("  %-12s %6.2f missions  (AutoPilot gain %.2fx)\n", b.Label, sel.Missions(), gain)
 		} else {
-			fmt.Printf("  %-12s grounded (%.0f g exceeds lift capacity)\n", b.Name, b.WeightG)
+			fmt.Printf("  %-12s grounded (%.0f g exceeds lift capacity)\n", b.Label, b.WeightG)
 		}
 	}
 	finish(nil)

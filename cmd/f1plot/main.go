@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
-	"autopilot/internal/airlearning"
+	"autopilot/internal/api"
 	"autopilot/internal/f1"
 	"autopilot/internal/plot"
-	"autopilot/internal/uav"
 )
 
 type fpsList []float64
@@ -43,41 +41,30 @@ func main() {
 	flag.Var(&designs, "design-fps", "mark a design operating point (repeatable)")
 	flag.Parse()
 
-	var plat uav.Platform
-	switch strings.ToLower(*uavName) {
-	case "mini", "pelican":
-		plat = uav.AscTecPelican()
-	case "micro", "spark":
-		plat = uav.DJISpark()
-	case "nano":
-		plat = uav.ZhangNano()
-	default:
-		fmt.Fprintf(os.Stderr, "f1plot: unknown uav %q\n", *uavName)
+	// UAV and scenario names resolve through the shared api contract, so
+	// f1plot accepts exactly the spellings cmd/autopilot and the job server
+	// do.
+	plat, err := api.ParseUAV(*uavName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "f1plot:", err)
 		os.Exit(2)
 	}
-	var scen airlearning.Scenario
-	switch strings.ToLower(*scenName) {
-	case "low":
-		scen = airlearning.LowObstacle
-	case "medium", "med":
-		scen = airlearning.MediumObstacle
-	case "dense":
-		scen = airlearning.DenseObstacle
-	default:
-		fmt.Fprintf(os.Stderr, "f1plot: unknown scenario %q\n", *scenName)
+	scen, err := api.ParseScenario(*scenName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "f1plot:", err)
 		os.Exit(2)
 	}
 
 	model := f1.ForScenario(scen)
 	accel := plat.MaxAccelMS2(*payload)
 	if accel <= 0 {
-		fmt.Fprintf(os.Stderr, "f1plot: %s cannot lift %.0f g\n", plat.Name, *payload)
+		fmt.Fprintf(os.Stderr, "f1plot: %s cannot lift %.0f g\n", plat.Airframe.Label, *payload)
 		os.Exit(1)
 	}
 	knee := model.KneePoint(accel)
 
 	chart := plot.New(
-		fmt.Sprintf("F-1 roofline: %s, %s, %.0f g payload (a=%.1f m/s²)", plat.Name, scen, *payload, accel),
+		fmt.Sprintf("F-1 roofline: %s, %s, %.0f g payload (a=%.1f m/s²)", plat.Airframe.Label, scen, *payload, accel),
 		"action throughput (Hz)", "safe velocity (m/s)")
 	pts := model.Curve(accel, *maxHz, 64)
 	xs := make([]float64, len(pts))
@@ -89,7 +76,7 @@ func main() {
 	chart.AddPoint(fmt.Sprintf("knee %.1f Hz", knee), knee, model.SafeVelocity(knee, accel), 'K')
 	for _, fps := range designs {
 		v := model.SafeVelocity(fps, accel)
-		label := fmt.Sprintf("design %.0f FPS (%s)", fps, model.Classify(fps, accel))
+		label := fmt.Sprintf("design %.0f FPS (%s)", fps, f1.Classify(fps, knee))
 		chart.AddPoint(label, fps, v, 'D')
 	}
 	fmt.Print(chart)

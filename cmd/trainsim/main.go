@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -134,14 +135,13 @@ func main() {
 		Obs:           run.Obs,
 	})
 	fmt.Printf("training %s on %s with %s for %d episodes...\n", h, scen, algorithm, *episodes)
-	rec, pol, err := eng.Train(ctx, h, scen)
+	rec, _, err := eng.Train(ctx, h, scen)
 	if err != nil {
 		finish(err)
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(1)
 	}
-	ciEnv := airlearning.NewEnv(scen, *seed+5000)
-	_, lo, hi := airlearning.SuccessRateCI(ciEnv, pol, *evalEps)
+	lo, hi := wilsonCI(rec.SuccessRate, *evalEps)
 	fmt.Printf("validated success rate: %.0f%% over %d episodes (95%% CI %.0f-%.0f%%; %d env steps, %d deployment params)\n",
 		100*rec.SuccessRate, *evalEps, 100*lo, 100*hi, rec.TrainSteps, rec.Params)
 
@@ -151,7 +151,7 @@ func main() {
 			db = airlearning.NewDatabase()
 		}
 		db.Put(rec)
-		if err := db.Save(*dbPath); err != nil {
+		if err := db.Snapshot(*dbPath); err != nil {
 			finish(err)
 			fmt.Fprintln(os.Stderr, "trainsim:", err)
 			os.Exit(1)
@@ -211,7 +211,7 @@ func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlea
 			db.Len(), rep.Trained, rep.Skipped, scen, best.Hyper, 100*best.SuccessRate)
 	}
 	if dbPath != "" {
-		if err := db.Save(dbPath); err != nil {
+		if err := db.Snapshot(dbPath); err != nil {
 			finish(err)
 			fmt.Fprintln(os.Stderr, "trainsim:", err)
 			os.Exit(1)
@@ -219,6 +219,21 @@ func runSweep(ctx context.Context, run *obs.Run, finish func(error), scen airlea
 		fmt.Printf("database saved to %s\n", dbPath)
 	}
 	finish(nil)
+}
+
+// wilsonCI returns the 95% Wilson score interval of a success rate measured
+// over n episodes, clamped to [0, 1]: the uncertainty band of the validated
+// rate itself, from the same episodes. Zero episodes give a zero interval.
+func wilsonCI(rate float64, n int) (lo, hi float64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	const z = 1.96
+	nf := float64(n)
+	denom := 1 + z*z/nf
+	center := (rate + z*z/(2*nf)) / denom
+	half := z / denom * math.Sqrt(rate*(1-rate)/nf+z*z/(4*nf*nf))
+	return math.Max(0, center-half), math.Min(1, center+half)
 }
 
 // sweepOnly rejects a fault-tolerance flag set away from its default

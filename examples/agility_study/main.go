@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/catalog"
 	"autopilot/internal/core"
 	"autopilot/internal/f1"
 	"autopilot/internal/plot"
@@ -30,7 +31,7 @@ func main() {
 	chart := plot.New("F-1 rooflines: agile nano vs DJI Spark (dense obstacles)",
 		"action throughput (Hz)", "safe velocity (m/s)")
 	fmt.Println("platform                     accel     knee    required compute")
-	for _, plat := range []uav.Platform{uav.DJISpark(), uav.ZhangNano()} {
+	for _, plat := range []catalog.Loadout{uav.DJISpark(), uav.ZhangNano()} {
 		accel := plat.MaxAccelMS2(payload)
 		knee := model.KneePoint(accel)
 		pts := model.Curve(accel, 100, 60)
@@ -38,9 +39,9 @@ func main() {
 		for i, p := range pts {
 			xs[i], ys[i] = p.ThroughputHz, p.VSafeMS
 		}
-		chart.AddLine(fmt.Sprintf("%s (knee %.0f Hz)", plat.Name, knee), xs, ys)
+		chart.AddLine(fmt.Sprintf("%s (knee %.0f Hz)", plat.Airframe.Label, knee), xs, ys)
 		fmt.Printf("%-26s %5.1f m/s² %5.1f Hz   sensor-compute pipeline at >= %.0f FPS\n",
-			plat.Name, accel, knee, knee)
+			plat.Airframe.Label, accel, knee, knee)
 	}
 	fmt.Println()
 	fmt.Print(chart)
@@ -48,7 +49,7 @@ func main() {
 	// Confirm with the full pipeline: AutoPilot should select roughly 2x the
 	// compute throughput for the nano (paper: 46 vs 27 Hz knee points).
 	fmt.Println("\nfull pipeline selections (dense obstacles, 60 FPS sensor):")
-	for _, plat := range []uav.Platform{uav.DJISpark(), uav.ZhangNano()} {
+	for _, plat := range []catalog.Loadout{uav.DJISpark(), uav.ZhangNano()} {
 		spec := core.DefaultSpec(plat, airlearning.DenseObstacle)
 		spec.SensorFPS = 60
 		rep, err := core.Run(context.Background(), spec)
@@ -57,6 +58,6 @@ func main() {
 		}
 		s := rep.Selected
 		fmt.Printf("  %-26s %6.1f FPS accel (knee %.1f Hz) -> v_safe %.2f m/s, %.2f missions\n",
-			plat.Name, s.Design.FPS, s.KneeHz, s.VSafeMS, s.Missions())
+			plat.Airframe.Label, s.Design.FPS, s.KneeHz, s.VSafeMS, s.Missions())
 	}
 }

@@ -104,6 +104,6 @@ func main() {
 	for _, b := range uav.Baselines() {
 		bs := core.EvaluateBaseline(spec, db, b)
 		fmt.Printf("  %-16s %6.2f missions (AutoPilot gain %.2fx)\n",
-			b.Name, bs.Missions(), core.MissionGain(sel, bs))
+			b.Label, bs.Missions(), core.MissionGain(sel, bs))
 	}
 }

@@ -107,10 +107,6 @@ func (d *Database) Best(s Scenario) (Record, bool) {
 	return best, found
 }
 
-// Save writes the database as JSON. It is an alias for Snapshot: every
-// on-disk write is atomic.
-func (d *Database) Save(path string) error { return d.Snapshot(path) }
-
 // checkpointMagic prefixes every v2 snapshot. JSON payloads (arrays or
 // objects) can never start with '#', so the first byte discriminates the
 // checksummed v2 format from legacy plain-JSON checkpoints, which Load still
@@ -229,7 +225,7 @@ func (d *Database) Snapshot(path string) error {
 	return nil
 }
 
-// Load reads a database previously written by Save/Snapshot, accepting both
+// Load reads a database previously written by Snapshot, accepting both
 // the checksummed v2 format and legacy plain-JSON checkpoints. A checkpoint
 // that fails integrity validation (truncation, bit flip, unparseable
 // records, or a record that fails validate) is quarantined — renamed to path+".corrupt" so the damage is

@@ -173,10 +173,22 @@ func TestBadActionPanics(t *testing.T) {
 	env.Step(8)
 }
 
+// successRate rolls a policy out over n episodes of env, one after another,
+// and returns the fraction that reach the goal.
+func successRate(env *Env, p Policy, n int) float64 {
+	wins := 0
+	for i := 0; i < n; i++ {
+		if RunEpisode(env, p).Outcome == Success {
+			wins++
+		}
+	}
+	return float64(wins) / float64(n)
+}
+
 func TestExpertPolicyHighSuccess(t *testing.T) {
 	for _, s := range Scenarios {
 		env := NewEnv(s, 11)
-		rate := SuccessRate(env, ExpertPolicy{Env: env}, 30)
+		rate := successRate(env, ExpertPolicy{Env: env}, 30)
 		if rate < 0.95 {
 			t.Errorf("%v: expert success %.2f, want >= 0.95", s, rate)
 		}
@@ -185,8 +197,8 @@ func TestExpertPolicyHighSuccess(t *testing.T) {
 
 func TestRandomPolicyWorseThanExpert(t *testing.T) {
 	env := NewEnv(LowObstacle, 13)
-	randRate := SuccessRate(env, &cyclePolicy{}, 30)
-	expertRate := SuccessRate(env, ExpertPolicy{Env: env}, 30)
+	randRate := successRate(env, &cyclePolicy{}, 30)
+	expertRate := successRate(env, ExpertPolicy{Env: env}, 30)
 	if randRate >= expertRate {
 		t.Fatalf("random %.2f >= expert %.2f", randRate, expertRate)
 	}
@@ -249,13 +261,6 @@ func TestRunEpisodeContextStopsWhenCancelled(t *testing.T) {
 	}
 }
 
-func TestSuccessRateZeroEpisodes(t *testing.T) {
-	env := NewEnv(LowObstacle, 1)
-	if got := SuccessRate(env, ExpertPolicy{Env: env}, 0); got != 0 {
-		t.Fatalf("SuccessRate(0 eps) = %g", got)
-	}
-}
-
 func TestObservationEgocentricWalls(t *testing.T) {
 	env := NewEnv(LowObstacle, 21)
 	obs := env.Reset()
@@ -295,7 +300,7 @@ func TestDatabaseSaveLoadRoundTrip(t *testing.T) {
 	db := NewDatabase()
 	PopulateSurrogate(db)
 	path := t.TempDir() + "/db.json"
-	if err := db.Save(path); err != nil {
+	if err := db.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(path)
@@ -376,34 +381,6 @@ func TestOutcomeStrings(t *testing.T) {
 		if o.String() == "" {
 			t.Errorf("empty string for %d", int(o))
 		}
-	}
-}
-
-func TestSuccessRateCI(t *testing.T) {
-	env := NewEnv(LowObstacle, 41)
-	rate, lo, hi := SuccessRateCI(env, ExpertPolicy{Env: env}, 30)
-	if !(lo <= rate && rate <= hi) {
-		t.Fatalf("CI [%g, %g] does not bracket rate %g", lo, hi, rate)
-	}
-	if lo < 0 || hi > 1 {
-		t.Fatalf("CI [%g, %g] outside [0,1]", lo, hi)
-	}
-	// expert is near-perfect: the interval must sit high
-	if lo < 0.6 {
-		t.Fatalf("expert lower bound %g suspiciously low", lo)
-	}
-	if r, l, h := SuccessRateCI(env, ExpertPolicy{Env: env}, 0); r != 0 || l != 0 || h != 0 {
-		t.Fatal("zero episodes must give a zero CI")
-	}
-}
-
-func TestSuccessRateCIWiderWithFewerEpisodes(t *testing.T) {
-	envA := NewEnv(LowObstacle, 43)
-	_, loA, hiA := SuccessRateCI(envA, ExpertPolicy{Env: envA}, 10)
-	envB := NewEnv(LowObstacle, 43)
-	_, loB, hiB := SuccessRateCI(envB, ExpertPolicy{Env: envB}, 100)
-	if hiA-loA <= hiB-loB {
-		t.Fatalf("10-episode CI width %.3f should exceed 100-episode width %.3f", hiA-loA, hiB-loB)
 	}
 }
 

@@ -1,9 +1,6 @@
 package airlearning
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // Policy selects a discrete action from an observation.
 type Policy interface {
@@ -41,45 +38,6 @@ func RunEpisodeContext(ctx context.Context, env *Env, p Policy) (EpisodeResult, 
 		}
 		obs = next
 	}
-}
-
-// SuccessRate validates a policy over n domain-randomized episodes and
-// returns the fraction that reach the goal — the metric Phase 1 stores in
-// the Air Learning database.
-func SuccessRate(env *Env, p Policy, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	wins := 0
-	for i := 0; i < n; i++ {
-		if RunEpisode(env, p).Outcome == Success {
-			wins++
-		}
-	}
-	return float64(wins) / float64(n)
-}
-
-// SuccessRateCI returns the validated success rate together with its 95%
-// Wilson score interval — the uncertainty band a Phase-1 record carries when
-// it is validated over a finite number of domain-randomized episodes.
-func SuccessRateCI(env *Env, p Policy, n int) (rate, lo, hi float64) {
-	if n <= 0 {
-		return 0, 0, 0
-	}
-	rate = SuccessRate(env, p, n)
-	const z = 1.96
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (rate + z*z/(2*nf)) / denom
-	half := z / denom * math.Sqrt(rate*(1-rate)/nf+z*z/(4*nf*nf))
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return rate, lo, hi
 }
 
 // ExpertPolicy follows BFS shortest paths; it is an oracle used to validate

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/catalog"
 	"autopilot/internal/core"
 	"autopilot/internal/dse"
 	"autopilot/internal/fault"
@@ -113,8 +114,9 @@ type CoDesignRequest struct {
 	Grid *GridSpec `json:"grid,omitempty"`
 }
 
-// ParseUAV resolves a UAV class name (or alias) to its platform.
-func ParseUAV(s string) (uav.Platform, error) {
+// ParseUAV resolves a UAV class name (or alias) to its Table IV platform: a
+// catalog airframe with its default battery and sensor.
+func ParseUAV(s string) (catalog.Loadout, error) {
 	switch strings.ToLower(s) {
 	case "mini", "pelican":
 		return uav.AscTecPelican(), nil
@@ -123,7 +125,7 @@ func ParseUAV(s string) (uav.Platform, error) {
 	case "nano":
 		return uav.ZhangNano(), nil
 	default:
-		return uav.Platform{}, fmt.Errorf("unknown uav %q (want mini|micro|nano)", s)
+		return catalog.Loadout{}, fmt.Errorf("unknown uav %q (want mini|micro|nano)", s)
 	}
 }
 
@@ -402,6 +404,8 @@ func (r CoDesignRequest) Phase2Request(db *airlearning.Database) (dse.Request, e
 	if err != nil {
 		return dse.Request{}, err
 	}
+	vp := dse.DefaultVehicleParams()
+	vp.SensorFPS = n.Constraints.SensorFPS
 	return dse.Request{
 		Space:         sp,
 		DB:            db,
@@ -409,6 +413,7 @@ func (r CoDesignRequest) Phase2Request(db *airlearning.Database) (dse.Request, e
 		Power:         power.Default(),
 		Config:        cfg,
 		Workers:       n.Constraints.Workers,
+		Vehicle:       vp,
 		Retry:         n.Constraints.RetryPolicy(),
 		JobTimeout:    n.Constraints.JobTimeout(),
 		FailureBudget: n.Constraints.FailureBudget,

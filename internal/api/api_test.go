@@ -16,19 +16,19 @@ import (
 func TestParseUAV(t *testing.T) {
 	cases := []struct {
 		in    string
-		class uav.Class
+		class string
 	}{
-		{"mini", uav.Mini}, {"Pelican", uav.Mini},
-		{"micro", uav.Micro}, {"spark", uav.Micro},
-		{"NANO", uav.Nano},
+		{"mini", "mini"}, {"Pelican", "mini"},
+		{"micro", "micro"}, {"spark", "micro"},
+		{"NANO", "nano"},
 	}
 	for _, c := range cases {
 		p, err := ParseUAV(c.in)
 		if err != nil {
 			t.Fatalf("ParseUAV(%q): %v", c.in, err)
 		}
-		if p.Class != c.class {
-			t.Errorf("ParseUAV(%q).Class = %v, want %v", c.in, p.Class, c.class)
+		if p.Airframe.Class != c.class {
+			t.Errorf("ParseUAV(%q).Airframe.Class = %v, want %v", c.in, p.Airframe.Class, c.class)
 		}
 	}
 	if _, err := ParseUAV("blimp"); err == nil {
@@ -169,8 +169,8 @@ func TestSpecMatchesCLIWiring(t *testing.T) {
 	want.Workers = 3
 	want.Retries = 1
 
-	if spec.Platform.Name != want.Platform.Name || spec.Scenario != want.Scenario {
-		t.Fatalf("platform/scenario: %s/%v", spec.Platform.Name, spec.Scenario)
+	if spec.Platform.String() != want.Platform.String() || spec.Scenario != want.Scenario {
+		t.Fatalf("platform/scenario: %s/%v", spec.Platform, spec.Scenario)
 	}
 	if spec.Phase2 != want.Phase2 {
 		t.Fatalf("Phase2 = %+v, want %+v", spec.Phase2, want.Phase2)

@@ -221,3 +221,52 @@ func TestVehicleGoldenCompat(t *testing.T) {
 		t.Fatal("zero SelectionSummary serializes loadout columns (omitempty broken)")
 	}
 }
+
+// TestPhasesAgreeOnVehicleDesigns: Phase 2 ranks vehicle designs with the
+// same loadout evaluation Phase 3 selects them with, at the request's sensor
+// rate. For every untuned, liftable Phase-3 candidate, the missions, safe
+// velocity and total draw Phase 2 filed must equal Phase 3's bit for bit,
+// with and without a sensor_fps constraint.
+func TestPhasesAgreeOnVehicleDesigns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline runs")
+	}
+	for _, fps := range []float64{0, 30} {
+		req := CoDesignRequest{
+			UAVClass: "nano", Scenario: "dense", Seed: 1,
+			Constraints: Constraints{CandidatePool: 512, BOIterations: 24, SensorFPS: fps},
+			Vehicle: &VehicleSpec{
+				Batteries: []string{"lipo-1s-500", "lipo-1s-750"},
+				Sensors:   []string{"ov9755", "gs-wvga-120"},
+			},
+		}
+		spec, err := req.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := rep.Phase2.TopSuccess(0.02)
+		if len(top) != len(rep.Candidates) {
+			t.Fatalf("sensor_fps %g: %d top-success designs, %d Phase-3 candidates", fps, len(top), len(rep.Candidates))
+		}
+		liftable := 0
+		for k, i := range top {
+			sel := rep.Candidates[k]
+			if !sel.Liftable {
+				continue
+			}
+			liftable++
+			p2, p3 := rep.Phase2.Evaluated[i].Vehicle, sel.Design.Vehicle
+			if p2.Missions != p3.Missions || p2.VSafeMS != p3.VSafeMS || p2.TotalPowerW != p3.TotalPowerW {
+				t.Errorf("sensor_fps %g: %s: Phase 2 filed %v missions, %v m/s, %v W; Phase 3 flew %v missions, %v m/s, %v W",
+					fps, sel.Design.Design, p2.Missions, p2.VSafeMS, p2.TotalPowerW, p3.Missions, p3.VSafeMS, p3.TotalPowerW)
+			}
+		}
+		if liftable == 0 {
+			t.Fatalf("sensor_fps %g: no liftable Phase-3 candidate to compare", fps)
+		}
+	}
+}

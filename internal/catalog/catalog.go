@@ -2,10 +2,10 @@
 // layer searches over: real batteries, camera sensors, compute boards, and
 // airframes, each validated on its own terms, composed into a Loadout with a
 // single SWaP feasibility check (structural payload budget, thrust-to-weight
-// floor, battery discharge limit). It is the base vehicle layer — internal/uav
-// platforms, internal/mission's energy model, and the dse vehicle axes are all
-// thin views over these entries, so the weight, thrust, and battery-energy
-// arithmetic lives in exactly one place.
+// floor, battery discharge limit). It is the one vehicle model: the Table IV
+// platforms and baseline boards in internal/uav are catalog values, and
+// internal/mission and the dse vehicle axes fly them, so the weight, thrust,
+// and battery-energy arithmetic lives in exactly one place.
 package catalog
 
 import (
@@ -21,14 +21,14 @@ const Gravity = 9.81
 const ThrustMarginFloor = 1.15
 
 // LiftOK reports whether thrustN can lift massKg with the thrust-to-weight
-// floor — the one lift inequality uav.Platform.CanLift and the Loadout
-// feasibility check share.
+// floor — the one lift inequality the Loadout feasibility check and its
+// validation share.
 func LiftOK(thrustN, massKg float64) bool {
 	return thrustN >= ThrustMarginFloor*massKg*Gravity
 }
 
 // Battery is one LiPo pack. EnergyJ is the single battery-energy conversion
-// every consumer (uav.Platform.BatteryJ, the mission model) routes through.
+// the mission model routes through.
 type Battery struct {
 	Name          string // catalog key, e.g. "lipo-3s-6250"
 	Label         string // display name
@@ -119,8 +119,7 @@ func (b ComputeBoard) FPSFor(modelWeightBytes int64) float64 {
 	return b.SustainedGBps * 1e9 / float64(modelWeightBytes)
 }
 
-// Validate checks the board definition — the single validation boards and
-// uav.ComputeBaseline views share.
+// Validate checks the board definition.
 func (b ComputeBoard) Validate() error {
 	if b.PowerW <= 0 || b.WeightG <= 0 || (b.SustainedGBps <= 0 && b.PinnedFPS <= 0) {
 		return fmt.Errorf("catalog: implausible board %+v", b)
@@ -143,6 +142,18 @@ type Airframe struct {
 	MaxPayloadG     float64   // structural payload budget beyond the base loadout
 	DefaultBattery  string
 	DefaultSensor   string
+}
+
+// MaxSensorFPS returns the fastest sensor frame rate the flight stack
+// supports.
+func (a Airframe) MaxSensorFPS() float64 {
+	best := 0.0
+	for _, f := range a.SensorFPS {
+		if f > best {
+			best = f
+		}
+	}
+	return best
 }
 
 // Validate checks the airframe definition.
@@ -259,6 +270,9 @@ func (l Loadout) Validate() error {
 	if err := l.Sensor.Validate(); err != nil {
 		return err
 	}
+	if !LiftOK(l.Airframe.MaxThrustN, l.TotalMassKg(0)) {
+		return fmt.Errorf("catalog: %s cannot lift its own base weight", l)
+	}
 	return nil
 }
 
@@ -299,7 +313,7 @@ var sensors = map[string]Sensor{
 }
 
 // boards is the catalog of fixed compute platforms — the baseline boards the
-// paper compares against (uav.ComputeBaseline is a view over these entries).
+// paper compares against.
 var boards = map[string]ComputeBoard{
 	"jetson-tx2":  {Name: "jetson-tx2", Label: "Jetson TX2", PowerW: 12, WeightG: 185, SustainedGBps: 3.0, NeedsActiveCool: true},
 	"xavier-nx":   {Name: "xavier-nx", Label: "Xavier NX", PowerW: 15, WeightG: 150, SustainedGBps: 4.5, NeedsActiveCool: true},
@@ -448,7 +462,7 @@ func BuildLoadout(airframe, battery, sensor string) (Loadout, error) {
 }
 
 // DefaultLoadout returns an airframe with its default battery and sensor —
-// for the three Table IV airframes, exactly the legacy uav.Platform.
+// for the three Table IV airframes, the fixed platforms of the paper.
 func DefaultLoadout(airframe string) (Loadout, error) {
 	return BuildLoadout(airframe, "", "")
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/catalog"
 	"autopilot/internal/dse"
 	"autopilot/internal/f1"
 	"autopilot/internal/fault"
@@ -28,7 +29,6 @@ import (
 	"autopilot/internal/thermal"
 	"autopilot/internal/train"
 	"autopilot/internal/tuning"
-	"autopilot/internal/uav"
 )
 
 // Phase1Mode selects how the policy database is produced.
@@ -47,10 +47,16 @@ const (
 // Spec is the high-level task specification the user hands AutoPilot
 // (paper §III-A): the UAV, the deployment scenario, and budgets.
 type Spec struct {
-	Platform uav.Platform
+	// Platform is the fixed vehicle designs fly on unless they carry a
+	// loadout of their own: a catalog airframe with its default battery and
+	// sensor (uav.ZhangNano() and the other Table IV platforms).
+	Platform catalog.Loadout
 	Scenario airlearning.Scenario
 
-	// SensorFPS of 0 selects the platform's fastest sensor mode.
+	// SensorFPS is the sensor frame rate every design flies at; 0 selects
+	// the fastest rate available: a vehicle design's loadout sensor's
+	// fastest mode, and the fixed platform's airframe's fastest supported
+	// rate.
 	SensorFPS float64
 
 	Mission       mission.Spec
@@ -107,7 +113,7 @@ type Spec struct {
 
 // DefaultSpec returns a complete specification for a platform and scenario
 // using surrogate Phase 1 and the default budgets.
-func DefaultSpec(p uav.Platform, s airlearning.Scenario) Spec {
+func DefaultSpec(p catalog.Loadout, s airlearning.Scenario) Spec {
 	return Spec{
 		Platform:      p,
 		Scenario:      s,
@@ -150,13 +156,9 @@ type Selection struct {
 	// means the spec's fixed platform (the legacy pipeline).
 	Loadout dse.VehicleRef
 
-	ActionHz     float64
-	Bound        f1.Bound
-	Provisioning f1.Provisioning
-	KneeHz       float64
-	VSafeMS      float64
-
-	Profile  mission.Profile
+	// Flight is the F-1 operating point and Eq. 1–4 profile; zero when the
+	// vehicle cannot carry the design.
+	mission.Flight
 	Liftable bool
 }
 
@@ -282,7 +284,7 @@ func Phase2(ctx context.Context, spec Spec, db *airlearning.Database) (*dse.Resu
 		Power:         spec.PowerModel,
 		Config:        spec.Phase2,
 		Workers:       spec.Workers,
-		Vehicle:       dse.VehicleParams{Mission: spec.Mission, Params: spec.MissionParams, Thermal: spec.Thermal},
+		Vehicle:       spec.vehicleParams(),
 		Retry:         fault.NewPolicy(spec.Retries, spec.JobTimeout),
 		JobTimeout:    spec.JobTimeout,
 		FailureBudget: spec.FailureBudget,
@@ -290,46 +292,31 @@ func Phase2(ctx context.Context, spec Spec, db *airlearning.Database) (*dse.Resu
 	})
 }
 
-// sensorFPS resolves the spec's sensor rate.
+// vehicleParams is the mission, thermal and sensor context vehicle designs
+// fly under, in Phase 2 and Phase 3 alike.
+func (s Spec) vehicleParams() dse.VehicleParams {
+	return dse.VehicleParams{Mission: s.Mission, Params: s.MissionParams, Thermal: s.Thermal, SensorFPS: s.SensorFPS}
+}
+
+// sensorFPS is the frame rate designs fly at on the fixed platform: the
+// spec's SensorFPS when set, otherwise the airframe's fastest supported rate.
 func (s Spec) sensorFPS() float64 {
 	if s.SensorFPS > 0 {
 		return s.SensorFPS
 	}
-	return s.Platform.MaxSensorFPS()
+	return s.Platform.Airframe.MaxSensorFPS()
 }
 
-// evaluateFullSystemOn is the single Phase-3 full-system path: it maps one
-// hardware cost-model estimate, flown at the given payload weight on the
-// given platform, onto the F-1 roofline (knee point, effective action
-// throughput, safe velocity) and the Eq. 1–4 mission model. Every consumer —
-// searched designs, fine-tuned variants, baseline boards, and catalog
-// loadouts — goes through this function, so any future hw.Backend gets the
-// Fig. 5-style comparison for free. Designs the platform cannot lift come
+// fly is the Phase-3 full-system evaluation: it flies one design's compute
+// — its FPS and SoC draw, at payloadG grams — on a loadout through
+// mission.EvaluateLoadout, the evaluation Phase 2 scores vehicle designs
+// with. Searched designs, fine-tuned variants, baseline boards and raw
+// estimates all go through it, so any future hw.Backend gets the
+// Fig. 5-style comparison for free. Designs the loadout cannot carry come
 // back with Liftable=false.
-func evaluateFullSystemOn(spec Spec, plat uav.Platform, sensorFPS float64, est hw.Estimate, payloadG float64, model f1.Model) Selection {
-	sel := Selection{NodeNM: 28, PayloadG: payloadG}
-	if !plat.CanLift(payloadG) {
-		return sel
-	}
-	sel.Liftable = true
-	accel := plat.MaxAccelMS2(payloadG)
-	sel.KneeHz = model.KneePoint(accel)
-	sel.ActionHz, sel.Bound = model.EffectiveThroughput(est.FPS, sensorFPS, accel)
-	sel.Provisioning = model.Classify(sel.ActionHz, accel)
-	sel.VSafeMS = model.SafeVelocity(sel.ActionHz, accel)
-	prof, err := mission.Evaluate(plat, spec.MissionParams, spec.Mission,
-		payloadG, est.SoCPowerW, sel.VSafeMS)
-	if err != nil {
-		sel.Liftable = false
-		return sel
-	}
-	sel.Profile = prof
-	return sel
-}
-
-// evaluateFullSystem runs the full-system path on the spec's fixed platform.
-func evaluateFullSystem(spec Spec, est hw.Estimate, payloadG float64, model f1.Model) Selection {
-	return evaluateFullSystemOn(spec, spec.Platform, spec.sensorFPS(), est, payloadG, model)
+func fly(spec Spec, lo catalog.Loadout, sensorFPS, fps, socW, payloadG float64, model f1.Model) Selection {
+	fl, err := mission.EvaluateLoadout(lo, spec.MissionParams, spec.Mission, model, payloadG, fps, socW, sensorFPS)
+	return Selection{NodeNM: 28, PayloadG: payloadG, Flight: fl, Liftable: err == nil}
 }
 
 // payloadFor resolves the flown compute weight for an estimate: boards
@@ -347,7 +334,7 @@ func payloadFor(spec Spec, est hw.Estimate) float64 {
 // stacks on embedded CPUs, future accelerator templates) that never pass
 // through the Phase-2 design space.
 func EvaluateEstimate(spec Spec, est hw.Estimate, success float64, model f1.Model) Selection {
-	sel := evaluateFullSystem(spec, est, payloadFor(spec, est), model)
+	sel := fly(spec, spec.Platform, spec.sensorFPS(), est.FPS, est.SoCPowerW, payloadFor(spec, est), model)
 	sel.Design = dse.FromEstimate(dse.DesignPoint{}, success, est)
 	return sel
 }
@@ -355,43 +342,35 @@ func EvaluateEstimate(spec Spec, est hw.Estimate, success float64, model f1.Mode
 // EvaluateOnPlatform performs the Phase-3 full-system evaluation of one
 // scored design: payload weight from the accelerator TDP, F-1 safe velocity
 // at the effective action throughput, and Eq. 1–4 mission metrics. Designs
-// carrying a loadout reference fly on that catalog loadout (its platform
-// view, its sensor, its SoC sensor power) instead of the spec's fixed
-// platform — fine-tuned variants resolve the same loadout through the design
-// point, so tuning never silently reverts the vehicle. Designs the vehicle
-// cannot lift come back with Liftable=false.
+// carrying a loadout reference fly on that catalog loadout (its sensor, its
+// SoC sensor power) instead of the spec's fixed platform — fine-tuned
+// variants resolve the same loadout through the design point, so tuning
+// never silently reverts the vehicle. Designs the vehicle cannot lift come
+// back with Liftable=false.
 func EvaluateOnPlatform(spec Spec, e dse.Evaluated, model f1.Model) Selection {
-	est := hw.Estimate{FPS: e.FPS, RuntimeSec: e.RuntimeSec,
-		AccelPowerW: e.AccelPowerW, SoCPowerW: e.SoCPowerW, Breakdown: e.Breakdown}
-	plat, sensorFPS := spec.Platform, spec.sensorFPS()
-	if v := e.Design.Vehicle; v != (dse.VehicleRef{}) {
-		lo, err := v.Loadout()
-		if err != nil {
-			return Selection{NodeNM: 28, Design: e, Loadout: v}
-		}
-		plat = uav.FromLoadout(lo)
-		sensorFPS = lo.Sensor.MaxFPS()
-		if spec.SensorFPS > 0 {
-			sensorFPS = spec.SensorFPS
-		}
-		// Re-derive SoC power from the breakdown with the loadout's sensor,
-		// so fine-tuned estimates (built with the Table III sensor) score
-		// consistently with the searched design.
-		est.SoCPowerW = power.SoCWithSensor(e.Breakdown, lo.Sensor.PowerW)
-		sel := evaluateFullSystemOn(spec, plat, sensorFPS, est, spec.Thermal.ComputeWeightGrams(e.AccelPowerW), model)
+	payloadG := spec.Thermal.ComputeWeightGrams(e.AccelPowerW)
+	v := e.Design.Vehicle
+	if v == (dse.VehicleRef{}) {
+		sel := fly(spec, spec.Platform, spec.sensorFPS(), e.FPS, e.SoCPowerW, payloadG, model)
 		sel.Design = e
-		sel.Design.SoCPowerW = est.SoCPowerW
-		// Rebuild the vehicle-eval block from this evaluation: fine-tuned
-		// variants arrive with it zeroed, and a tuned accelerator changes the
-		// payload weight anyway.
-		sel.Design.Vehicle = dse.VehicleEval{Loadout: v, PayloadG: sel.PayloadG,
-			TotalWeightG: lo.BaseWeightG() + sel.PayloadG, TotalPowerW: sel.Profile.TotalW,
-			VSafeMS: sel.VSafeMS, Missions: sel.Profile.Missions}
-		sel.Loadout = v
 		return sel
 	}
-	sel := evaluateFullSystemOn(spec, plat, sensorFPS, est, spec.Thermal.ComputeWeightGrams(e.AccelPowerW), model)
+	lo, err := v.Loadout()
+	if err != nil {
+		return Selection{NodeNM: 28, Design: e, Loadout: v}
+	}
+	// Re-derive SoC power from the breakdown with the loadout's sensor, so
+	// fine-tuned estimates (built with the Table III sensor) score
+	// consistently with the searched design.
+	socW := power.SoCWithSensor(e.Breakdown, lo.Sensor.PowerW)
+	sel := fly(spec, lo, spec.vehicleParams().SensorRate(lo), e.FPS, socW, payloadG, model)
 	sel.Design = e
+	sel.Design.SoCPowerW = socW
+	// Rebuild the vehicle-eval block from this evaluation: fine-tuned
+	// variants arrive with it zeroed, and a tuned accelerator changes the
+	// payload weight anyway.
+	sel.Design.Vehicle = dse.NewVehicleEval(v, lo, payloadG, sel.Flight)
+	sel.Loadout = v
 	return sel
 }
 
@@ -418,7 +397,7 @@ func Phase3(ctx context.Context, spec Spec, res *dse.Result) (*Report, error) {
 		}
 	}
 	if !best.Liftable {
-		return nil, fmt.Errorf("core: %s cannot lift any top-success design", spec.Platform.Name)
+		return nil, fmt.Errorf("core: %s cannot lift any top-success design", spec.Platform.Airframe.Label)
 	}
 
 	// Architectural fine-tuning: try frequency/node variants of the winner
@@ -482,10 +461,10 @@ func FineTune(spec Spec, sel Selection, model f1.Model) (Selection, error) {
 // comparison points. The board goes through the same hw.Backend seam and
 // full-system path as searched designs; its flown weight hint replaces the
 // thermal-model payload.
-func EvaluateBaseline(spec Spec, db *airlearning.Database, b uav.ComputeBaseline) Selection {
+func EvaluateBaseline(spec Spec, db *airlearning.Database, b catalog.ComputeBoard) Selection {
 	model := f1.ForScenario(spec.Scenario)
 	success := 0.0
-	wl := hw.Workload{Name: b.Name + "/no-model", Kind: hw.WorkloadNetwork}
+	wl := hw.Workload{Name: b.Label + "/no-model", Kind: hw.WorkloadNetwork}
 	if rec, ok := db.Best(spec.Scenario); ok {
 		success = rec.SuccessRate
 		if net, err := policy.Build(rec.Hyper, spec.Space.Template); err == nil {

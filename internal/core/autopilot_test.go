@@ -9,6 +9,7 @@ import (
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/bayesopt"
+	"autopilot/internal/catalog"
 	"autopilot/internal/dse"
 	"autopilot/internal/f1"
 	"autopilot/internal/policy"
@@ -17,7 +18,7 @@ import (
 )
 
 // fastSpec shrinks the Phase-2 budget so pipeline tests stay quick.
-func fastSpec(p uav.Platform, s airlearning.Scenario) Spec {
+func fastSpec(p catalog.Loadout, s airlearning.Scenario) Spec {
 	spec := DefaultSpec(p, s)
 	bo := bayesopt.DefaultConfig()
 	bo.InitSamples, bo.Iterations, bo.ScreenSize = 12, 16, 96
@@ -45,7 +46,7 @@ func TestSpecValidate(t *testing.T) {
 		t.Error("expected error for zero distance")
 	}
 	bad = spec
-	bad.Platform = uav.Platform{}
+	bad.Platform = catalog.Loadout{}
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for empty platform")
 	}
@@ -217,7 +218,7 @@ func TestAutoPilotBeatsAllBaselinesOnNano(t *testing.T) {
 	for _, b := range uav.Baselines() {
 		sel := EvaluateBaseline(spec, rep.Database, b)
 		if gain := MissionGain(rep.Selected, sel); gain < 1.5 {
-			t.Errorf("AP gain over %s = %.2f, want > 1.5", b.Name, gain)
+			t.Errorf("AP gain over %s = %.2f, want > 1.5", b.Label, gain)
 		}
 	}
 }

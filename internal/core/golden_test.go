@@ -138,11 +138,11 @@ func TestGoldenEvaluateBaseline(t *testing.T) {
 			sel := EvaluateBaseline(c.spec, db, b)
 			g := c.golden[i]
 			if !sel.Liftable {
-				t.Errorf("%s/%s: not liftable", c.spec.Platform.Name, b.Name)
+				t.Errorf("%s/%s: not liftable", c.spec.Platform.Airframe.Label, b.Label)
 			}
 			check := func(name string, got float64, want string) {
 				if got != gx(t, want) {
-					t.Errorf("%s/%s: %s = %x, want %s", c.spec.Platform.Name, b.Name, name, got, want)
+					t.Errorf("%s/%s: %s = %x, want %s", c.spec.Platform.Airframe.Label, b.Label, name, got, want)
 				}
 			}
 			check("FPS", sel.Design.FPS, g.fps)

@@ -88,7 +88,7 @@ type BaselineSummary struct {
 // Summary converts the report, including the Fig. 5 baseline comparison.
 func (r *Report) Summary() ReportSummary {
 	out := ReportSummary{
-		UAV:       r.Spec.Platform.Name,
+		UAV:       r.Spec.Platform.Airframe.Label,
 		Scenario:  r.Spec.Scenario.String(),
 		Evaluated: len(r.Phase2.Evaluated),
 		Front:     len(r.Phase2.ParetoIdx),
@@ -102,7 +102,7 @@ func (r *Report) Summary() ReportSummary {
 		for _, b := range uav.AllBaselines() {
 			sel := EvaluateBaseline(r.Spec, r.Database, b)
 			out.Baselines = append(out.Baselines, BaselineSummary{
-				Name:     b.Name,
+				Name:     b.Label,
 				Missions: sel.Missions(),
 				Gain:     MissionGain(r.Selected, sel),
 				Liftable: sel.Liftable,

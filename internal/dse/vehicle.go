@@ -48,6 +48,19 @@ type VehicleParams struct {
 	Mission mission.Spec
 	Params  mission.Params
 	Thermal thermal.Params
+	// SensorFPS is the request's sensor frame rate; 0 flies each design at
+	// its loadout sensor's fastest mode.
+	SensorFPS float64
+}
+
+// SensorRate is the frame rate a vehicle design on lo flies at: the
+// request's SensorFPS when set, otherwise the loadout sensor's fastest mode.
+// Phase 2 and Phase 3 both resolve it here.
+func (p VehicleParams) SensorRate(lo catalog.Loadout) float64 {
+	if p.SensorFPS > 0 {
+		return p.SensorFPS
+	}
+	return lo.Sensor.MaxFPS()
 }
 
 // DefaultVehicleParams returns the default mission and thermal context.
@@ -87,40 +100,41 @@ func asSkip(d DesignPoint, err error) (Skip, bool) {
 	return Skip{Design: d.String(), Loadout: d.Vehicle, Reason: string(ie.Reason), Detail: ie.Detail}, true
 }
 
+// NewVehicleEval is the vehicle-eval block of a design flown on a loadout:
+// the loadout's weight with the compute payload, and the flight's draw, safe
+// velocity and missions (zero for a flight the loadout could not make).
+func NewVehicleEval(v VehicleRef, lo catalog.Loadout, payloadG float64, fl mission.Flight) VehicleEval {
+	return VehicleEval{
+		Loadout:      v,
+		PayloadG:     payloadG,
+		TotalWeightG: lo.BaseWeightG() + payloadG,
+		TotalPowerW:  fl.Profile.TotalW,
+		VSafeMS:      fl.VSafeMS,
+		Missions:     fl.Profile.Missions,
+	}
+}
+
 // vehicleFinish extends a scored SoC estimate to the full vehicle: resolve
 // the loadout, derive the flown compute payload from the accelerator TDP,
-// swap the Table III sensor power for the loadout's sensor, re-run the F-1
-// roofline with the loadout's agility, and score the Eq. 1–4 mission model
-// under the catalog's single feasibility check. Infeasible loadouts return a
-// typed *catalog.InfeasibleError (wrapped), which the sweep layers record as
-// skips rather than failures.
+// swap the Table III sensor power for the loadout's sensor, and fly it
+// through mission.EvaluateLoadout at the request's sensor rate — the same
+// evaluation Phase 3 runs. Infeasible loadouts return a typed
+// *catalog.InfeasibleError (wrapped), which the sweep layers record as skips
+// rather than failures.
 func (ev *Evaluator) vehicleFinish(d DesignPoint, e Evaluated) (Evaluated, error) {
 	lo, err := d.Vehicle.Loadout()
 	if err != nil {
 		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
 	}
 	payloadG := ev.vp.Thermal.ComputeWeightGrams(e.AccelPowerW)
-	if err := lo.FeasibleWeight(payloadG); err != nil {
-		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
-	}
 	socW := power.SoCWithSensor(e.Breakdown, lo.Sensor.PowerW)
-	model := f1.ForScenario(ev.scen)
-	accel := lo.MaxAccelMS2(payloadG)
-	actionHz, _ := model.EffectiveThroughput(e.FPS, lo.Sensor.MaxFPS(), accel)
-	vSafe := model.SafeVelocity(actionHz, accel)
-	prof, err := mission.EvaluateLoadout(lo, ev.vp.Params, ev.vp.Mission, payloadG, socW, vSafe)
+	fl, err := mission.EvaluateLoadout(lo, ev.vp.Params, ev.vp.Mission, f1.ForScenario(ev.scen),
+		payloadG, e.FPS, socW, ev.vp.SensorRate(lo))
 	if err != nil {
 		return Evaluated{}, fmt.Errorf("dse: %v: %w", d, err)
 	}
 	e.SoCPowerW = socW
-	e.Vehicle = VehicleEval{
-		Loadout:      d.Vehicle,
-		PayloadG:     payloadG,
-		TotalWeightG: lo.BaseWeightG() + payloadG,
-		TotalPowerW:  prof.TotalW,
-		VSafeMS:      vSafe,
-		Missions:     prof.Missions,
-	}
+	e.Vehicle = NewVehicleEval(d.Vehicle, lo, payloadG, fl)
 	if err := fault.CheckFinite("vehicle",
 		e.Vehicle.PayloadG, e.Vehicle.TotalWeightG, e.Vehicle.TotalPowerW,
 		e.Vehicle.VSafeMS, e.Vehicle.Missions); err != nil {

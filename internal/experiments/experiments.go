@@ -12,9 +12,9 @@ import (
 
 	"autopilot/internal/airlearning"
 	"autopilot/internal/bayesopt"
+	"autopilot/internal/catalog"
 	"autopilot/internal/core"
 	"autopilot/internal/dse"
-	"autopilot/internal/uav"
 )
 
 // Table is a rendered experiment result.
@@ -84,8 +84,8 @@ func NewSuite(cfg dse.Config) *Suite {
 }
 
 // report runs (or fetches) the full pipeline for a platform and scenario.
-func (s *Suite) report(p uav.Platform, scen airlearning.Scenario) (*core.Report, error) {
-	key := fmt.Sprintf("%s/%s", p.Name, scen)
+func (s *Suite) report(p catalog.Loadout, scen airlearning.Scenario) (*core.Report, error) {
+	key := fmt.Sprintf("%s/%s", p.Airframe.Label, scen)
 	if r, ok := s.reports[key]; ok {
 		return r, nil
 	}

@@ -103,7 +103,7 @@ func (s *Suite) ExtBaselines() (Table, error) {
 				gain = f2s(core.MissionGain(rep.Selected, sel))
 			}
 			t.Rows = append(t.Rows, []string{
-				plat.Class.String(), b.Name,
+				plat.Airframe.Class, b.Label,
 				f1s(sel.Design.FPS), f2s(sel.Design.SoCPowerW), f1s(sel.PayloadG),
 				f2s(sel.Missions()), gain,
 			})

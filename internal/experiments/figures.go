@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"autopilot/internal/airlearning"
+	"autopilot/internal/catalog"
 	"autopilot/internal/core"
 	"autopilot/internal/dse"
 	"autopilot/internal/f1"
@@ -100,7 +101,7 @@ func (s *Suite) Fig5() ([]Table, error) {
 	for pi, plat := range uav.Platforms() {
 		t := Table{
 			ID:     "Fig5" + letters[pi],
-			Title:  fmt.Sprintf("Number of missions per charge: %s (%s-UAV)", plat.Name, plat.Class),
+			Title:  fmt.Sprintf("Number of missions per charge: %s (%s-UAV)", plat.Airframe.Label, plat.Airframe.Class),
 			Header: []string{"scenario", "AutoPilot", "TX2", "NX", "P-DroNet", "gain vs mean"},
 		}
 		for _, scen := range airlearning.Scenarios {
@@ -162,7 +163,7 @@ func (s *Suite) Fig6() (Table, error) {
 				return Table{}, err
 			}
 			d := rep.Selected.Design.Design
-			sels = append(sels, sel{fmt.Sprintf("%s/%s", plat.Class, scen), d})
+			sels = append(sels, sel{fmt.Sprintf("%s/%s", plat.Airframe.Class, scen), d})
 			for i, v := range vals(d) {
 				if v < mins[i] {
 					mins[i] = v
@@ -260,7 +261,7 @@ func (s *Suite) Fig11() (Table, error) {
 		Title:  "UAV agility raises the compute-throughput requirement (60 FPS sensors, dense)",
 		Header: []string{"UAV", "max accel m/s2", "knee Hz", "selected FPS", "v_safe m/s"},
 	}
-	for _, plat := range []uav.Platform{uav.DJISpark(), uav.ZhangNano()} {
+	for _, plat := range []catalog.Loadout{uav.DJISpark(), uav.ZhangNano()} {
 		rep, err := s.report(plat, airlearning.DenseObstacle)
 		if err != nil {
 			return Table{}, err
@@ -268,7 +269,7 @@ func (s *Suite) Fig11() (Table, error) {
 		sel := rep.Selected
 		accel := plat.MaxAccelMS2(sel.PayloadG)
 		t.Rows = append(t.Rows, []string{
-			plat.Name, f1s(accel), f1s(sel.KneeHz), f1s(sel.Design.FPS), f2s(sel.VSafeMS),
+			plat.Airframe.Label, f1s(accel), f1s(sel.KneeHz), f1s(sel.Design.FPS), f2s(sel.VSafeMS),
 		})
 	}
 	t.Notes = append(t.Notes, "paper: knee ~27 Hz for DJI Spark vs ~46 Hz for the nano (~1.7x)")
@@ -307,7 +308,7 @@ func (s *Suite) TableV() (Table, error) {
 		// medium-obstacle task
 		reused := core.EvaluateOnPlatform(ref.Spec, resimulate(ref, other.Selected), ref.F1)
 		comment := "reused design"
-		switch ref.F1.Classify(reused.ActionHz, plat.MaxAccelMS2(reused.PayloadG)) {
+		switch reused.Provisioning {
 		case f1.UnderProvisioned:
 			comment = "compute bound lowers Vsafe"
 		case f1.OverProvisioned:

@@ -161,10 +161,10 @@ func (p Provisioning) String() string {
 	}
 }
 
-// Classify labels a throughput relative to the knee: within [90%, 140%] of
-// the knee counts as balanced.
-func (m Model) Classify(throughputHz, accelMS2 float64) Provisioning {
-	knee := m.KneePoint(accelMS2)
+// Classify labels a throughput relative to the knee (KneePoint at the
+// vehicle's acceleration): within [90%, 140%] of the knee counts as
+// balanced.
+func Classify(throughputHz, knee float64) Provisioning {
 	switch {
 	case throughputHz < 0.9*knee:
 		return UnderProvisioned
@@ -202,10 +202,10 @@ func (b Bound) String() string {
 
 // EffectiveThroughput returns the pipeline's action throughput — the
 // slowest of compute and sensor rates — and which stage binds. When the
-// combined rate exceeds the knee, the platform physics is the limiter.
-func (m Model) EffectiveThroughput(computeFPS, sensorFPS, accelMS2 float64) (float64, Bound) {
+// combined rate reaches the knee (KneePoint at the vehicle's acceleration),
+// the platform physics is the limiter.
+func EffectiveThroughput(computeFPS, sensorFPS, knee float64) (float64, Bound) {
 	f := math.Min(computeFPS, sensorFPS)
-	knee := m.KneePoint(accelMS2)
 	switch {
 	case f >= knee:
 		return f, PhysicsBound

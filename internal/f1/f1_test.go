@@ -168,13 +168,13 @@ func TestClassify(t *testing.T) {
 	m := denseModel(t)
 	a := nanoAccel()
 	knee := m.KneePoint(a)
-	if got := m.Classify(0.4*knee, a); got != UnderProvisioned {
+	if got := Classify(0.4*knee, knee); got != UnderProvisioned {
 		t.Errorf("0.4·knee = %v", got)
 	}
-	if got := m.Classify(knee, a); got != Balanced {
+	if got := Classify(knee, knee); got != Balanced {
 		t.Errorf("knee = %v", got)
 	}
-	if got := m.Classify(3*knee, a); got != OverProvisioned {
+	if got := Classify(3*knee, knee); got != OverProvisioned {
 		t.Errorf("3·knee = %v", got)
 	}
 }
@@ -193,20 +193,19 @@ func TestProvisioningAndBoundStrings(t *testing.T) {
 }
 
 func TestEffectiveThroughput(t *testing.T) {
-	m := denseModel(t)
-	a := nanoAccel() // knee ≈ 46
+	knee := denseModel(t).KneePoint(nanoAccel()) // ≈ 46
 	// LP-style design: compute is the limiter
-	f, bound := m.EffectiveThroughput(18.4, 60, a)
+	f, bound := EffectiveThroughput(18.4, 60, knee)
 	if f != 18.4 || bound != ComputeBound {
 		t.Fatalf("LP: f=%g bound=%v", f, bound)
 	}
 	// 30 FPS sensor with fast compute: sensor binds
-	f, bound = m.EffectiveThroughput(100, 30, a)
+	f, bound = EffectiveThroughput(100, 30, knee)
 	if f != 30 || bound != SensorBound {
 		t.Fatalf("sensor case: f=%g bound=%v", f, bound)
 	}
 	// both fast: physics binds
-	f, bound = m.EffectiveThroughput(205, 60, a)
+	f, bound = EffectiveThroughput(205, 60, knee)
 	if f != 60 || bound != PhysicsBound {
 		t.Fatalf("HT case: f=%g bound=%v", f, bound)
 	}

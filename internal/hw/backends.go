@@ -3,10 +3,10 @@ package hw
 import (
 	"fmt"
 
+	"autopilot/internal/catalog"
 	"autopilot/internal/cpu"
 	"autopilot/internal/power"
 	"autopilot/internal/systolic"
-	"autopilot/internal/uav"
 )
 
 // SystolicBackend prices networks on the paper's systolic-array NPU
@@ -45,7 +45,7 @@ func (b SystolicBackend) Estimate(w Workload) (Estimate, error) {
 // published pinned FPS), and the board is flown as-is, so its weight hint
 // replaces the thermal-model payload.
 type BoardBackend struct {
-	Board uav.ComputeBaseline
+	Board catalog.ComputeBoard
 }
 
 // Estimate implements Backend. A network workload with no layer stack (no

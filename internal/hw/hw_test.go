@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"autopilot/internal/catalog"
 	"autopilot/internal/cpu"
 	"autopilot/internal/policy"
 	"autopilot/internal/power"
 	"autopilot/internal/systolic"
-	"autopilot/internal/uav"
 )
 
 func testNetwork(t *testing.T) *policy.Network {
@@ -93,12 +93,22 @@ func TestSystolicBackendParity(t *testing.T) {
 	}
 }
 
+// jetsonTX2 is the catalog's Jetson TX2 board.
+func jetsonTX2(t *testing.T) catalog.ComputeBoard {
+	t.Helper()
+	b, err := catalog.BoardByName("jetson-tx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestBoardBackendParity proves the backend reproduces the board arithmetic
 // the old core.EvaluateBaseline inlined, including the flown-weight hint.
 func TestBoardBackendParity(t *testing.T) {
 	net := testNetwork(t)
 	w := NetworkWorkload("L5F32", net)
-	for _, b := range uav.AllBaselines() {
+	for _, b := range catalog.Boards() {
 		est, err := BoardBackend{Board: b}.Estimate(w)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
@@ -118,7 +128,7 @@ func TestBoardBackendParity(t *testing.T) {
 	}
 
 	// A board with no validated model prices at zero throughput, not an error.
-	est, err := BoardBackend{Board: uav.JetsonTX2()}.Estimate(Workload{Name: "no-model", Kind: WorkloadNetwork})
+	est, err := BoardBackend{Board: jetsonTX2(t)}.Estimate(Workload{Name: "no-model", Kind: WorkloadNetwork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +186,7 @@ func TestSPAOnCPUGolden(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	net := testNetwork(t)
 	sys := SystolicBackend{Config: testConfig(), Power: power.Default()}
-	board := BoardBackend{Board: uav.JetsonTX2()}
+	board := BoardBackend{Board: jetsonTX2(t)}
 	cb := CPUBackend{Config: cpu.Catalog()[0], Power: cpu.DefaultPowerModel()}
 
 	cases := []struct {

@@ -5,38 +5,7 @@ import (
 	"testing"
 
 	"autopilot/internal/catalog"
-	"autopilot/internal/uav"
 )
-
-// TestLoadoutMatchesLegacyPlatformBitwise: for the three Table IV airframes
-// with their default battery and sensor, EvaluateLoadout must reproduce the
-// legacy Evaluate-on-uav.Platform profile bitwise — the thin-view contract
-// of the catalog refactor.
-func TestLoadoutMatchesLegacyPlatformBitwise(t *testing.T) {
-	params, spec := DefaultParams(), DefaultSpec()
-	for name, plat := range map[string]uav.Platform{
-		"pelican": uav.AscTecPelican(),
-		"spark":   uav.DJISpark(),
-		"nano":    uav.ZhangNano(),
-	} {
-		lo, err := catalog.DefaultLoadout(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const payloadG, computeW, vSafe = 20, 1.5, 4.0
-		legacy, err := Evaluate(plat, params, spec, payloadG, computeW, vSafe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EvaluateLoadout(lo, params, spec, payloadG, computeW, vSafe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != legacy {
-			t.Errorf("%s: loadout profile %+v != legacy %+v", name, got, legacy)
-		}
-	}
-}
 
 // TestPayloadWeightMonotonicity: adding compute payload can never help the
 // vehicle — maximum acceleration, hover endurance, and missions per charge
@@ -48,18 +17,19 @@ func TestPayloadWeightMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const computeW, vSafe = 1.0, 3.0
+		const computeFPS, computeW = 30.0, 1.0
 		prevAccel, prevEnd, prevMissions := 0.0, 0.0, 0.0
 		first := true
 		for payloadG := 0.0; payloadG <= 200; payloadG += 10 {
 			accel := lo.MaxAccelMS2(payloadG)
-			prof, err := EvaluateLoadout(lo, params, spec, payloadG, computeW, vSafe)
+			fl, err := EvaluateLoadout(lo, params, spec, denseF1, payloadG, computeFPS, computeW, 60)
 			if err != nil {
 				// Heavier payloads may become infeasible; that only
 				// strengthens the property — but the error must be the typed
 				// kind, checked elsewhere. Stop the sweep here.
 				break
 			}
+			prof := fl.Profile
 			end := lo.Battery.EnergyJ() / prof.TotalW / 60 // hover endurance, minutes
 			if !first {
 				if accel > prevAccel {
@@ -85,7 +55,7 @@ func TestEvaluateLoadoutInfeasibleTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = EvaluateLoadout(lo, DefaultParams(), DefaultSpec(), 300, 1.0, 3.0)
+	_, err = EvaluateLoadout(lo, DefaultParams(), DefaultSpec(), denseF1, 300, 46, 1.0, 60)
 	if err == nil {
 		t.Fatal("300 g on a nano should be infeasible")
 	}
@@ -106,11 +76,11 @@ func TestEnduranceMonotoneInComputePower(t *testing.T) {
 		t.Fatal(err)
 	}
 	endurance := func(computeW float64) float64 {
-		prof, err := EvaluateLoadout(lo, DefaultParams(), DefaultSpec(), 50, computeW, 3)
+		fl, err := EvaluateLoadout(lo, DefaultParams(), DefaultSpec(), denseF1, 50, 46, computeW, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lo.Battery.EnergyJ() / prof.TotalW / 60
+		return lo.Battery.EnergyJ() / fl.Profile.TotalW / 60
 	}
 	prev := endurance(0.1)
 	for w := 1.0; w <= 20; w += 1 {

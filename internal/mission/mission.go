@@ -11,7 +11,7 @@ import (
 	"math"
 
 	"autopilot/internal/catalog"
-	"autopilot/internal/uav"
+	"autopilot/internal/f1"
 )
 
 // Params holds the rotor power-model constants.
@@ -32,7 +32,7 @@ func (p Params) RotorHoverPowerW(massKg, discAreaM2 float64) float64 {
 	if massKg <= 0 || discAreaM2 <= 0 {
 		return 0
 	}
-	thrust := massKg * uav.Gravity
+	thrust := massKg * catalog.Gravity
 	return math.Pow(thrust, 1.5) / (p.FigureOfMerit * math.Sqrt(2*p.AirDensityKgM3*discAreaM2))
 }
 
@@ -44,7 +44,7 @@ type Spec struct {
 // DefaultSpec is a representative short-range autonomous sortie.
 func DefaultSpec() Spec { return Spec{DistanceM: 1000} }
 
-// Profile is the full mission-level evaluation of one (UAV, compute payload,
+// Profile is the mission-level evaluation of one (loadout, compute payload,
 // safe velocity) combination.
 type Profile struct {
 	VSafeMS     float64
@@ -57,57 +57,57 @@ type Profile struct {
 	Missions    float64 // Eq. 4
 }
 
-// Evaluate computes Eq. 1–4 for a platform carrying payloadG grams of
-// compute that draws computeW watts and sustains safe velocity vSafe.
-func Evaluate(p uav.Platform, params Params, spec Spec, payloadG, computeW, vSafe float64) (Profile, error) {
-	if spec.DistanceM <= 0 {
-		return Profile{}, fmt.Errorf("mission: non-positive distance %g", spec.DistanceM)
-	}
-	if vSafe <= 0 {
-		return Profile{}, fmt.Errorf("mission: non-positive safe velocity %g", vSafe)
-	}
-	if !p.CanLift(payloadG) {
-		return Profile{}, fmt.Errorf("mission: %s cannot lift %.0f g payload", p.Name, payloadG)
-	}
-	rotor := params.RotorHoverPowerW(p.TotalMassKg(payloadG), p.RotorDiscAreaM2)
-	return profileFor(spec, p.BatteryJ(), rotor, computeW, p.OtherPowerW, vSafe), nil
+// Flight is one compute payload flown on a loadout: the F-1 operating point
+// at the loaded vehicle's acceleration and the Eq. 1–4 profile at the safe
+// velocity it allows.
+type Flight struct {
+	KneeHz       float64
+	ActionHz     float64
+	Bound        f1.Bound
+	Provisioning f1.Provisioning
+	VSafeMS      float64
+	Profile      Profile
 }
 
-// profileFor assembles Eq. 1–4 from the already-resolved power terms. Both
-// the legacy platform path and the catalog loadout path end here, so the
-// mission arithmetic (and its float expression order) lives in one place.
-func profileFor(spec Spec, batteryJ, rotor, computeW, othersW, vSafe float64) Profile {
-	total := rotor + computeW + othersW
-	t := spec.DistanceM / vSafe
-	e := total * t
-	return Profile{
-		VSafeMS:     vSafe,
-		RotorPowerW: rotor,
-		ComputeW:    computeW,
-		OthersW:     othersW,
-		TotalW:      total,
-		MissionTime: t,
-		MissionJ:    e,
-		Missions:    batteryJ / e,
-	}
-}
-
-// EvaluateLoadout computes Eq. 1–4 for a catalog loadout carrying payloadG
-// grams of compute drawing computeW watts at safe velocity vSafe. Unlike the
-// legacy platform path it runs the catalog's full feasibility check — weight
+// EvaluateLoadout flies payloadG grams of compute, running at computeFPS and
+// drawing computeW watts, on a catalog loadout whose sensor runs at
+// sensorFPS: the paper's Phase-3 chain, and the one evaluation every design
+// goes through. It runs the catalog's full feasibility check once — weight
 // budget, thrust floor, and battery discharge limit against the total draw —
 // and returns a typed *catalog.InfeasibleError when the loadout cannot fly.
-func EvaluateLoadout(lo catalog.Loadout, params Params, spec Spec, payloadG, computeW, vSafe float64) (Profile, error) {
+// A feasible loadout gets its F-1 knee once, at its acceleration with the
+// payload; the effective action throughput, provisioning, and safe velocity
+// follow, and the Eq. 1–4 profile is scored at that velocity. When the safe
+// velocity is not positive (no compute throughput) the error comes back
+// with the F-1 fields still set.
+func EvaluateLoadout(lo catalog.Loadout, params Params, spec Spec, model f1.Model, payloadG, computeFPS, computeW, sensorFPS float64) (Flight, error) {
 	if spec.DistanceM <= 0 {
-		return Profile{}, fmt.Errorf("mission: non-positive distance %g", spec.DistanceM)
-	}
-	if vSafe <= 0 {
-		return Profile{}, fmt.Errorf("mission: non-positive safe velocity %g", vSafe)
+		return Flight{}, fmt.Errorf("mission: non-positive distance %g", spec.DistanceM)
 	}
 	rotor := params.RotorHoverPowerW(lo.TotalMassKg(payloadG), lo.Airframe.RotorDiscAreaM2)
 	total := rotor + computeW + lo.Airframe.OtherPowerW
 	if err := lo.Feasible(payloadG, total); err != nil {
-		return Profile{}, err
+		return Flight{}, err
 	}
-	return profileFor(spec, lo.Battery.EnergyJ(), rotor, computeW, lo.Airframe.OtherPowerW, vSafe), nil
+	accel := lo.MaxAccelMS2(payloadG)
+	fl := Flight{KneeHz: model.KneePoint(accel)}
+	fl.ActionHz, fl.Bound = f1.EffectiveThroughput(computeFPS, sensorFPS, fl.KneeHz)
+	fl.Provisioning = f1.Classify(fl.ActionHz, fl.KneeHz)
+	fl.VSafeMS = model.SafeVelocity(fl.ActionHz, accel)
+	if fl.VSafeMS <= 0 {
+		return fl, fmt.Errorf("mission: non-positive safe velocity %g", fl.VSafeMS)
+	}
+	t := spec.DistanceM / fl.VSafeMS
+	e := total * t
+	fl.Profile = Profile{
+		VSafeMS:     fl.VSafeMS,
+		RotorPowerW: rotor,
+		ComputeW:    computeW,
+		OthersW:     lo.Airframe.OtherPowerW,
+		TotalW:      total,
+		MissionTime: t,
+		MissionJ:    e,
+		Missions:    lo.Battery.EnergyJ() / e,
+	}
+	return fl, nil
 }

@@ -4,8 +4,34 @@ import (
 	"math"
 	"testing"
 
-	"autopilot/internal/uav"
+	"autopilot/internal/airlearning"
+	"autopilot/internal/catalog"
+	"autopilot/internal/f1"
 )
+
+// denseF1 is the F-1 model the mission tests fly under.
+var denseF1 = f1.ForScenario(airlearning.DenseObstacle)
+
+// defaultLoadout is a Table IV airframe with its default battery and sensor.
+func defaultLoadout(t *testing.T, airframe string) catalog.Loadout {
+	t.Helper()
+	lo, err := catalog.DefaultLoadout(airframe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo
+}
+
+// fly evaluates a compute payload on a loadout with a 60 FPS sensor under
+// the default rotor model, failing the test on any error.
+func fly(t *testing.T, lo catalog.Loadout, spec Spec, payloadG, computeFPS, computeW float64) Flight {
+	t.Helper()
+	fl, err := EvaluateLoadout(lo, DefaultParams(), spec, denseF1, payloadG, computeFPS, computeW, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
 
 func TestRotorPowerMomentumTheory(t *testing.T) {
 	p := DefaultParams()
@@ -32,43 +58,66 @@ func TestRotorPowerDegenerateInputs(t *testing.T) {
 func TestFlightTimesMatchRealDrones(t *testing.T) {
 	// sanity anchors: Spark ~16 min, Pelican ~20 min, Crazyflie-class nano
 	// ~7-12 min with a small payload
-	p := DefaultParams()
 	cases := []struct {
-		plat   uav.Platform
+		plat   catalog.Loadout
 		lo, hi float64
 	}{
-		{uav.ZhangNano(), 6, 14},
-		{uav.DJISpark(), 12, 24},
-		{uav.AscTecPelican(), 15, 28},
+		{defaultLoadout(t, "nano"), 6, 14},
+		{defaultLoadout(t, "spark"), 12, 24},
+		{defaultLoadout(t, "pelican"), 15, 28},
 	}
 	for _, c := range cases {
-		prof, err := Evaluate(c.plat, p, DefaultSpec(), 24, 0.7, 5)
+		prof := fly(t, c.plat, DefaultSpec(), 24, 46, 0.7).Profile
+		min := c.plat.Battery.EnergyJ() / prof.TotalW / 60 // hover endurance
+		if min < c.lo || min > c.hi {
+			t.Errorf("%s: flight time %.1f min outside [%g, %g]", c.plat, min, c.lo, c.hi)
+		}
+	}
+}
+
+// TestEvaluateLoadoutFollowsF1 pins the chain to the F-1 model's own
+// arithmetic: the knee at the loaded acceleration, the effective throughput
+// and provisioning against that knee, and the safe velocity the profile is
+// scored at, bit for bit.
+func TestEvaluateLoadoutFollowsF1(t *testing.T) {
+	nano := defaultLoadout(t, "nano")
+	for _, c := range []struct{ payloadG, fps, sensorFPS float64 }{
+		{24, 18.4, 60}, {24, 100, 30}, {30, 205, 60}, {65, 46, 90},
+	} {
+		fl, err := EvaluateLoadout(nano, DefaultParams(), DefaultSpec(), denseF1, c.payloadG, c.fps, 0.7, c.sensorFPS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		min := c.plat.BatteryJ() / prof.TotalW / 60 // hover endurance
-		if min < c.lo || min > c.hi {
-			t.Errorf("%s: flight time %.1f min outside [%g, %g]", c.plat.Name, min, c.lo, c.hi)
+		accel := nano.MaxAccelMS2(c.payloadG)
+		knee := denseF1.KneePoint(accel)
+		action, bound := f1.EffectiveThroughput(c.fps, c.sensorFPS, knee)
+		want := Flight{
+			KneeHz: knee, ActionHz: action, Bound: bound,
+			Provisioning: f1.Classify(action, knee),
+			VSafeMS:      denseF1.SafeVelocity(action, accel),
+		}
+		want.Profile = fl.Profile
+		if fl != want {
+			t.Errorf("%+v: flight %+v, want %+v", c, fl, want)
+		}
+		if fl.Profile.VSafeMS != fl.VSafeMS {
+			t.Errorf("%+v: profile scored at %g m/s, not the safe velocity %g", c, fl.Profile.VSafeMS, fl.VSafeMS)
 		}
 	}
 }
 
 func TestEvaluateEquationConsistency(t *testing.T) {
-	p := DefaultParams()
-	nano := uav.ZhangNano()
-	prof, err := Evaluate(nano, p, Spec{DistanceM: 500}, 24, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nano := defaultLoadout(t, "nano")
+	prof := fly(t, nano, Spec{DistanceM: 500}, 24, 46, 0.7).Profile
 	// Eq. 2/3: E = P·t with t = D/v
-	if math.Abs(prof.MissionTime-100) > 1e-9 {
-		t.Fatalf("mission time = %g, want 100 s", prof.MissionTime)
+	if math.Abs(prof.MissionTime-500/prof.VSafeMS) > 1e-9 {
+		t.Fatalf("mission time = %g, want D/v = %g s", prof.MissionTime, 500/prof.VSafeMS)
 	}
 	if math.Abs(prof.MissionJ-prof.TotalW*prof.MissionTime) > 1e-9 {
 		t.Fatal("E != P·t")
 	}
 	// Eq. 1/4: N = E_batt / E_mission
-	if math.Abs(prof.Missions-nano.BatteryJ()/prof.MissionJ) > 1e-9 {
+	if math.Abs(prof.Missions-nano.Battery.EnergyJ()/prof.MissionJ) > 1e-9 {
 		t.Fatal("N != E_batt / E_mission")
 	}
 	if math.Abs(prof.TotalW-(prof.RotorPowerW+prof.ComputeW+prof.OthersW)) > 1e-9 {
@@ -78,49 +127,39 @@ func TestEvaluateEquationConsistency(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	p := DefaultParams()
-	nano := uav.ZhangNano()
-	if _, err := Evaluate(nano, p, Spec{}, 24, 0.7, 5); err == nil {
+	nano := defaultLoadout(t, "nano")
+	if _, err := EvaluateLoadout(nano, p, Spec{}, denseF1, 24, 46, 0.7, 60); err == nil {
 		t.Error("expected error for zero distance")
 	}
-	if _, err := Evaluate(nano, p, DefaultSpec(), 24, 0.7, 0); err == nil {
+	fl, err := EvaluateLoadout(nano, p, DefaultSpec(), denseF1, 24, 0, 0.7, 60)
+	if err == nil {
 		t.Error("expected error for zero velocity")
 	}
-	if _, err := Evaluate(nano, p, DefaultSpec(), 5000, 0.7, 5); err == nil {
+	if fl.KneeHz <= 0 {
+		t.Error("a zero-velocity flight must keep its F-1 knee")
+	}
+	if _, err := EvaluateLoadout(nano, p, DefaultSpec(), denseF1, 5000, 46, 0.7, 60); err == nil {
 		t.Error("expected error for unliftable payload")
 	}
 }
 
 func TestFasterIsMoreMissionsAtSamePower(t *testing.T) {
-	p := DefaultParams()
-	nano := uav.ZhangNano()
-	slow, err := Evaluate(nano, p, DefaultSpec(), 24, 0.7, 3)
-	if err != nil {
-		t.Fatal(err)
+	nano := defaultLoadout(t, "nano")
+	slow := fly(t, nano, DefaultSpec(), 24, 10, 0.7)
+	fast := fly(t, nano, DefaultSpec(), 24, 30, 0.7)
+	if fast.VSafeMS <= slow.VSafeMS || fast.Profile.Missions <= slow.Profile.Missions {
+		t.Fatal("higher action throughput must yield a higher safe velocity and more missions (Eq. 4)")
 	}
-	fast, err := Evaluate(nano, p, DefaultSpec(), 24, 0.7, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Missions <= slow.Missions {
-		t.Fatal("higher safe velocity must yield more missions (Eq. 4)")
-	}
-	if math.Abs(fast.Missions/slow.Missions-3) > 1e-9 {
-		t.Fatalf("missions must scale linearly with v: ratio %g", fast.Missions/slow.Missions)
+	if got, want := fast.Profile.Missions/slow.Profile.Missions, fast.VSafeMS/slow.VSafeMS; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("missions must scale linearly with v: ratio %g, velocity ratio %g", got, want)
 	}
 }
 
 func TestHeavierPayloadFewerMissions(t *testing.T) {
-	p := DefaultParams()
-	nano := uav.ZhangNano()
-	light, err := Evaluate(nano, p, DefaultSpec(), 24, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy, err := Evaluate(nano, p, DefaultSpec(), 65, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heavy.Missions >= light.Missions {
+	nano := defaultLoadout(t, "nano")
+	light := fly(t, nano, DefaultSpec(), 24, 46, 0.7)
+	heavy := fly(t, nano, DefaultSpec(), 65, 46, 0.7)
+	if heavy.Profile.Missions >= light.Profile.Missions {
 		t.Fatal("heavier payload must cost missions via rotor power")
 	}
 }
@@ -128,11 +167,7 @@ func TestHeavierPayloadFewerMissions(t *testing.T) {
 func TestRotorsDominateSoCPower(t *testing.T) {
 	// MAVBench observation the paper cites: ~95% of power goes to rotors on
 	// conventional UAVs; verify our Pelican profile has the same structure.
-	p := DefaultParams()
-	prof, err := Evaluate(uav.AscTecPelican(), p, DefaultSpec(), 24, 0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := fly(t, defaultLoadout(t, "pelican"), DefaultSpec(), 24, 46, 0.7).Profile
 	if frac := prof.RotorPowerW / prof.TotalW; frac < 0.9 {
 		t.Fatalf("rotor fraction = %.2f, want > 0.9 for the mini-UAV", frac)
 	}

@@ -204,9 +204,18 @@ func TestDQNLearnsOnNavigationTask(t *testing.T) {
 	agent := NewDQN(online, target, dcfg, 6)
 
 	evalEnv := airlearning.NewEnvWithConfig(airlearning.LowObstacle, cfg, 1006)
-	before := airlearning.SuccessRate(evalEnv, agent.Policy(), 30)
+	successRate := func() float64 {
+		wins := 0
+		for i := 0; i < 30; i++ {
+			if airlearning.RunEpisode(evalEnv, agent.Policy()).Outcome == airlearning.Success {
+				wins++
+			}
+		}
+		return float64(wins) / 30
+	}
+	before := successRate()
 	trainEpisodes(env, agent, 250)
-	after := airlearning.SuccessRate(evalEnv, agent.Policy(), 30)
+	after := successRate()
 	if after <= before && after < 0.4 {
 		t.Fatalf("DQN did not learn: success before %.2f, after %.2f", before, after)
 	}

@@ -17,7 +17,7 @@ import (
 func gatedPipeline(started chan<- string, release <-chan struct{}) func(context.Context, core.Spec) (*core.Report, error) {
 	return func(ctx context.Context, spec core.Spec) (*core.Report, error) {
 		if started != nil {
-			started <- spec.Platform.Name
+			started <- spec.Platform.Airframe.Label
 		}
 		select {
 		case <-release:

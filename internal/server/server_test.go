@@ -119,7 +119,7 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want api.JobState) 
 func blockingPipeline(started chan<- string) func(context.Context, core.Spec) (*core.Report, error) {
 	return func(ctx context.Context, spec core.Spec) (*core.Report, error) {
 		if started != nil {
-			started <- spec.Platform.Name
+			started <- spec.Platform.Airframe.Label
 		}
 		<-ctx.Done()
 		return nil, ctx.Err()

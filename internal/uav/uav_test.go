@@ -12,50 +12,49 @@ func TestPlatformsMatchTableIV(t *testing.T) {
 	if len(ps) != 3 {
 		t.Fatalf("platforms = %d", len(ps))
 	}
-	mini, micro, nano := ps[0], ps[1], ps[2]
-	if mini.BatteryCapacitymAh != 6250 || mini.BaseWeightG != 1650 || mini.Class != Mini {
-		t.Errorf("Pelican = %+v", mini)
-	}
-	if micro.BatteryCapacitymAh != 1480 || micro.BaseWeightG != 300 || micro.Class != Micro {
-		t.Errorf("Spark = %+v", micro)
-	}
-	if nano.BatteryCapacitymAh != 500 || nano.BaseWeightG != 50 || nano.Class != Nano {
-		t.Errorf("nano = %+v", nano)
+	for _, c := range []struct {
+		lo              catalog.Loadout
+		mAh, weightG    float64
+		class, airframe string
+	}{
+		{ps[0], 6250, 1650, "mini", "pelican"},
+		{ps[1], 1480, 300, "micro", "spark"},
+		{ps[2], 500, 50, "nano", "nano"},
+	} {
+		lo := c.lo
+		if lo.Battery.CapacitymAh != c.mAh || lo.BaseWeightG() != c.weightG ||
+			lo.Airframe.Class != c.class || lo.Airframe.Name != c.airframe {
+			t.Errorf("%s = %+v, want %g mAh, %g g, class %s", lo, lo, c.mAh, c.weightG, c.class)
+		}
 	}
 }
 
 func TestAllPlatformsValid(t *testing.T) {
 	for _, p := range Platforms() {
 		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
+			t.Errorf("%s: %v", p, err)
 		}
 	}
 }
 
 func TestValidateRejectsBadPlatform(t *testing.T) {
-	if err := (Platform{}).Validate(); err == nil {
+	if err := (catalog.Loadout{}).Validate(); err == nil {
 		t.Error("empty platform must be invalid")
 	}
 	heavy := ZhangNano()
-	heavy.BaseWeightG = 100000
+	heavy.Airframe.FrameWeightG = 100000
 	if err := heavy.Validate(); err == nil {
 		t.Error("platform that cannot lift itself must be invalid")
 	}
 }
 
-func TestClassStrings(t *testing.T) {
-	if Mini.String() != "mini" || Micro.String() != "micro" || Nano.String() != "nano" {
-		t.Fatal("bad class names")
-	}
-}
-
 func TestBatteryEnergy(t *testing.T) {
 	// nano: 500 mAh × 3.7 V × 3.6 = 6660 J
-	if got := ZhangNano().BatteryJ(); math.Abs(got-6660) > 1 {
+	if got := ZhangNano().Battery.EnergyJ(); math.Abs(got-6660) > 1 {
 		t.Fatalf("nano battery = %g J, want 6660", got)
 	}
 	// Pelican ~250 kJ
-	if got := AscTecPelican().BatteryJ(); got < 200e3 || got > 300e3 {
+	if got := AscTecPelican().Battery.EnergyJ(); got < 200e3 || got > 300e3 {
 		t.Fatalf("Pelican battery = %g J", got)
 	}
 }
@@ -63,7 +62,7 @@ func TestBatteryEnergy(t *testing.T) {
 func TestMaxAccelDecreasesWithPayload(t *testing.T) {
 	for _, p := range Platforms() {
 		if a0, a50 := p.MaxAccelMS2(0), p.MaxAccelMS2(50); a50 >= a0 {
-			t.Errorf("%s: payload did not reduce acceleration", p.Name)
+			t.Errorf("%s: payload did not reduce acceleration", p)
 		}
 	}
 }
@@ -74,11 +73,11 @@ func TestMaxAccelZeroWhenOverloaded(t *testing.T) {
 	if a := n.MaxAccelMS2(500); a != 0 {
 		t.Fatalf("overloaded accel = %g, want 0", a)
 	}
-	if n.CanLift(500) {
+	if n.FeasibleWeight(500) == nil {
 		t.Fatal("nano must not lift 500 g")
 	}
-	if !n.CanLift(24) {
-		t.Fatal("nano must lift a 24 g compute payload")
+	if err := n.FeasibleWeight(24); err != nil {
+		t.Fatalf("nano must lift a 24 g compute payload: %v", err)
 	}
 }
 
@@ -91,18 +90,18 @@ func TestNanoMoreAgileThanSpark(t *testing.T) {
 }
 
 func TestMaxSensorFPS(t *testing.T) {
-	if got := ZhangNano().MaxSensorFPS(); got != 60 {
+	if got := ZhangNano().Airframe.MaxSensorFPS(); got != 60 {
 		t.Fatalf("max sensor FPS = %g, want 60 (Table IV: 30/60)", got)
 	}
 }
 
 func TestBaselinesValid(t *testing.T) {
-	for _, b := range append(Baselines(), IntelNCS()) {
+	for _, b := range AllBaselines() {
 		if err := b.Validate(); err != nil {
-			t.Errorf("%s: %v", b.Name, err)
+			t.Errorf("%s: %v", b.Label, err)
 		}
 	}
-	if err := (ComputeBaseline{}).Validate(); err == nil {
+	if err := (catalog.ComputeBoard{}).Validate(); err == nil {
 		t.Error("empty baseline must be invalid")
 	}
 }

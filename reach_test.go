@@ -26,12 +26,7 @@ import (
 var unreachedKeepers = map[string]string{
 	"systolic.TraceLayer":           "cycle-level oracle the systolic tests check the analytical model against",
 	"power.Model.SoC":               "reference SoC power the hw and power tests check estimates against",
-	"catalog.Airframe.Validate":     "checks every built-in airframe in the catalog tests",
-	"catalog.Battery.Validate":      "checks every built-in battery in the catalog tests",
 	"catalog.ComputeBoard.Validate": "checks every built-in compute board in the catalog tests",
-	"catalog.Loadout.Validate":      "checks every airframe's default loadout in the catalog tests",
-	"catalog.Sensor.Validate":       "checks every built-in sensor in the catalog tests",
-	"uav.ComputeBaseline.Validate":  "checks the built-in baseline computers in the uav tests",
 	"f1.Model.Validate":             "checks the default F-1 model in the f1 tests",
 	"airlearning.ExpertPolicy":      "shortest-path teacher the airlearning and nn tests and the root benchmarks fly",
 	"dse.Space.Sample":              "random design points the dse and tuning tests evaluate",
